@@ -53,8 +53,7 @@ def main(argv=None) -> int:
         dest="engines",
         choices=["scalar", "batched", "columnar"],
         help="engine tier to measure (repeatable); scalar and batched "
-        "are always timed, '--engine columnar' adds the columnar tier "
-        "(needs NumPy; skipped with a warning when absent)",
+        "are always timed, '--engine columnar' adds the columnar tier",
     )
     parser.add_argument(
         "--no-floors",
@@ -65,17 +64,6 @@ def main(argv=None) -> int:
 
     engines = {"scalar", "batched"}
     engines.update(args.engines or ())
-    if "columnar" in engines:
-        from repro.engine.columnar import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            print(
-                "warning: --engine columnar requested but NumPy is not "
-                "installed (pip install repro-8t[columnar]); skipping "
-                "the columnar tier",
-                file=sys.stderr,
-            )
-            engines.discard("columnar")
 
     results = run_hotpath_bench(
         accesses=args.accesses,

@@ -5,35 +5,45 @@ One :func:`run_differential` call replays a single trace through
 * the :class:`repro.check.oracle.ReferenceOracle` (independent model),
 * the scalar engine (``CacheController.process`` per record),
 * the batched engine (``Simulator(engine="batched")``), and
-* the columnar engine (``Simulator(engine="columnar")``) whenever
-  NumPy is installed — the leg is skipped silently without it,
+* the columnar engine (``Simulator(engine="columnar")``),
 
 then compares every observable the models share: per-read values
 (oracle vs scalar, access by access), circuit events, operation counts,
 hit/miss statistics, and the final memory image after draining the
-controller and flushing every dirty line.  The return value is a flat
-list of human-readable divergence strings — empty means the models
-agree on everything.
+controller and flushing every dirty line.  The telemetry leg rides
+along: the scalar reference runs under
+``Telemetry(sampler=IntervalSampler(TELEMETRY_WINDOW))``, one more
+columnar run does too, and the two must agree on :func:`observed_state`
+— the registry (``span.*`` timings aside) and every interval snapshot.
+The return value is a flat list of human-readable divergence strings —
+empty means the models agree on everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.cache.memory import FunctionalMemory
 from repro.check.oracle import ORACLE_TECHNIQUES, OracleRun, ReferenceOracle
 from repro.core.registry import make_controller
-from repro.engine.columnar import HAVE_NUMPY
+from repro.obs.sampler import IntervalSampler, IntervalSnapshot
+from repro.obs.telemetry import Telemetry
 from repro.sim.simulator import Simulator
 from repro.trace.record import MemoryAccess
 
-__all__ = ["run_differential", "WG_FAMILY"]
+__all__ = ["run_differential", "observed_state", "WG_FAMILY"]
 
 WG_FAMILY = ("wg", "wg_rb")
 """Techniques that accept the Set-Buffer knobs."""
+
+TELEMETRY_WINDOW = 11
+"""Sampler window of the telemetry leg.  Small, so a fuzz trace crosses
+many window boundaries; prime, so with any batch size the fuzzer draws
+most boundaries fall mid-chunk and every ``batch_size``-th one at a
+chunk end."""
 
 
 def _controller_kwargs(
@@ -49,6 +59,11 @@ def _controller_kwargs(
     return kwargs
 
 
+#: ``observed_state`` of one run: registry state without ``span.*``,
+#: and the sampler's snapshots.
+ObservedState = Tuple[Dict[str, Dict[str, Any]], List[IntervalSnapshot]]
+
+
 def _run_scalar(
     trace: Sequence[MemoryAccess],
     technique: str,
@@ -56,15 +71,17 @@ def _run_scalar(
     kwargs: Dict[str, object],
     invariants: bool,
 ):
-    """Scalar reference run; returns (controller, cache, outcomes, memory)."""
+    """Scalar reference run, observed for the telemetry leg; returns
+    (controller, cache, outcomes, memory, observed state)."""
     memory = FunctionalMemory()
     cache = SetAssociativeCache(geometry, memory)
-    controller = make_controller(technique, cache, **kwargs)
+    telemetry = Telemetry(sampler=IntervalSampler(TELEMETRY_WINDOW))
+    controller = make_controller(technique, cache, telemetry=telemetry, **kwargs)
     if invariants:
         controller.enable_invariant_checks()
     outcomes = controller.run(list(trace))
     cache.flush_all_dirty()
-    return controller, cache, outcomes, memory.snapshot()
+    return controller, cache, outcomes, memory.snapshot(), observed_state(telemetry)
 
 
 def _run_engine(
@@ -114,7 +131,7 @@ def run_differential(
     entries: int = 1,
     invariants: bool = False,
 ) -> List[str]:
-    """Replay ``trace`` through all three models; returns divergences.
+    """Replay ``trace`` through every model; returns divergences.
 
     ``invariants=True`` additionally runs the scalar engine with the
     inline invariant checker enabled (structural checks after every
@@ -126,17 +143,14 @@ def run_differential(
         technique, count_miss_traffic, detect_silent_writes, entries
     )
 
-    controller, cache, outcomes, scalar_memory = _run_scalar(
+    controller, cache, outcomes, scalar_memory, scalar_observed = _run_scalar(
         trace, technique, geometry, kwargs, invariants
     )
 
     divergences: List[str] = []
 
     # -- scalar vs batched / columnar: must be bit-identical ----------------
-    engines = ["batched"]
-    if HAVE_NUMPY:
-        engines.append("columnar")
-    for engine in engines:
+    for engine in ("batched", "columnar"):
         candidate, candidate_memory = _run_engine(
             trace, technique, geometry, kwargs, batch_size, engine
         )
@@ -168,6 +182,11 @@ def run_differential(
                 f"{min(delta)}"
             )
 
+    divergences += _diff_telemetry(
+        scalar_observed,
+        _observed_columnar(trace, technique, geometry, kwargs, batch_size),
+    )
+
     # -- oracle vs scalar ---------------------------------------------------
     if technique in ORACLE_TECHNIQUES:
         oracle_run = ReferenceOracle(
@@ -179,6 +198,76 @@ def run_differential(
         ).run(trace)
         divergences += _diff_oracle(
             oracle_run, trace, outcomes, controller, cache, scalar_memory
+        )
+    return divergences
+
+
+def observed_state(telemetry: Telemetry) -> ObservedState:
+    """What an observed run must reproduce on every engine: the registry
+    state without the wall-clock ``span.*`` timings, and the sampler's
+    snapshots (empty without a sampler)."""
+    state = {
+        section: {
+            name: value
+            for name, value in values.items()
+            if not name.startswith("span.")
+        }
+        for section, values in telemetry.registry.state_dict().items()
+    }
+    sampler = telemetry.sampler
+    return state, list(sampler.snapshots) if sampler is not None else []
+
+
+def _observed_columnar(
+    trace: Sequence[MemoryAccess],
+    technique: str,
+    geometry: CacheGeometry,
+    kwargs: Dict[str, object],
+    batch_size: Optional[int],
+) -> ObservedState:
+    telemetry = Telemetry(sampler=IntervalSampler(TELEMETRY_WINDOW))
+    simulator = Simulator(
+        technique,
+        geometry,
+        telemetry=telemetry,
+        engine="columnar",
+        batch_size=batch_size,
+        **kwargs,
+    )
+    simulator.feed(trace)
+    simulator.finish()
+    return observed_state(telemetry)
+
+
+def _diff_telemetry(
+    reference: ObservedState, candidate: ObservedState
+) -> List[str]:
+    reference_state, reference_snapshots = reference
+    candidate_state, candidate_snapshots = candidate
+    label = f"scalar-vs-columnar telemetry (window {TELEMETRY_WINDOW})"
+    reference_counters = reference_state["counters"]
+    candidate_counters = candidate_state["counters"]
+    # ``get`` keeps a counter missing on one side (None) apart from one
+    # that exists at zero: lazily created counters must match too.
+    divergences = [
+        f"{label} counters.{name}: "
+        f"{reference_counters.get(name)} != {candidate_counters.get(name)}"
+        for name in sorted(set(reference_counters) | set(candidate_counters))
+        if reference_counters.get(name) != candidate_counters.get(name)
+    ]
+    for section in ("gauges", "histograms"):
+        if reference_state[section] != candidate_state[section]:
+            divergences.append(f"{label} {section} differ")
+    for i, (expected, got) in enumerate(
+        zip(reference_snapshots, candidate_snapshots)
+    ):
+        if expected != got:
+            divergences.append(f"{label} snapshot {i}: {expected} != {got}")
+            break
+    if len(reference_snapshots) != len(candidate_snapshots):
+        divergences.append(
+            f"{label} snapshots: {len(reference_snapshots)} != "
+            f"{len(candidate_snapshots)}"
         )
     return divergences
 

@@ -20,7 +20,7 @@ unchanged.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.core.outcomes import AccessOutcome, OperationCounts
@@ -49,6 +49,13 @@ class CacheController(abc.ABC):
     #: back to the scalar loop instead of inheriting a fast path that no
     #: longer matches its ``process()``.
     _fast_path_name: Optional[str] = None
+
+    #: ``(OperationCounts field, instrumentation point)`` pairs for which
+    #: the scalar path emits ``ctrl.<name>.<point>`` exactly once per unit
+    #: the field grows.  The columnar engine never calls :meth:`process`,
+    #: so it credits the points from these deltas instead (see
+    #: :meth:`_add_telemetry_deltas`).
+    _counted_points: Tuple[Tuple[str, str], ...] = ()
 
     def __init__(
         self,
@@ -107,6 +114,44 @@ class CacheController(abc.ABC):
         for counter in self.telemetry.registry.counters():
             if counter.name.startswith(prefix):
                 counter.value = 0
+
+    def _telemetry_marks(self) -> Tuple[int, ...]:
+        """Cumulative values the metrics plane is derived from.
+
+        An engine that bypasses :meth:`process` takes these before a
+        kernel call and hands them to :meth:`_add_telemetry_deltas`
+        after it.
+        """
+        counts = self.counts
+        stats = self.cache.stats
+        return (
+            counts.read_requests,
+            counts.write_requests,
+            stats.hits,
+            stats.misses,
+        ) + tuple(getattr(counts, field) for field, _ in self._counted_points)
+
+    def _add_telemetry_deltas(self, marks: Tuple[int, ...]) -> None:
+        """Credit the registry with everything processed since ``marks``.
+
+        Adds exactly what the per-access increments of the scalar path
+        add up to: the four pre-bound request counters, plus one
+        ``ctrl.<name>.<point>`` counter per counted point, created only
+        when its delta is non-zero — as :meth:`_emit_point` creates it
+        on first emission.
+        """
+        reads, writes, hits, misses, *points = marks
+        counts = self.counts
+        stats = self.cache.stats
+        self._c_reads.inc(counts.read_requests - reads)
+        self._c_writes.inc(counts.write_requests - writes)
+        self._c_hits.inc(stats.hits - hits)
+        self._c_misses.inc(stats.misses - misses)
+        registry = self.telemetry.registry
+        for (field, point), before in zip(self._counted_points, points):
+            delta = getattr(counts, field) - before
+            if delta:
+                registry.inc(f"ctrl.{self.name}.{point}", delta)
 
     def _emit_point(self, name: str, **args: object) -> None:
         """One named instrumentation point: counter + trace instant.

@@ -30,6 +30,9 @@ class RMWController(CacheController):
 
     name = "rmw"
     _fast_path_name = "rmw"
+    # One RMW per write request; ``rmw_operations`` would also count
+    # the fills charged under ``count_miss_traffic``.
+    _counted_points = (("write_requests", "rmw_issued"),)
 
     def _process_batch_fast(self, batch: "AccessBatch") -> None:
         """Batched hot loop, fully inline: hits run on the cache's slot

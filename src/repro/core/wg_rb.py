@@ -24,6 +24,9 @@ class WGRBController(WriteGroupingController):
     _fast_path_name = "wg_rb"
     _rb_bypass = True  # the batched fast path serves probe-hit reads
     # from the Set-Buffer, mirroring _handle_read below
+    _counted_points = WriteGroupingController._counted_points + (
+        ("bypassed_reads", "read_bypass"),
+    )
 
     def _handle_read(
         self, access: MemoryAccess, result: AccessResult

@@ -82,6 +82,16 @@ class WriteGroupingController(CacheController):
 
     name = "wg"
     _fast_path_name = "wg"
+    # ``sb_writeback_final`` is absent: ``finalize()`` emits it on every
+    # engine.
+    _counted_points = (
+        ("grouped_writes", "sb_hit"),
+        ("set_buffer_fills", "sb_fill"),
+        ("silent_writes_detected", "sb_silent_write"),
+        ("premature_writebacks", "sb_writeback_premature"),
+        ("eviction_writebacks", "sb_writeback_eviction"),
+        ("fill_flush_writebacks", "sb_writeback_fill_flush"),
+    )
 
     #: WG+RB flips this: reads hitting the Tag-Buffer are served from
     #: the Set-Buffer instead of forcing a premature write-back.

@@ -19,11 +19,9 @@ from repro.engine.bench import (
     run_hotpath_bench,
 )
 from repro.engine.columnar import (
-    HAVE_NUMPY,
     ColumnarChunk,
     iter_chunks,
     process_chunk,
-    require_numpy,
 )
 
 __all__ = [
@@ -33,9 +31,7 @@ __all__ = [
     "BenchResult",
     "bench_report",
     "run_hotpath_bench",
-    "HAVE_NUMPY",
     "ColumnarChunk",
     "iter_chunks",
     "process_chunk",
-    "require_numpy",
 ]

@@ -2,7 +2,7 @@
 
 Replays one synthetic workload through every requested technique —
 once through the scalar ``process()`` loop, once through the batched
-``process_batch()`` engine, and (on request, NumPy permitting) once
+``process_batch()`` engine, and (on request) once
 through the columnar ``process_chunk()`` engine — and reports
 accesses/second for each.  As a side effect every run cross-checks the
 engines' event logs, so a benchmark run doubles as an end-to-end
@@ -48,7 +48,7 @@ class BenchResult:
     """Throughput of one technique under the measured engines.
 
     ``columnar_seconds`` is ``None`` when the columnar engine was not
-    measured (not requested, or NumPy absent); ``to_dict`` omits the
+    measured (not requested); ``to_dict`` omits the
     columnar keys in that case so existing snapshot consumers see the
     exact historical shape.
     """
@@ -179,8 +179,8 @@ def run_hotpath_bench(
     """Measure per-engine throughput for each technique.
 
     ``engines`` selects which engines to time (default scalar +
-    batched; add ``"columnar"`` for the second-generation engine —
-    requires NumPy).  Scalar and batched are always measured: they
+    batched; add ``"columnar"`` for the second-generation engine).
+    Scalar and batched are always measured: they
     anchor the recorded speedup baselines.  ``repeats`` runs of each
     engine are timed and the *fastest* kept (standard microbenchmark
     practice: the minimum is the least noisy estimator of the true
@@ -196,10 +196,6 @@ def run_hotpath_bench(
             f"unknown engine(s) {sorted(unknown)}; known: {BENCH_ENGINES}"
         )
     want_columnar = "columnar" in engine_names
-    if want_columnar:
-        from repro.engine.columnar import require_numpy
-
-        require_numpy()
     names = list(techniques) if techniques is not None else list(CONTROLLER_NAMES)
     trace = generate_trace(get_profile(benchmark), accesses, seed=seed)
     results: List[BenchResult] = []

@@ -37,59 +37,80 @@ Why this is bit-identical
   the cache probe.  Consecutive same-set write runs are pre-grouped
   vectorized (``np.flatnonzero(np.diff(...))``).
 
-Gating matches :meth:`CacheController.process_batch` exactly (fast-path
-name, telemetry, invariant checker, ``engine_fast_ok``); anything the
-kernels cannot reproduce bit-identically — WG buffer pools with more
-than one entry, non-LRU replacement, telemetry, invariant checks —
-falls back to the batched engine for the whole chunk.  The four-way
+Gating
+------
+The kernels run whenever the controller is the technique they
+implement (``name == _fast_path_name``), its cache uses stamp-LRU
+(``engine_fast_ok``) and — for WG — its buffer pool has one entry.
+Metrics-only telemetry rides along: after every kernel call
+:func:`process_chunk` credits the controller's registry counters with
+the call's deltas (:meth:`CacheController._add_telemetry_deltas`), and
+with an :class:`repro.obs.sampler.IntervalSampler` attached it stops
+each kernel call at the sampler's next window boundary, so registry
+counters and snapshots match per-access execution exactly.  Four
+cases send the whole chunk to the batched engine instead: a live trace
+sink (it needs one instant per instrumentation point), the invariant
+checker, WG buffer pools with more than one entry, and non-LRU
+replacement.  Its gate runs the chunk per access whenever telemetry or
+the checker is on, so those runs still see every access.  The four-way
 scalar↔batched↔columnar↔oracle differential in ``tests/engine/`` and
 ``repro/check/`` enforces bit-identity across all of it.
-
-NumPy is an optional extra; :func:`require_numpy` raises a
-:class:`ValidationError` when it is missing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from itertools import islice
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy
 
 from repro.cache.config import CacheGeometry
-from repro.engine.batch import AccessBatch, iter_batches
+from repro.core.write_grouping import WriteGroupingController
+from repro.engine.batch import DEFAULT_BATCH_SIZE, AccessBatch
 from repro.errors import StateError, ValidationError
-from repro.trace.record import MemoryAccess
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised on CI without numpy
-    numpy = None  # type: ignore[assignment]
-
-np: Any = numpy
+from repro.trace.record import AccessType, MemoryAccess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.controller import CacheController
-    from repro.core.write_grouping import WriteGroupingController
+
+# Bound as ``Any``: the array code here is pinned by the differential
+# suite, and NumPy's stubs would only add casts.
+np: Any = numpy
 
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnarChunk",
-    "require_numpy",
     "iter_chunks",
     "process_chunk",
+    "split_addresses",
 ]
 
-HAVE_NUMPY = np is not None
-
 _NO_TAG = -1
+_WRITE = AccessType.WRITE
+
+_Kernel = Callable[[Any, "ColumnarChunk"], None]
 
 
-def require_numpy() -> None:
-    """Raise :class:`ValidationError` unless NumPy is importable."""
-    if np is None:
-        raise ValidationError(
-            "engine='columnar' requires NumPy; install the 'columnar' "
-            "extra (pip install repro-8t[columnar])"
-        )
+def split_addresses(
+    addresses: Any, geometry: CacheGeometry
+) -> Tuple[Any, Any, Any]:
+    """Vectorised ``(set_indices, tags, word_offsets)`` of a u64 address
+    column under ``geometry.codec`` — the batch decoder's split, in bulk."""
+    codec = geometry.codec
+    return (
+        ((addresses >> codec.index_shift) & codec.index_mask).astype(np.int64),
+        ((addresses >> codec.tag_shift) & codec.tag_mask).astype(np.int64),
+        ((addresses & codec.offset_mask) >> codec.word_shift).astype(np.int64),
+    )
 
 
 @dataclass
@@ -118,6 +139,19 @@ class ColumnarChunk:
     def __len__(self) -> int:
         return len(self.kinds)
 
+    def __getitem__(self, key: slice) -> "ColumnarChunk":
+        """The records in ``key`` (a slice), as zero-copy column views."""
+        return ColumnarChunk(
+            geometry=self.geometry,
+            icounts=self.icounts[key],
+            kinds=self.kinds[key],
+            addresses=self.addresses[key],
+            values=self.values[key],
+            set_indices=self.set_indices[key],
+            tags=self.tags[key],
+            word_offsets=self.word_offsets[key],
+        )
+
     def grouped(self) -> "Any":
         """The set-grouped, run-compressed projection of this chunk.
 
@@ -133,9 +167,27 @@ class ColumnarChunk:
         return self._grouped
 
     @classmethod
+    def from_records(
+        cls, records: Sequence[MemoryAccess], geometry: CacheGeometry
+    ) -> "ColumnarChunk":
+        """Decode scalar records straight into columns."""
+        n = len(records)
+        addresses = np.fromiter([a.address for a in records], np.uint64, n)
+        set_indices, tags, word_offsets = split_addresses(addresses, geometry)
+        return cls(
+            geometry=geometry,
+            icounts=np.fromiter([a.icount for a in records], np.uint64, n),
+            kinds=np.fromiter([a.kind is _WRITE for a in records], np.uint8, n),
+            addresses=addresses,
+            values=np.fromiter([a.value for a in records], np.uint64, n),
+            set_indices=set_indices,
+            tags=tags,
+            word_offsets=word_offsets,
+        )
+
+    @classmethod
     def from_access_batch(cls, batch: AccessBatch) -> "ColumnarChunk":
         """Lift a list-based batch into array form."""
-        require_numpy()
         return cls(
             geometry=batch.geometry,
             icounts=np.array(batch.icounts, dtype=np.uint64),
@@ -232,23 +284,29 @@ def iter_chunks(
 ) -> Iterator[ColumnarChunk]:
     """Chunk a scalar trace into :class:`ColumnarChunk` arrays.
 
-    Streaming like :func:`repro.engine.batch.iter_batches` (which does
-    the decode); this adds only the list→array lift per chunk.
+    Streaming like :func:`repro.engine.batch.iter_batches` — at most
+    one chunk of records is held at a time — but each chunk is decoded
+    straight into arrays (:meth:`ColumnarChunk.from_records`).
     """
-    require_numpy()
-    for batch in iter_batches(trace, geometry, batch_size):
-        yield ColumnarChunk.from_access_batch(batch)
+    size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
+    if size <= 0:
+        raise ValidationError(f"batch_size must be positive, got {size}")
+    records = iter(trace)
+    while True:
+        block = list(islice(records, size))
+        if not block:
+            return
+        yield ColumnarChunk.from_records(block, geometry)
 
 
 def process_chunk(controller: "CacheController", chunk: ColumnarChunk) -> int:
     """Run one chunk through the columnar kernels; returns records consumed.
 
     Mirrors :meth:`CacheController.process_batch`'s contract (finalized
-    check, geometry check, gating) and falls back to the batched engine
-    — itself gated down to scalar when needed — whenever the columnar
-    kernels cannot reproduce the exact semantics.
+    check, geometry check) and falls back to the batched engine — itself
+    gated down to scalar when needed — whenever no kernel reproduces the
+    exact semantics (see the module docstring's gating section).
     """
-    require_numpy()
     if controller._finalized:  # noqa: SLF001 - engine contract
         raise StateError("controller already finalized")
     if chunk.geometry != controller.cache.geometry:
@@ -259,28 +317,51 @@ def process_chunk(controller: "CacheController", chunk: ColumnarChunk) -> int:
     n = len(chunk)
     if n == 0:
         return 0
-    name = controller.name
-    fast_ok = (
-        name == controller._fast_path_name  # noqa: SLF001 - engine contract
-        and not controller._obs  # noqa: SLF001
-        and controller._invariant_checker is None  # noqa: SLF001
-        and controller.cache.engine_fast_ok
-    )
-    if fast_ok and name in ("conventional", "rmw"):
-        _process_chunk_plain(controller, chunk, is_rmw=name == "rmw")
-    elif (
-        fast_ok
-        and name in ("wg", "wg_rb")
-        and len(controller._entries) == 1  # noqa: SLF001
-    ):
-        _process_chunk_wg(controller, chunk)  # type: ignore[arg-type]
-    else:
+    kernel = _kernel_for(controller)
+    if kernel is None:
         return controller.process_batch(chunk.to_access_batch())
+    if not controller._obs:  # noqa: SLF001
+        kernel(controller, chunk)
+        return n
+    # Metrics-only telemetry: credit the registry after each kernel
+    # call, and end each call at the sampler's next window boundary so
+    # its snapshot sees the counters of exactly that request.
+    sampler = controller.telemetry.sampler
+    start = 0
+    while start < n:
+        stop = n
+        if sampler is not None:
+            stop = min(n, start + sampler.remaining(controller.name))
+        marks = controller._telemetry_marks()  # noqa: SLF001
+        kernel(controller, chunk if stop - start == n else chunk[start:stop])
+        controller._add_telemetry_deltas(marks)  # noqa: SLF001
+        if sampler is not None:
+            sampler.advance(controller, stop - start)
+        start = stop
     return n
 
 
+def _kernel_for(controller: "CacheController") -> Optional[_Kernel]:
+    """The kernel reproducing ``controller`` exactly, or None."""
+    if (
+        controller.name != controller._fast_path_name  # noqa: SLF001
+        or controller._invariant_checker is not None  # noqa: SLF001
+        or not controller.cache.engine_fast_ok
+        or (controller._obs and controller.telemetry.sink.enabled)  # noqa: SLF001
+    ):
+        return None
+    if controller.name in ("conventional", "rmw"):
+        return _process_chunk_plain
+    if (
+        isinstance(controller, WriteGroupingController)
+        and len(controller._entries) == 1  # noqa: SLF001
+    ):
+        return _process_chunk_wg
+    return None
+
+
 def _process_chunk_plain(
-    controller: "CacheController", chunk: ColumnarChunk, is_rmw: bool
+    controller: "CacheController", chunk: ColumnarChunk
 ) -> None:
     """Columnar kernel shared by the conventional and RMW controllers.
 
@@ -306,6 +387,7 @@ def _process_chunk_plain(
     tag_word_shift = offset_bits + geometry.index_bits - 3
     set_word_shift = offset_bits - 3
     count_mt = controller.count_miss_traffic
+    is_rmw = controller.name == "rmw"
     word_range = range(wpb)
     n = len(chunk)
 
@@ -440,7 +522,7 @@ def _process_chunk_plain(
 
 
 def _process_chunk_wg(
-    controller: "WriteGroupingController", chunk: ColumnarChunk
+    controller: WriteGroupingController, chunk: ColumnarChunk
 ) -> None:
     """Columnar kernel for WG / WG+RB with a single buffer entry.
 

@@ -87,6 +87,9 @@ def profile_benchmark(
 
     A caller-supplied ``telemetry`` is used as-is (so the CLI can point
     its sink at ``--trace-out``); otherwise a metrics-only one is built.
+    Runs on the columnar engine that campaigns run on; a live trace
+    sink makes it run per access, so each instrumentation point emits
+    its instant.
     """
     telem = telemetry if telemetry is not None else Telemetry()
     with span(telem, "trace_gen", benchmark=benchmark, accesses=accesses):
@@ -94,7 +97,9 @@ def profile_benchmark(
     warmup = int(accesses * warmup_fraction)
     results: Dict[str, SimulationResult] = {}
     for technique in techniques:
-        simulator = Simulator(technique, geometry, telemetry=telem)
+        simulator = Simulator(
+            technique, geometry, telemetry=telem, engine="columnar"
+        )
         if warmup:
             with span(telem, f"warmup.{technique}", benchmark=benchmark):
                 simulator.feed(trace[:warmup])

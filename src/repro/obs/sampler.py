@@ -17,7 +17,16 @@ One sampler can serve several sequential runs (compare/campaign replay
 the trace once per technique): state is keyed by controller name, and a
 cumulative-counter decrease (a ``reset_measurements`` between warm-up
 and measurement) re-baselines that technique's window instead of
-producing negative deltas.
+producing negative deltas.  A technique's tick count therefore carries
+across warm-up, the reset and campaign rows: a window may straddle any
+of them.
+
+Engines that process requests in blocks (the columnar engine) ask
+:meth:`IntervalSampler.remaining` how far the next window boundary is,
+stop their block there, and account it with one
+:meth:`IntervalSampler.advance` — so every snapshot is taken after the
+same request, over the same cumulative counters, as with per-request
+:meth:`IntervalSampler.tick` calls.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.errors import ValidationError
 from repro.utils.validation import check_positive
 
 __all__ = ["IntervalSnapshot", "IntervalSampler"]
@@ -87,6 +97,32 @@ class IntervalSampler:
         if state is None:
             state = self._states[controller.name] = _LabelState()
         state.ticks += 1
+        if state.ticks % self.window == 0:
+            self._snapshot(controller, state)
+
+    def remaining(self, label: str) -> int:
+        """Requests ``label`` may still process before its next snapshot."""
+        state = self._states.get(label)
+        ticks = state.ticks if state is not None else 0
+        return self.window - ticks % self.window
+
+    def advance(self, controller, count: int) -> None:
+        """Account ``count`` already-processed requests in one step.
+
+        Identical to ``count`` :meth:`tick` calls when at most the last
+        of them closes a window, which ``count <= remaining(name)``
+        guarantees; a larger count would skip a snapshot and is refused.
+        """
+        state = self._states.get(controller.name)
+        if state is None:
+            state = self._states[controller.name] = _LabelState()
+        left = self.window - state.ticks % self.window
+        if not 0 < count <= left:
+            raise ValidationError(
+                f"cannot advance {controller.name!r} by {count} request(s): "
+                f"its window closes in {left}"
+            )
+        state.ticks += count
         if state.ticks % self.window == 0:
             self._snapshot(controller, state)
 

@@ -243,14 +243,16 @@ def _run_one(
     config: ExperimentConfig,
     telemetry: Optional[Telemetry] = None,
 ) -> SimulationResult:
-    """One (trace, technique) run with warm-up.
+    """One (trace, technique) run with warm-up, on the columnar engine.
 
-    Runs on the Simulator's default batched engine; with telemetry
-    enabled the controller transparently falls back to per-access
-    execution so samplers and trace sinks see every request.
+    Metrics-only telemetry (registry and interval sampler) rides the
+    columnar kernels; a live trace sink sends every chunk through the
+    per-access path so each instrumentation point emits its instant.
     """
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
-    simulator = Simulator(technique, config.geometry, telemetry=telemetry)
+    simulator = Simulator(
+        technique, config.geometry, telemetry=telemetry, engine="columnar"
+    )
     warmup = config.warmup_accesses
     if warmup:
         with span(telem, "warmup", technique=technique):

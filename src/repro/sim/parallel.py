@@ -38,9 +38,9 @@ keeps single-CPU and restricted environments working.  The fallback is
 instant on the timeline — a campaign silently running at 1/N speed is a
 bug, not a feature.
 
-Workers execute rows through the Simulator's batched engine (see
+Workers execute rows through the Simulator's columnar engine (see
 :mod:`repro.engine`); results are bit-identical to scalar execution, so
-parallelism and batching compose without affecting determinism.
+parallelism and the engine compose without affecting determinism.
 
 For trace-file campaigns the ``RPCOL1`` columnar format
 (:mod:`repro.trace.colio`) composes with this fan-out: every worker
@@ -55,12 +55,12 @@ same chunks computes it once, not once per technique.
 Telemetry across the pool: trace sinks do not cross process
 boundaries, so each worker collects into a private metrics-only
 registry and ships its :meth:`MetricsRegistry.state_dict` back with the
-row.  A worker-local registry counts as live telemetry, which makes the
-controller take its per-access path — campaigns that want maximum
-throughput should run without ``--metrics-out``.  Supervisor threads never touch the caller's registry; each job's
-metrics state and degradation events are folded in by the main thread
-in benchmark order, so the merged output is deterministic (merge is
-associative and commutative anyway).  States are merged with a
+row.  Metrics-only telemetry rides the columnar kernels, so a worker
+collecting metrics stays on the fast path.  Supervisor threads never
+touch the caller's registry; each job's metrics state and degradation
+events are folded in by the main thread in benchmark order, so the
+merged output is deterministic (merge is associative and commutative
+anyway).  States are merged with a
 ``worker:<benchmark>`` label (:meth:`MetricsRegistry.merge_worker_state`),
 so ``--metrics-out`` reports the campaign aggregate *and* the
 per-worker breakdown, and every supervised completion bumps the

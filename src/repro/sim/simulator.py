@@ -2,7 +2,7 @@
 
 Execution engines
 -----------------
-``Simulator`` feeds its controller through one of two engines:
+``Simulator`` feeds its controller through one of three engines:
 
 * ``"batched"`` (default) — the trace is chunked into struct-of-arrays
   :class:`repro.engine.batch.AccessBatch` objects and handed to
@@ -12,13 +12,13 @@ Execution engines
   throughput is several times higher.
 * ``"scalar"`` — one :meth:`CacheController.process` call per record;
   the reference path the differential suite compares against.
-* ``"columnar"`` — the second-generation engine: chunks become NumPy
-  arrays (:class:`repro.engine.columnar.ColumnarChunk`, zero-copy when
-  read from an ``RPCOL1`` mmap via :mod:`repro.trace.colio`) and the
-  hot path runs vectorized kernels, falling back to the batched engine
-  per chunk whenever exact semantics require it.  Requires the
-  ``columnar`` extra (NumPy); construction raises
-  :class:`ValidationError` without it.
+* ``"columnar"`` — the second-generation engine, which campaigns run
+  on: chunks become NumPy arrays
+  (:class:`repro.engine.columnar.ColumnarChunk`, zero-copy when read
+  from an ``RPCOL1`` mmap via :mod:`repro.trace.colio`) and the hot
+  path runs vectorized kernels, metrics-only telemetry included.  A
+  chunk falls back to the batched engine whenever exact semantics
+  require it (see :mod:`repro.engine.columnar`).
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from repro.core.controller import CacheController
 from repro.core.outcomes import OperationCounts
 from repro.core.registry import make_controller
 from repro.engine.batch import AccessBatch, iter_batches
-from repro.engine.columnar import (
-    ColumnarChunk,
-    iter_chunks,
-    process_chunk,
-    require_numpy,
-)
+from repro.engine.columnar import ColumnarChunk, iter_chunks, process_chunk
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sram.events import SRAMEventLog
 from repro.trace.record import MemoryAccess
@@ -88,8 +83,6 @@ class Simulator:
             raise ValidationError(
                 f"unknown engine {engine!r}; known: {_ENGINES}"
             )
-        if engine == "columnar":
-            require_numpy()
         self.memory = memory if memory is not None else FunctionalMemory()
         self.cache = SetAssociativeCache(geometry, self.memory)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY

@@ -34,9 +34,7 @@ shift/mask) instead of failing.
 
 The whole-file CRC means corruption is detected once at ``open`` time
 — a classified :class:`TraceFormatError` — rather than surfacing as
-garbage mid-campaign.  Writing and converting need only the standard
-library; *reading* requires NumPy (the ``columnar`` extra) because the
-whole point of the format is zero-copy array views.
+garbage mid-campaign.
 """
 
 from __future__ import annotations
@@ -47,20 +45,19 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Union
 
+import numpy
+
 from repro.errors import TraceFormatError, ValidationError
 from repro.trace.record import AccessType, MemoryAccess
-
-try:  # NumPy is the optional `columnar` extra; the writer works without it.
-    import numpy
-except ImportError:  # pragma: no cover - exercised on CI without numpy
-    numpy = None  # type: ignore[assignment]
-
-np: Any = numpy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.config import CacheGeometry
     from repro.engine.batch import AccessBatch
     from repro.engine.columnar import ColumnarChunk
+
+# Bound as ``Any``: zero-copy views over an mmap are checked by the
+# round-trip tests, and NumPy's stubs would only add casts.
+np: Any = numpy
 
 __all__ = [
     "COLUMNAR_MAGIC",
@@ -76,14 +73,6 @@ _CRC = struct.Struct("<I")
 _PACK_CHUNK = 16384
 
 PathLike = Union[str, Path]
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ValidationError(
-            "reading RPCOL1 traces requires NumPy; install the "
-            "'columnar' extra (pip install repro-8t[columnar])"
-        )
 
 
 def _pad8(size: int) -> int:
@@ -237,7 +226,6 @@ class ColumnarTrace:
     """
 
     def __init__(self, path: PathLike, geometry: Optional["CacheGeometry"] = None):
-        _require_numpy()
         from repro.cache.config import CacheGeometry
 
         self.path = Path(path)
@@ -314,17 +302,11 @@ class ColumnarTrace:
 
     def _resplit(self, geometry: "CacheGeometry") -> None:
         """Bulk-resplit the address column under a different geometry."""
-        codec = geometry.codec
-        addresses = self.addresses
-        self.set_indices = (
-            (addresses >> codec.index_shift) & codec.index_mask
-        ).astype("<i8")
-        self.tags = ((addresses >> codec.tag_shift) & codec.tag_mask).astype(
-            "<i8"
+        from repro.engine.columnar import split_addresses
+
+        self.set_indices, self.tags, self.word_offsets = split_addresses(
+            self.addresses, geometry
         )
-        self.word_offsets = (
-            (addresses & codec.offset_mask) >> codec.word_shift
-        ).astype("<i8")
 
     def __len__(self) -> int:
         return self._count
@@ -409,7 +391,6 @@ def open_columnar_trace(
 
     With ``geometry`` omitted, the geometry the file was split with is
     used; passing a different one re-splits the address column in bulk.
-    Raises :class:`TraceFormatError` for truncated/corrupt files and
-    :class:`ValidationError` when NumPy is unavailable.
+    Raises :class:`TraceFormatError` for truncated/corrupt files.
     """
     return ColumnarTrace(path, geometry)

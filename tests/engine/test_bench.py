@@ -46,7 +46,6 @@ class TestRunHotpathBench:
 
 class TestColumnarTier:
     def test_columnar_engine_measured(self):
-        pytest.importorskip("numpy")
         geometry = CacheGeometry(
             size_bytes=4 * 1024, associativity=4, block_bytes=32
         )

@@ -3,7 +3,7 @@
 The batched and columnar engines exist purely for throughput — they
 must never change a number.  Every test here replays the *same*
 randomized trace through ``engine="scalar"``, ``engine="batched"`` and
-(when NumPy is installed) ``engine="columnar"``, and asserts that the
+``engine="columnar"``, and asserts that the
 :class:`SRAMEventLog`, :class:`OperationCounts`, :class:`CacheStats`
 and the final :class:`FunctionalMemory` contents (after flushing every
 dirty line) are equal, across techniques, geometries, controller knobs
@@ -16,7 +16,6 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.core.registry import ALL_CONTROLLER_NAMES, CONTROLLER_NAMES, make_controller
 from repro.engine.batch import iter_batches
-from repro.engine.columnar import HAVE_NUMPY
 from repro.sim.simulator import Simulator
 
 from tests.conftest import make_random_trace
@@ -46,8 +45,7 @@ def assert_identical(trace, technique, geometry, batch_size=None, **kwargs):
     scalar, scalar_memory = run_engine(
         trace, technique, geometry, "scalar", **kwargs
     )
-    engines = ["batched"] + (["columnar"] if HAVE_NUMPY else [])
-    for engine in engines:
+    for engine in ("batched", "columnar"):
         candidate, candidate_memory = run_engine(
             trace, technique, geometry, engine, batch_size=batch_size, **kwargs
         )

@@ -159,3 +159,29 @@ class TestEmptyWindows:
         assert (idle.array_accesses, idle.hits, idle.misses) == (0, 0, 0)
         assert (active.array_accesses, active.hits, active.misses) == (7, 4, 3)
         assert active.window_index == 1
+
+
+class TestBlockAdvance:
+    """``remaining``/``advance``: the columnar engine's block accounting."""
+
+    def test_advance_matches_ticks(self):
+        ticked, advanced = IntervalSampler(10), IntervalSampler(10)
+        controller = _StubController()
+        for step in (3, 7, 10, 1, 9, 4):
+            controller.events.array_accesses += 2 * step
+            for _ in range(step):
+                ticked.tick(controller)
+            advanced.advance(controller, step)
+        assert advanced.snapshots == ticked.snapshots
+        assert [snap.end_request for snap in advanced.snapshots] == [10, 20, 30]
+        assert advanced.remaining("stub") == ticked.remaining("stub") == 6
+
+    def test_remaining_of_unseen_label_is_a_full_window(self):
+        assert IntervalSampler(10).remaining("wg") == 10
+
+    @pytest.mark.parametrize("count", (0, 11))
+    def test_advance_past_a_boundary_is_refused(self, count):
+        sampler = IntervalSampler(10)
+        with pytest.raises(ValueError, match="window closes in 10"):
+            sampler.advance(_StubController(), count)
+        assert len(sampler) == 0

@@ -68,3 +68,29 @@ class TestGeometrySweep:
         assert set(sweep) == {"32KB/4-way/32B", "128KB/4-way/32B"}
         for result in sweep.values():
             assert len(result.rows) == len(BENCHMARKS)
+
+
+class TestCampaignTelemetry:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "reset_telemetry_counters zeroes the shared registry at every "
+            "row's warm-up boundary, so a sequential campaign reports only "
+            "the last row's ctrl.* counters (a parallel one sums its rows)"
+        ),
+    )
+    def test_ctrl_counters_sum_over_rows(self):
+        from repro.obs.telemetry import Telemetry
+
+        config = ExperimentConfig(
+            benchmarks=("bwaves", "mcf"), accesses_per_benchmark=500
+        )
+        telemetry = Telemetry()
+        result = run_campaign(config, telemetry=telemetry)
+        for technique in config.techniques:
+            assert telemetry.registry.value(
+                f"ctrl.{technique}.read_requests"
+            ) == sum(
+                row.results[technique].counts.read_requests
+                for row in result.rows
+            )
