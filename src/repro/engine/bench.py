@@ -110,8 +110,9 @@ def _time_scalar(
 ) -> Tuple[float, "SRAMEventLog"]:
     controller = make_controller(technique, _fresh_cache(geometry))
     process = controller.process
+    records = list(trace)  # a column-backed trace builds its records here
     start = time.perf_counter()
-    for access in trace:
+    for access in records:
         process(access)
     elapsed = time.perf_counter() - start
     controller.finalize()

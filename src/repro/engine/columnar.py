@@ -78,6 +78,7 @@ from repro.cache.config import CacheGeometry
 from repro.core.write_grouping import WriteGroupingController
 from repro.engine.batch import DEFAULT_BATCH_SIZE, AccessBatch
 from repro.errors import StateError, ValidationError
+from repro.trace.columns import TraceColumns
 from repro.trace.record import AccessType, MemoryAccess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -156,10 +157,12 @@ class ColumnarChunk:
         """The set-grouped, run-compressed projection of this chunk.
 
         A pure function of the trace data and geometry — independent of
-        any cache or controller state — so it is computed once and
-        cached: a campaign sweeping several techniques over the same
-        chunks (see :mod:`repro.sim.parallel`) pays for the projection
-        once, not once per technique.  See
+        any cache or controller state — so it is computed once per chunk
+        object and cached: a caller replaying the same chunks through
+        several techniques (the hot-path bench does) pays for it once.
+        Campaign rows do not share chunks: each technique's
+        :meth:`repro.sim.simulator.Simulator.feed` re-chunks the trace,
+        so a row's conventional and RMW runs each compute it.  See
         :func:`_grouped_projection` for the layout.
         """
         if self._grouped is None:
@@ -237,7 +240,8 @@ def _grouped_projection(chunk: ColumnarChunk) -> Any:
     address, ``WORD_BYTES == 8``), and ``writes`` counts writes in the
     whole chunk.  Everything here depends only on the trace data and
     the chunk's geometry — never on cache or controller state — so the
-    result is cached on the chunk and shared across techniques.
+    result is cached on the chunk and shared by every technique that
+    replays that chunk object.
     """
     set_arr = chunk.set_indices
     n = len(set_arr)
@@ -286,11 +290,32 @@ def iter_chunks(
 
     Streaming like :func:`repro.engine.batch.iter_batches` — at most
     one chunk of records is held at a time — but each chunk is decoded
-    straight into arrays (:meth:`ColumnarChunk.from_records`).
+    straight into arrays (:meth:`ColumnarChunk.from_records`).  A
+    :class:`TraceColumns` trace is not decoded at all: each chunk is a
+    view over its columns, at the same boundaries, plus the address
+    split, so no record is ever built.
     """
     size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
     if size <= 0:
         raise ValidationError(f"batch_size must be positive, got {size}")
+    if isinstance(trace, TraceColumns):
+        for start in range(0, len(trace), size):
+            stop = start + size
+            addresses = trace.addresses[start:stop]
+            set_indices, tags, word_offsets = split_addresses(
+                addresses, geometry
+            )
+            yield ColumnarChunk(
+                geometry=geometry,
+                icounts=trace.icounts[start:stop],
+                kinds=trace.kinds[start:stop],
+                addresses=addresses,
+                values=trace.values[start:stop],
+                set_indices=set_indices,
+                tags=tags,
+                word_offsets=word_offsets,
+            )
+        return
     records = iter(trace)
     while True:
         block = list(islice(records, size))

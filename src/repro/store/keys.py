@@ -26,15 +26,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.store.version import code_version
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.workload.profile import WorkloadProfile
 
 __all__ = [
     "canonical_json",
     "digest",
     "row_key",
     "row_config_fingerprint",
+    "profile_fingerprint",
     "workload_fingerprint",
     "verdict_key",
 ]
@@ -82,7 +87,17 @@ def workload_fingerprint(benchmark: str) -> str:
     """Digest of the benchmark's calibrated profile knobs."""
     from repro.workload.spec2006 import get_profile
 
-    return digest(asdict(get_profile(benchmark)))[:FINGERPRINT_LENGTH]
+    return profile_fingerprint(get_profile(benchmark))
+
+
+@lru_cache(maxsize=256)
+def profile_fingerprint(profile: "WorkloadProfile") -> str:
+    """Digest of one profile's knobs, memoised on the frozen profile value.
+
+    Keyed on the value rather than the benchmark name, so a retuned
+    profile is a new key and gets a new fingerprint.
+    """
+    return digest(asdict(profile))[:FINGERPRINT_LENGTH]
 
 
 def row_key(

@@ -5,6 +5,10 @@ tool over SPEC CPU2006.  This package provides the trace plumbing:
 
 ``record``
     The :class:`MemoryAccess` record and :class:`AccessType` enum.
+``columns``
+    :class:`TraceColumns` — an in-memory trace held as four columns
+    that behaves like a list of records and builds them only on first
+    per-record use (what the synthetic generator returns).
 ``stream``
     Lazy stream transformers — warm-up skipping (the paper fast-forwards
     1 B instructions), length limits and sampling.
@@ -20,6 +24,7 @@ tool over SPEC CPU2006.  This package provides the trace plumbing:
 """
 
 from repro.trace.record import AccessType, MemoryAccess, WORD_BYTES, word_address
+from repro.trace.columns import TraceColumns
 from repro.trace.stream import (
     limit_accesses,
     materialize,
@@ -49,6 +54,7 @@ __all__ = [
     "MemoryAccess",
     "WORD_BYTES",
     "word_address",
+    "TraceColumns",
     "skip_warmup",
     "limit_accesses",
     "sample_accesses",

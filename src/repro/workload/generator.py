@@ -1,7 +1,6 @@
 """Synthetic trace generator.
 
-Turns a :class:`WorkloadProfile` into a stream of
-:class:`MemoryAccess` records.  The generation loop:
+Turns a :class:`WorkloadProfile` into a trace.  The generation loop:
 
 1. pick a stream (weighted) and a geometric burst length
    (``burst_mean``) — within a burst all accesses come from that stream;
@@ -9,22 +8,36 @@ Turns a :class:`WorkloadProfile` into a stream of
    probability ``type_persistence``, otherwise redraw Bernoulli with the
    stream-biased write share (the stationary write share stays at the
    profile's value for unit bias);
-3. advance the instruction counter by a geometric gap whose mean makes
+3. take the stream pattern's next address;
+4. advance the instruction counter by a geometric gap whose mean makes
    memory accesses land at ``memory_fraction`` per instruction;
-4. for writes, draw the value from the :class:`ValueModel`, which
+5. for writes, draw the value from the :class:`ValueModel`, which
    produces silent stores at the calibrated rate.
 
 Determinism: everything derives from ``(profile.name, seed)`` so two
 runs — or two controllers replaying the same materialised trace — see
-identical streams.
+identical streams.  Each step draws from its own forked stream (streams,
+types, addresses, gaps, values), in the order above.  The loop calls
+each stream's bound primitives (:attr:`DeterministicRNG.draw`) with the
+draw rules of :mod:`repro.utils.rng` and the address rules of
+:mod:`repro.workload.patterns`, so it makes exactly the draws the
+per-call methods would — the traces are the same bit for bit — and it
+writes the four trace columns of a :class:`TraceColumns` instead of
+building a record per access.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from bisect import bisect_right
+from typing import List
 
-from repro.trace.record import AccessType, MemoryAccess, WORD_BYTES
-from repro.utils.rng import DeterministicRNG
+from repro.trace.columns import TraceColumns
+from repro.utils.rng import (
+    DeterministicRNG,
+    cumulative_weights,
+    fixed_outcome,
+    geometric_stop,
+)
 from repro.utils.validation import check_positive
 from repro.workload.patterns import AddressPattern, make_pattern
 from repro.workload.profile import WorkloadProfile
@@ -79,57 +92,85 @@ class SyntheticTraceGenerator:
     def value_model(self) -> ValueModel:
         return self._value_model
 
-    def generate(self, num_accesses: int) -> Iterator[MemoryAccess]:
-        """Yield ``num_accesses`` records."""
-        check_positive("num_accesses", num_accesses)
-        produced = 0
-        stream_indices = list(range(len(self._patterns)))
-        while produced < num_accesses:
-            stream_index = self._stream_rng.weighted_choice(
-                stream_indices, self._weights
-            )
-            pattern = self._patterns[stream_index]
-            write_share = self._write_shares[stream_index]
-            burst_length = self._stream_rng.geometric(self.profile.burst_mean)
-            previous_kind: Optional[AccessType] = None
-            for _ in range(burst_length):
-                if produced >= num_accesses:
-                    return
-                kind = self._choose_kind(previous_kind, write_share)
-                previous_kind = kind
-                address = pattern.next_address(self._address_rng)
-                self._icount += self._gap_rng.geometric(self._gap_mean)
-                if kind is AccessType.WRITE:
-                    value = self._value_model.value_for_write(address)
-                else:
-                    value = 0
-                yield MemoryAccess(
-                    icount=self._icount,
-                    kind=kind,
-                    address=address,
-                    value=value,
-                )
-                produced += 1
+    def generate(self, num_accesses: int) -> TraceColumns:
+        """The next ``num_accesses`` accesses, as trace columns.
 
-    def _choose_kind(
-        self, previous: Optional[AccessType], write_share: float
-    ) -> AccessType:
-        if previous is not None and self._type_rng.maybe(
-            self.profile.type_persistence
-        ):
-            return previous
-        if self._type_rng.maybe(write_share):
-            return AccessType.WRITE
-        return AccessType.READ
+        Successive calls continue one trace: the instruction count,
+        pattern positions, value memory and every random stream carry
+        over (a burst cut short by the end of one call is not resumed).
+        """
+        check_positive("num_accesses", num_accesses)
+        profile = self.profile
+        draw_stream = self._stream_rng.draw
+        draw_type = self._type_rng.draw
+        draw_gap = self._gap_rng.draw
+        cumulative, total = cumulative_weights(self._weights)
+        last_stream = len(cumulative) - 1
+        burst_stop = geometric_stop(profile.burst_mean)
+        gap_stop = geometric_stop(self._gap_mean)
+        persistence = profile.type_persistence
+        persist_fixed = fixed_outcome(persistence)
+        samplers = [
+            pattern.sampler(self._address_rng) for pattern in self._patterns
+        ]
+        write_shares = self._write_shares
+        write_fixed = [fixed_outcome(share) for share in write_shares]
+        value_for_write = self._value_model.value_for_write
+        icounts: List[int] = []
+        kinds: List[bool] = []
+        addresses: List[int] = []
+        values: List[int] = []
+        add_icount, add_kind = icounts.append, kinds.append
+        add_address, add_value = addresses.append, values.append
+        icount = self._icount
+        produced = 0
+        while produced < num_accesses:
+            stream = bisect_right(
+                cumulative, draw_stream() * total, 0, last_stream
+            )
+            next_address = samplers[stream]
+            write_share = write_shares[stream]
+            write_rule = write_fixed[stream]
+            burst = 1
+            if burst_stop is not None:
+                while draw_stream() >= burst_stop:
+                    burst += 1
+            end = min(produced + burst, num_accesses)
+            is_write = False
+            for position in range(produced, end):
+                # A burst's first access always draws its kind.
+                if position == produced or not (
+                    persist_fixed
+                    if persist_fixed is not None
+                    else draw_type() < persistence
+                ):
+                    is_write = (
+                        write_rule
+                        if write_rule is not None
+                        else draw_type() < write_share
+                    )
+                address = next_address()
+                gap = 1
+                if gap_stop is not None:
+                    while draw_gap() >= gap_stop:
+                        gap += 1
+                icount += gap
+                add_icount(icount)
+                add_kind(is_write)
+                add_address(address)
+                add_value(value_for_write(address) if is_write else 0)
+            produced = end
+        self._icount = icount
+        return TraceColumns.from_lists(icounts, kinds, addresses, values)
 
 
 def generate_trace(
     profile: WorkloadProfile, num_accesses: int, seed: int = 2012
-) -> List[MemoryAccess]:
-    """Materialise a full synthetic trace for ``profile``."""
-    generator = SyntheticTraceGenerator(profile, seed=seed)
-    return list(generator.generate(num_accesses))
+) -> TraceColumns:
+    """Materialise a full synthetic trace for ``profile``.
 
-
-def _word_aligned(address: int) -> bool:
-    return address % WORD_BYTES == 0
+    The result is list-compatible (see :class:`TraceColumns`): it
+    compares equal to the list of records it stands for and builds those
+    records only when a consumer first asks for one.
+    """
+    return SyntheticTraceGenerator(profile, seed=seed).generate(num_accesses)

@@ -9,10 +9,10 @@ and spatial locality is what the paper's techniques harvest.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Type
+from typing import Callable, Dict, Type
 
 from repro.trace.record import WORD_BYTES
-from repro.utils.rng import DeterministicRNG
+from repro.utils.rng import DeterministicRNG, below, fixed_outcome
 from repro.utils.bitops import is_power_of_two
 from repro.utils.validation import check_positive
 from repro.errors import ValidationError
@@ -28,8 +28,18 @@ __all__ = [
 ]
 
 
+#: A zero-argument callable producing a pattern's successive addresses.
+AddressSampler = Callable[[], int]
+
+
 class AddressPattern(abc.ABC):
     """A stateful generator of word-aligned byte addresses.
+
+    Each pattern defines its address rule in :meth:`sampler`: a closure
+    bound to one random stream that yields successive addresses and
+    keeps the walk position on the pattern, so every sampler of one
+    pattern continues the same walk.  Word indices always lie in
+    ``[0, region_words)``.
 
     Args:
         base_address: first byte of the pattern's region (word aligned).
@@ -46,11 +56,8 @@ class AddressPattern(abc.ABC):
         self.region_words = region_words
 
     @abc.abstractmethod
-    def next_address(self, rng: DeterministicRNG) -> int:
-        """Produce the next byte address of the stream."""
-
-    def _address_of_word(self, word_index: int) -> int:
-        return self.base_address + (word_index % self.region_words) * WORD_BYTES
+    def sampler(self, rng: DeterministicRNG) -> AddressSampler:
+        """A closure producing this stream's next addresses from ``rng``."""
 
 
 class SequentialPattern(AddressPattern):
@@ -65,10 +72,15 @@ class SequentialPattern(AddressPattern):
         super().__init__(base_address, region_words)
         self._position = 0
 
-    def next_address(self, rng: DeterministicRNG) -> int:
-        address = self._address_of_word(self._position)
-        self._position = (self._position + 1) % self.region_words
-        return address
+    def sampler(self, rng: DeterministicRNG) -> AddressSampler:
+        base, region = self.base_address, self.region_words
+
+        def next_address() -> int:
+            position = self._position
+            self._position = (position + 1) % region
+            return base + position * WORD_BYTES
+
+        return next_address
 
 
 class StridedPattern(AddressPattern):
@@ -82,17 +94,24 @@ class StridedPattern(AddressPattern):
         self.stride_words = stride_words
         self._position = 0
 
-    def next_address(self, rng: DeterministicRNG) -> int:
-        address = self._address_of_word(self._position)
-        self._position = (self._position + self.stride_words) % self.region_words
-        return address
+    def sampler(self, rng: DeterministicRNG) -> AddressSampler:
+        base, region = self.base_address, self.region_words
+        stride = self.stride_words
+
+        def next_address() -> int:
+            position = self._position
+            self._position = (position + stride) % region
+            return base + position * WORD_BYTES
+
+        return next_address
 
 
 class RandomPattern(AddressPattern):
     """Uniform random words in the region (hash tables, gobmk/sjeng)."""
 
-    def next_address(self, rng: DeterministicRNG) -> int:
-        return self._address_of_word(rng.randint(0, self.region_words - 1))
+    def sampler(self, rng: DeterministicRNG) -> AddressSampler:
+        base, region, draw_bits = self.base_address, self.region_words, rng.draw_bits
+        return lambda: base + below(draw_bits, region) * WORD_BYTES
 
 
 class PointerChasePattern(AddressPattern):
@@ -114,12 +133,16 @@ class PointerChasePattern(AddressPattern):
         self._multiplier = 5
         self._increment = 12345 | 1
 
-    def next_address(self, rng: DeterministicRNG) -> int:
-        address = self._address_of_word(self._position)
-        self._position = (
-            self._multiplier * self._position + self._increment
-        ) % self.region_words
-        return address
+    def sampler(self, rng: DeterministicRNG) -> AddressSampler:
+        base, region = self.base_address, self.region_words
+        multiplier, increment = self._multiplier, self._increment
+
+        def next_address() -> int:
+            position = self._position
+            self._position = (multiplier * position + increment) % region
+            return base + position * WORD_BYTES
+
+        return next_address
 
 
 class HotspotPattern(AddressPattern):
@@ -145,10 +168,22 @@ class HotspotPattern(AddressPattern):
         self.hot_words = min(hot_words, region_words)
         self.hot_probability = hot_probability
 
-    def next_address(self, rng: DeterministicRNG) -> int:
-        if rng.maybe(self.hot_probability):
-            return self._address_of_word(rng.randint(0, self.hot_words - 1))
-        return self._address_of_word(rng.randint(0, self.region_words - 1))
+    def sampler(self, rng: DeterministicRNG) -> AddressSampler:
+        """A hot word with ``hot_probability`` (:meth:`DeterministicRNG.maybe`),
+        else a word anywhere in the region, each uniform (``randint``)."""
+        base, hot, region = self.base_address, self.hot_words, self.region_words
+        draw, draw_bits = rng.draw, rng.draw_bits
+        probability = self.hot_probability
+        fixed = fixed_outcome(probability)
+        if fixed is not None:
+            words = hot if fixed else region
+            return lambda: base + below(draw_bits, words) * WORD_BYTES
+
+        def next_address() -> int:
+            words = hot if draw() < probability else region
+            return base + below(draw_bits, words) * WORD_BYTES
+
+        return next_address
 
 
 _PATTERN_KINDS: Dict[str, Type[AddressPattern]] = {

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.trace.record import word_address
-from repro.utils.rng import DeterministicRNG
+from repro.utils.rng import DeterministicRNG, fixed_outcome
 from repro.errors import ValidationError
 
 __all__ = ["ValueModel"]
@@ -29,7 +29,10 @@ class ValueModel:
                 f"silent_fraction must be in [0, 1], got {silent_fraction}"
             )
         self.silent_fraction = silent_fraction
-        self._rng = rng
+        # The silent draw is ``rng.maybe(silent_fraction)``, made on the
+        # bound primitive because the generator calls this per write.
+        self._draw = rng.draw
+        self._silent_fixed = fixed_outcome(silent_fraction)
         self._memory: Dict[int, int] = {}
         self._next_fresh = 1
         self.silent_writes = 0
@@ -40,7 +43,10 @@ class ValueModel:
         self.total_writes += 1
         word = word_address(byte_address)
         current = self._memory.get(word, 0)
-        if self._rng.maybe(self.silent_fraction):
+        silent = self._silent_fixed
+        if silent is None:
+            silent = self._draw() < self.silent_fraction
+        if silent:
             self.silent_writes += 1
             return current
         value = self._next_fresh

@@ -1,0 +1,82 @@
+"""Tests for result-store key material (``repro.store.keys``)."""
+
+from dataclasses import asdict, replace
+
+import pytest
+
+from repro.cache.config import BASELINE_GEOMETRY
+from repro.sim.experiment import ExperimentConfig
+from repro.store.keys import (
+    FINGERPRINT_LENGTH,
+    digest,
+    profile_fingerprint,
+    row_key,
+    workload_fingerprint,
+)
+from repro.workload.spec2006 import benchmark_names, get_profile
+
+
+class TestWorkloadFingerprint:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_digest_of_profile_knobs(self, name):
+        expected = digest(asdict(get_profile(name)))[:FINGERPRINT_LENGTH]
+        assert workload_fingerprint(name) == expected
+        assert profile_fingerprint(get_profile(name)) == expected
+
+    def test_memoised_on_the_profile_value(self):
+        profile = get_profile("bwaves")
+        profile_fingerprint(profile)
+        hits = profile_fingerprint.cache_info().hits
+        assert profile_fingerprint(replace(profile)) == profile_fingerprint(profile)
+        assert profile_fingerprint.cache_info().hits == hits + 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"burst_mean": 5.6},
+            {"silent_fraction": 0.5},
+            {"description": "retuned"},
+        ],
+    )
+    def test_retuned_profile_gets_a_new_fingerprint(self, change):
+        profile = get_profile("bwaves")
+        retuned = replace(profile, **change)
+        assert profile_fingerprint(retuned) != profile_fingerprint(profile)
+        assert profile_fingerprint(retuned) == (
+            digest(asdict(retuned))[:FINGERPRINT_LENGTH]
+        )
+
+    def test_retuned_stream_gets_a_new_fingerprint(self):
+        profile = get_profile("mcf")
+        first, *rest = profile.streams
+        retuned = replace(profile, streams=(replace(first, weight=4.0), *rest))
+        assert profile_fingerprint(retuned) != profile_fingerprint(profile)
+
+    def test_benchmark_name_is_not_the_memo_key(self, monkeypatch):
+        """Retuning a benchmark's profile in-process changes its fingerprint."""
+        from repro.workload import spec2006
+
+        before = workload_fingerprint("bwaves")
+        retuned = replace(get_profile("bwaves"), burst_mean=6.0)
+        monkeypatch.setattr(spec2006, "get_profile", lambda name: retuned)
+        assert workload_fingerprint("bwaves") != before
+        assert workload_fingerprint("bwaves") == profile_fingerprint(retuned)
+
+
+class TestRowKey:
+    #: Recorded before the fingerprint was memoised; the key format and
+    #: its inputs must not move.
+    PINNED = {
+        "bwaves": "9a0f3215514622e1ae06e19726bd74f713c138a31c753c6d01132321f4bc9efd",
+        "mcf": "52f0072e6261fafbcbeec7239d86cc2b4ec141718e205a2ac0d8f71473ebd9b8",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_keys_are_byte_identical(self, name):
+        config = ExperimentConfig(
+            geometry=BASELINE_GEOMETRY, accesses_per_benchmark=4000, seed=2012
+        )
+        key, meta = row_key(config, name, code="0123456789abcdef")
+        assert key == self.PINNED[name]
+        expected = digest(asdict(get_profile(name)))[:FINGERPRINT_LENGTH]
+        assert meta["workload"] == expected

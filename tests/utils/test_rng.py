@@ -1,10 +1,21 @@
 """Unit and statistical tests for the deterministic RNG."""
 
+import random
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import DeterministicRNG, derive_seed
+from repro.errors import ValidationError
+from repro.utils.rng import (
+    DeterministicRNG,
+    below,
+    cumulative_weights,
+    derive_seed,
+    fixed_outcome,
+    geometric_stop,
+)
 
 
 class TestDeriveSeed:
@@ -110,3 +121,96 @@ class TestDeterministicRNG:
     def test_any_seed_works(self, seed):
         rng = DeterministicRNG(seed)
         assert 0.0 <= rng.uniform() < 1.0
+
+
+class TestDrawRules:
+    """The rule helpers reproduce :mod:`random`'s own draws exactly."""
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0, 0), (0, 1), (1, 3), (0, 4), (0, 383), (5, 1000), (0, 2**40 + 3)],
+    )
+    def test_randint_matches_random_randint(self, low, high):
+        ours, theirs = DeterministicRNG(21), random.Random(21)
+        assert [ours.randint(low, high) for _ in range(200)] == [
+            theirs.randint(low, high) for _ in range(200)
+        ]
+
+    def test_below_on_the_bound_primitive(self):
+        rng, reference = DeterministicRNG(22), random.Random(22)
+        draws = [below(rng.draw_bits, 384) for _ in range(200)]
+        assert draws == [reference.randrange(384) for _ in range(200)]
+
+    def test_empty_range_raises(self):
+        with pytest.raises(ValidationError):
+            DeterministicRNG(0).randint(5, 4)
+        with pytest.raises(ValidationError):
+            below(DeterministicRNG(0).draw_bits, 0)
+
+    @pytest.mark.parametrize(
+        "weights", [[5.0, 3.0, 1.2], [1.0], [2, 1], [0.0, 1.0, 0.0]]
+    )
+    def test_weighted_choice_matches_random_choices(self, weights):
+        items = list(range(len(weights)))
+        ours, theirs = DeterministicRNG(23), random.Random(23)
+        assert [ours.weighted_choice(items, weights) for _ in range(200)] == [
+            theirs.choices(items, weights=weights, k=1)[0] for _ in range(200)
+        ]
+
+    def test_cumulative_table_draws_like_choices(self):
+        weights = [5.0, 3.0, 1.2]
+        cumulative, total = cumulative_weights(weights)
+        rng, reference = DeterministicRNG(24), random.Random(24)
+        hi = len(cumulative) - 1
+        draws = [
+            bisect_right(cumulative, rng.draw() * total, 0, hi) for _ in range(200)
+        ]
+        assert draws == [
+            reference.choices(range(3), weights=weights, k=1)[0] for _ in range(200)
+        ]
+
+    @pytest.mark.parametrize("weights", [[], [0.0], [1.0, float("inf")]])
+    def test_cumulative_table_rejects_bad_weights(self, weights):
+        with pytest.raises(ValidationError):
+            cumulative_weights(weights)
+
+    def test_weighted_choice_rejects_length_mismatch(self):
+        with pytest.raises(ValidationError):
+            DeterministicRNG(0).weighted_choice(["a", "b"], [1.0])
+
+    @pytest.mark.parametrize(
+        "probability, outcome", [(-0.5, False), (0.0, False), (1.0, True), (2.0, True)]
+    )
+    def test_certain_bernoulli_draws_nothing(self, probability, outcome):
+        rng = DeterministicRNG(25)
+        state = rng.state_snapshot()
+        assert fixed_outcome(probability) is outcome
+        assert rng.maybe(probability) is outcome
+        assert rng.state_snapshot() == state
+
+    def test_uncertain_bernoulli_draws_once(self):
+        rng, reference = DeterministicRNG(26), random.Random(26)
+        assert fixed_outcome(0.3) is None
+        assert [rng.maybe(0.3) for _ in range(100)] == [
+            reference.random() < 0.3 for _ in range(100)
+        ]
+
+    @pytest.mark.parametrize("mean", [0.5, 1.0])
+    def test_constant_geometric_draws_nothing(self, mean):
+        rng = DeterministicRNG(27)
+        state = rng.state_snapshot()
+        assert geometric_stop(mean) is None
+        assert rng.geometric(mean) == 1
+        assert rng.state_snapshot() == state
+
+    def test_geometric_counts_trials_to_stop(self):
+        rng, reference = DeterministicRNG(28), random.Random(28)
+        stop = geometric_stop(2.5)
+        assert stop == pytest.approx(0.4)
+        expected = []
+        for _ in range(100):
+            length = 1
+            while reference.random() >= stop:
+                length += 1
+            expected.append(length)
+        assert [rng.geometric(2.5) for _ in range(100)] == expected

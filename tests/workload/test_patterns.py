@@ -19,16 +19,26 @@ def rng():
     return DeterministicRNG(0)
 
 
+def _take(pattern, rng, count):
+    sample = pattern.sampler(rng)
+    return [sample() for _ in range(count)]
+
+
 class TestSequential:
     def test_unit_stride(self, rng):
         pattern = SequentialPattern(base_address=0x1000, region_words=8)
-        addresses = [pattern.next_address(rng) for _ in range(4)]
+        addresses = _take(pattern, rng, 4)
         assert addresses == [0x1000, 0x1008, 0x1010, 0x1018]
 
     def test_wraps(self, rng):
         pattern = SequentialPattern(base_address=0, region_words=3)
-        addresses = [pattern.next_address(rng) for _ in range(4)]
+        addresses = _take(pattern, rng, 4)
         assert addresses[3] == addresses[0]
+
+    def test_samplers_continue_one_walk(self, rng):
+        pattern = SequentialPattern(base_address=0, region_words=8)
+        first, second = pattern.sampler(rng), pattern.sampler(rng)
+        assert [first(), second(), first()] == [0, WORD_BYTES, 2 * WORD_BYTES]
 
     def test_base_must_be_aligned(self):
         with pytest.raises(ValueError, match="aligned"):
@@ -42,12 +52,12 @@ class TestSequential:
 class TestStrided:
     def test_stride(self, rng):
         pattern = StridedPattern(base_address=0, region_words=64, stride_words=4)
-        addresses = [pattern.next_address(rng) for _ in range(3)]
+        addresses = _take(pattern, rng, 3)
         assert addresses == [0, 4 * WORD_BYTES, 8 * WORD_BYTES]
 
     def test_wraps_modulo_region(self, rng):
         pattern = StridedPattern(base_address=0, region_words=8, stride_words=3)
-        addresses = [pattern.next_address(rng) for _ in range(9)]
+        addresses = _take(pattern, rng, 9)
         words = [a // WORD_BYTES for a in addresses]
         assert all(0 <= w < 8 for w in words)
 
@@ -59,14 +69,13 @@ class TestStrided:
 class TestRandom:
     def test_stays_in_region(self, rng):
         pattern = RandomPattern(base_address=0x2000, region_words=16)
-        for _ in range(200):
-            address = pattern.next_address(rng)
+        for address in _take(pattern, rng, 200):
             assert 0x2000 <= address < 0x2000 + 16 * WORD_BYTES
             assert address % WORD_BYTES == 0
 
     def test_covers_region(self, rng):
         pattern = RandomPattern(base_address=0, region_words=4)
-        words = {pattern.next_address(rng) // WORD_BYTES for _ in range(200)}
+        words = {a // WORD_BYTES for a in _take(pattern, rng, 200)}
         assert words == {0, 1, 2, 3}
 
 
@@ -77,12 +86,12 @@ class TestPointerChase:
 
     def test_full_period_visits_every_word(self, rng):
         pattern = PointerChasePattern(base_address=0, region_words=16)
-        words = [pattern.next_address(rng) // WORD_BYTES for _ in range(16)]
+        words = [a // WORD_BYTES for a in _take(pattern, rng, 16)]
         assert sorted(words) == list(range(16))
 
     def test_not_sequential(self, rng):
         pattern = PointerChasePattern(base_address=0, region_words=64)
-        addresses = [pattern.next_address(rng) for _ in range(8)]
+        addresses = _take(pattern, rng, 8)
         deltas = {b - a for a, b in zip(addresses, addresses[1:])}
         assert deltas != {WORD_BYTES}
 
@@ -92,17 +101,15 @@ class TestHotspot:
         pattern = HotspotPattern(
             base_address=0, region_words=1024, hot_words=4, hot_probability=0.9
         )
-        hot_hits = sum(
-            pattern.next_address(rng) < 4 * WORD_BYTES for _ in range(2000)
-        )
+        hot_hits = sum(a < 4 * WORD_BYTES for a in _take(pattern, rng, 2000))
         assert hot_hits / 2000 > 0.85
 
     def test_hot_words_clamped_to_region(self, rng):
         pattern = HotspotPattern(
             base_address=0, region_words=2, hot_words=100, hot_probability=1.0
         )
-        for _ in range(20):
-            assert pattern.next_address(rng) < 2 * WORD_BYTES
+        for address in _take(pattern, rng, 20):
+            assert address < 2 * WORD_BYTES
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):
