@@ -20,7 +20,6 @@ from repro.analysis.result import FigureResult
 from repro.cache.config import BASELINE_GEOMETRY
 from repro.perf.timing import TimingSimulator
 from repro.power.area import AreaModel
-from repro.sim.simulator import run_simulation
 from repro.trace.stream import materialize
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import get_profile
@@ -38,12 +37,16 @@ def _compare() -> FigureResult:
     latency_totals = {technique: 0.0 for technique in TECHNIQUES}
     for name in BENCHMARKS:
         trace = materialize(generate_trace(get_profile(name), BENCH_ACCESSES))
-        rmw_accesses = run_simulation(trace, "rmw", BASELINE_GEOMETRY).array_accesses
+        # One timing run per technique gives its latency and its event log.
+        runs = {}
         for technique in TECHNIQUES:
-            result = run_simulation(trace, technique, BASELINE_GEOMETRY)
-            reduction = 1 - result.array_accesses / rmw_accesses
+            simulator = TimingSimulator(technique, BASELINE_GEOMETRY)
+            perf = simulator.run(trace)
+            runs[technique] = (simulator.result.array_accesses, perf)
+        rmw_accesses = runs["rmw"][0]
+        for technique, (accesses, perf) in runs.items():
+            reduction = 1 - accesses / rmw_accesses
             totals[technique] += reduction
-            perf = TimingSimulator(technique, BASELINE_GEOMETRY).run(trace)
             latency_totals[technique] += perf.mean_read_latency
             rows.append(
                 (

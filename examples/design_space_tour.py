@@ -1,11 +1,13 @@
 """The adopter's menu: every implemented technique on one workload.
 
-Runs all seven controllers — the paper's four (conventional, RMW, WG,
-WG+RB), the two related-work comparators (Chang's word-granular writes,
-Park's banked local RMW) and the equal-storage coalescing write buffer
-— over the same trace, and prints the quantities an adopter would
-weigh: array accesses, dynamic energy, mean read latency, and each
-design's structural cost.
+Runs all eight controllers — the paper's four (conventional, RMW, WG,
+WG+RB), the three related-work comparators (Chang's word-granular
+writes, Park's banked local RMW, Kim's pulse-assisted writes) and the
+equal-storage coalescing write buffer — over the same trace, and
+prints the quantities an adopter would weigh: array accesses, dynamic
+energy, mean read latency, and each design's structural cost.  One
+timing run per controller gives both its read latency and the event
+log its accesses and energy come from.
 
 Run:  python examples/design_space_tour.py [benchmark]
 """
@@ -18,7 +20,6 @@ from repro.perf.timing import TimingSimulator
 from repro.power.area import AreaModel
 from repro.power.energy import EnergyModel
 from repro.power.params import TECH_45NM
-from repro.sim.simulator import run_simulation
 from repro.sram.geometry import ArrayGeometry
 from repro.trace.stream import materialize
 from repro.utils.tables import format_table
@@ -45,11 +46,14 @@ def main() -> None:
     energy_model = EnergyModel(TECH_45NM, ArrayGeometry.for_cache(geometry))
     area_model = AreaModel(node_nm=45)
 
-    rmw_accesses = run_simulation(trace, "rmw", geometry).array_accesses
-    rows = []
+    runs = {}
     for technique in ALL_CONTROLLER_NAMES:
-        result = run_simulation(trace, technique, geometry)
-        perf = TimingSimulator(technique, geometry).run(trace)
+        simulator = TimingSimulator(technique, geometry)
+        perf = simulator.run(trace)
+        runs[technique] = (simulator.result, perf)
+    rmw_accesses = runs["rmw"][0].array_accesses
+    rows = []
+    for technique, (result, perf) in runs.items():
         energy_nj = energy_model.energy_of(result.events).total_nj
         reduction = 100 * (1 - result.array_accesses / rmw_accesses)
         rows.append(

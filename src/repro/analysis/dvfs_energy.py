@@ -28,7 +28,6 @@ from repro.perf.timing import TimingSimulator
 from repro.power.estimator import EstimationQuery, EstimatorRegistry
 from repro.power.params import TECH_45NM, TechnologyParams
 from repro.power.voltage import DVFSController
-from repro.sim.simulator import run_simulation
 from repro.trace.stream import materialize
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import benchmark_names, get_profile
@@ -67,17 +66,18 @@ def dvfs_energy_endgame(
         row = [name]
         for label, technique, cell in _CONFIGS:
             level = floors[label]
-            sim_result = run_simulation(trace, technique, geometry)
+            # One controller run gives the event log and the elapsed time.
+            simulator = TimingSimulator(technique, geometry)
+            perf = simulator.run(trace)
             dynamic_fj = registry.estimate(
                 EstimationQuery.dynamic_energy(
-                    sim_result.events,
+                    simulator.result.events,
                     geometry,
                     cell_kind=cell,
                     node_nm=technology.node_nm,
                     vdd_mv=level.vdd_mv,
                 )
             )["total_fj"]
-            perf = TimingSimulator(technique, geometry).run(trace)
             elapsed_seconds = perf.elapsed_cycles / (
                 level.frequency_ghz * 1e9
             )

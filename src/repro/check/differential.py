@@ -15,6 +15,10 @@ along: the scalar reference runs under
 ``Telemetry(sampler=IntervalSampler(TELEMETRY_WINDOW))``, one more
 columnar run does too, and the two must agree on :func:`observed_state`
 — the registry (``span.*`` timings aside) and every interval snapshot.
+So does the timing leg: :class:`repro.perf.timing.TimingSimulator`, at
+the case's batch size, must match every :class:`PerfResult` field of
+:func:`repro.check.timing.reference_timing`, the per-access schedule
+over the scalar run's outcomes.
 The return value is a flat list of human-readable divergence strings —
 empty means the models agree on everything.
 """
@@ -28,9 +32,11 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.cache.memory import FunctionalMemory
 from repro.check.oracle import ORACLE_TECHNIQUES, OracleRun, ReferenceOracle
+from repro.check.timing import reference_timing
 from repro.core.registry import make_controller
 from repro.obs.sampler import IntervalSampler, IntervalSnapshot
 from repro.obs.telemetry import Telemetry
+from repro.perf.timing import TimingSimulator
 from repro.sim.simulator import Simulator
 from repro.trace.record import MemoryAccess
 
@@ -185,6 +191,17 @@ def run_differential(
     divergences += _diff_telemetry(
         scalar_observed,
         _observed_columnar(trace, technique, geometry, kwargs, batch_size),
+    )
+
+    # -- per-access timing reference vs the vectorised schedule -------------
+    divergences += _diff_mapping(
+        "reference-vs-timing",
+        _as_dict(reference_timing(trace, outcomes, controller)),
+        _as_dict(
+            TimingSimulator(
+                technique, geometry, batch_size=batch_size, **kwargs
+            ).run(trace)
+        ),
     )
 
     # -- oracle vs scalar ---------------------------------------------------

@@ -5,7 +5,33 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["ServedFrom", "AccessOutcome", "OperationCounts"]
+__all__ = [
+    "ServedFrom",
+    "AccessOutcome",
+    "OperationCounts",
+    "PORT_READ",
+    "PORT_WRITE",
+    "PORT_WRITE_FIRST",
+    "PORT_BYPASS",
+    "PORT_WRITEBACK",
+]
+
+# Port-operation codes: which array-port operations one request needs,
+# as a bit set (see :meth:`AccessOutcome.port_code`).  The timing model
+# (:mod:`repro.perf.timing`) schedules these codes; the columnar
+# kernels write them without building outcomes.
+
+#: One read-port operation (array read, RMW read phase, Set-Buffer fill).
+PORT_READ = 1
+#: One write-port operation (array write, RMW write phase, write-back).
+PORT_WRITE = 2
+#: The write is a forced write-back that must land before the read.
+#: Without it, a request with both operations reads first (RMW).
+PORT_WRITE_FIRST = 4
+#: A read served from the Set-Buffer: no port, buffer latency.
+PORT_BYPASS = 8
+#: A forced write-back, ahead of any read the request makes.
+PORT_WRITEBACK = PORT_WRITE | PORT_WRITE_FIRST
 
 
 class ServedFrom(enum.Enum):
@@ -44,6 +70,31 @@ class AccessOutcome:
     @property
     def array_accesses(self) -> int:
         return self.array_reads + self.array_writes
+
+    def port_code(self, is_read: bool) -> int:
+        """The port operations this request needs, as ``PORT_*`` bits.
+
+        A read takes the read port unless the Set-Buffer served it,
+        behind a write-port write-back when it forced one.  A write
+        takes the write port for a forced write-back first, then the
+        read port for any array read (RMW read phase or Set-Buffer
+        fill), then the write port for an array write that was not a
+        forced write-back (RMW write phase or plain write).
+        """
+        if is_read:
+            if self.bypassed:
+                return PORT_BYPASS
+            if self.forced_writeback:
+                return PORT_WRITEBACK | PORT_READ
+            return PORT_READ
+        code = 0
+        if self.forced_writeback:
+            code = PORT_WRITEBACK
+        elif self.array_writes:
+            code = PORT_WRITE
+        if self.array_reads:
+            code |= PORT_READ
+        return code
 
 
 @dataclass

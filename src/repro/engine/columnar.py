@@ -55,6 +55,20 @@ replacement.  Its gate runs the chunk per access whenever telemetry or
 the checker is on, so those runs still see every access.  The four-way
 scalar↔batched↔columnar↔oracle differential in ``tests/engine/`` and
 ``repro/check/`` enforces bit-identity across all of it.
+
+Port-operation codes
+--------------------
+The timing model (:mod:`repro.perf.timing`) passes :func:`process_chunk`
+a ``codes`` array to fill with each request's
+:meth:`repro.core.outcomes.AccessOutcome.port_code`.  The plain kernel
+derives the codes from the access kinds; the WG kernel starts from
+"read port for a read, nothing for a write" and overwrites it at its
+four event sites (read bypass, premature write-back, Tag-Buffer-miss
+fill, eviction write-back).  Fill-flush write-backs take no port, as
+in the scalar outcomes.  A chunk no kernel handles runs per access
+through ``process()`` and reads each code off the outcome.  Campaign
+rows pass no array, so the kernels only test one local flag at those
+sites.
 """
 
 from __future__ import annotations
@@ -75,6 +89,12 @@ from typing import (
 import numpy
 
 from repro.cache.config import CacheGeometry
+from repro.core.outcomes import (
+    PORT_BYPASS,
+    PORT_READ,
+    PORT_WRITE,
+    PORT_WRITEBACK,
+)
 from repro.core.write_grouping import WriteGroupingController
 from repro.engine.batch import DEFAULT_BATCH_SIZE, AccessBatch
 from repro.errors import StateError, ValidationError
@@ -98,7 +118,7 @@ __all__ = [
 _NO_TAG = -1
 _WRITE = AccessType.WRITE
 
-_Kernel = Callable[[Any, "ColumnarChunk"], None]
+_Kernel = Callable[[Any, "ColumnarChunk", Optional[Any]], None]
 
 
 def split_addresses(
@@ -324,13 +344,23 @@ def iter_chunks(
         yield ColumnarChunk.from_records(block, geometry)
 
 
-def process_chunk(controller: "CacheController", chunk: ColumnarChunk) -> int:
+def process_chunk(
+    controller: "CacheController",
+    chunk: ColumnarChunk,
+    codes: Optional[Any] = None,
+) -> int:
     """Run one chunk through the columnar kernels; returns records consumed.
 
     Mirrors :meth:`CacheController.process_batch`'s contract (finalized
     check, geometry check) and falls back to the batched engine — itself
     gated down to scalar when needed — whenever no kernel reproduces the
     exact semantics (see the module docstring's gating section).
+
+    ``codes``, a u8 array of ``len(chunk)``, receives each request's
+    port-operation code (:meth:`AccessOutcome.port_code`, the timing
+    model's input).  The kernels write it from the access kind and their
+    event sites; a chunk no kernel handles then runs per access through
+    :meth:`CacheController.process` and takes each code from the outcome.
     """
     if controller._finalized:  # noqa: SLF001 - engine contract
         raise StateError("controller already finalized")
@@ -344,9 +374,15 @@ def process_chunk(controller: "CacheController", chunk: ColumnarChunk) -> int:
         return 0
     kernel = _kernel_for(controller)
     if kernel is None:
-        return controller.process_batch(chunk.to_access_batch())
+        batch = chunk.to_access_batch()
+        if codes is None:
+            return controller.process_batch(batch)
+        process = controller.process
+        for i, access in enumerate(batch.accesses()):
+            codes[i] = process(access).port_code(access.is_read)
+        return n
     if not controller._obs:  # noqa: SLF001
-        kernel(controller, chunk)
+        kernel(controller, chunk, codes)
         return n
     # Metrics-only telemetry: credit the registry after each kernel
     # call, and end each call at the sampler's next window boundary so
@@ -358,7 +394,14 @@ def process_chunk(controller: "CacheController", chunk: ColumnarChunk) -> int:
         if sampler is not None:
             stop = min(n, start + sampler.remaining(controller.name))
         marks = controller._telemetry_marks()  # noqa: SLF001
-        kernel(controller, chunk if stop - start == n else chunk[start:stop])
+        if stop - start == n:
+            kernel(controller, chunk, codes)
+        else:
+            kernel(
+                controller,
+                chunk[start:stop],
+                None if codes is None else codes[start:stop],
+            )
         controller._add_telemetry_deltas(marks)  # noqa: SLF001
         if sampler is not None:
             sampler.advance(controller, stop - start)
@@ -386,7 +429,7 @@ def _kernel_for(controller: "CacheController") -> Optional[_Kernel]:
 
 
 def _process_chunk_plain(
-    controller: "CacheController", chunk: ColumnarChunk
+    controller: "CacheController", chunk: ColumnarChunk, codes: Optional[Any]
 ) -> None:
     """Columnar kernel shared by the conventional and RMW controllers.
 
@@ -493,6 +536,12 @@ def _process_chunk_plain(
             if flag & 1:
                 data[last_base + w] = v
 
+    if codes is not None:
+        # A read takes the read port; a write the write port, behind
+        # its read phase under RMW.
+        codes[:] = np.where(
+            chunk.kinds, PORT_READ | PORT_WRITE if is_rmw else PORT_WRITE, PORT_READ
+        )
     reads = n - writes
     read_hits = reads - read_misses
     write_hits = writes - write_misses
@@ -547,7 +596,9 @@ def _process_chunk_plain(
 
 
 def _process_chunk_wg(
-    controller: WriteGroupingController, chunk: ColumnarChunk
+    controller: WriteGroupingController,
+    chunk: ColumnarChunk,
+    codes: Optional[Any],
 ) -> None:
     """Columnar kernel for WG / WG+RB with a single buffer entry.
 
@@ -616,6 +667,12 @@ def _process_chunk_wg(
     run_bounds = np.concatenate((change, [n]))
     run_starts = np.concatenate(([0], change))
     run_end_l = np.repeat(run_bounds, run_bounds - run_starts).tolist()
+    # Port-op codes: a read defaults to one read-port operation and a
+    # write (grouped) to none; the four event sites below set the rest.
+    record = codes is not None
+    code_l = bytearray(
+        np.where(kinds, 0, PORT_READ).astype(np.uint8) if record else 0
+    )
 
     reads = 0  # read requests
     read_hits = 0  # of which cache hits
@@ -649,6 +706,8 @@ def _process_chunk_wg(
                     if bypass_reads:
                         row_reads -= 1
                         bypassed += 1
+                        if record:
+                            code_l[i] = PORT_BYPASS
                     elif buffer_dirty:
                         # WG: premature write-back, inlined.
                         target = data_by_set[s]
@@ -659,6 +718,8 @@ def _process_chunk_wg(
                         modified.clear()
                         buffer_dirty = False
                         premature_wb += 1
+                        if record:
+                            code_l[i] = PORT_WRITEBACK | PORT_READ
                         if dirty_since is not None:
                             residency = ic_l[i] - dirty_since
                             if residency < 0:
@@ -794,6 +855,8 @@ def _process_chunk_wg(
                         target_dirty[bway] = True
                     buffer_dirty = False
                     eviction_wb += 1
+                    if record:
+                        code_l[k] |= PORT_WRITEBACK
                     if dirty_since is not None:
                         residency = ic_l[k] - dirty_since
                         if residency < 0:
@@ -811,6 +874,8 @@ def _process_chunk_wg(
                 modified = set()
                 buffered_set = s
                 buffer_fills += 1
+                if record:
+                    code_l[k] |= PORT_READ
             row = buffer_rows[way]
             w = word_l[k]
             v = val_l[k]
@@ -830,6 +895,9 @@ def _process_chunk_wg(
                 buffer_dirty = True
             k += 1
         i = run_end
+
+    if codes is not None:
+        codes[:] = np.frombuffer(code_l, dtype=np.uint8)
 
     # Rematerialize the buffer objects from the locals.
     if buffered_set == -1:

@@ -2,8 +2,8 @@
 
 A lightweight in-order model: requests arrive at the cache at their
 instruction count (1 IPC front end), the 8T array exposes one read port
-and one write port (:class:`PortTracker`), and each array operation
-holds its port for the :class:`PhaseTiming` durations.
+and one write port, and each array operation holds its port for the
+:class:`PhaseTiming` durations.
 
 What each technique schedules per request:
 
@@ -21,27 +21,65 @@ Reads are on the critical path; the headline metric is mean read
 latency (arrival to data), plus read-port conflict counts showing the
 1R/1W parallelism RMW destroys and WG restores.
 
-This model deliberately drives the controller through the scalar
-``process()`` path: it consumes the per-access :class:`AccessOutcome`
-(which operations fired, in what order) that the batched engine
-(:mod:`repro.engine`) skips building.
+How a run is computed
+---------------------
+:meth:`TimingSimulator.run` drives its controller through the columnar
+engine, asking :func:`repro.engine.columnar.process_chunk` for each
+request's port-operation code (:meth:`AccessOutcome.port_code`), and
+then schedules every request at once.  Each port serves its operations
+first come, first served, in trace order, from a port free at cycle 0:
+``start_k = max(ready_k, start_{k-1} + d)``.  With one duration ``d``
+per port that recurrence is a max-plus prefix scan,
+``start_k = k*d + max_{j<=k}(ready_j - j*d)``, one
+``np.maximum.accumulate``.  A request's second operation is ready when
+its first finishes, so the port that goes first is scanned first:
+the read port under RMW (read phase, then write phase), the write port
+under the WG family and ``write_buffer`` (forced write-back, then
+read).  A run that would need both orders, or whose instruction counts
+leave no int64 headroom, raises instead of scheduling.  Controllers
+with per-sub-array ports (``rmw_local``) scan each sub-array on its
+own.
+
+``PhaseTiming.rmw_extra_cycles`` is validated but never charged here:
+an RMW's write phase starts when its read phase finishes.  Only
+:attr:`PhaseTiming.rmw_cycles` reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cache.config import CacheGeometry
-from repro.core.outcomes import AccessOutcome
-from repro.core.registry import make_controller
+import numpy
+
 from repro.cache.cache import SetAssociativeCache
-from repro.sram.ports import PortKind, PortTracker
+from repro.cache.config import CacheGeometry
+from repro.core.outcomes import (
+    PORT_BYPASS,
+    PORT_READ,
+    PORT_WRITE,
+    PORT_WRITE_FIRST,
+)
+from repro.core.registry import make_controller
+from repro.engine.columnar import iter_chunks, process_chunk
+from repro.errors import (
+    SimulationError,
+    StateError,
+    TypeContractError,
+    ValidationError,
+)
+from repro.sim.simulator import SimulationResult
 from repro.sram.timing import PhaseTiming
 from repro.trace.record import MemoryAccess
-from repro.errors import TypeContractError
+
+# Bound as ``Any``: the schedule is pinned against the per-access
+# reference in ``repro.check.timing``, and NumPy's stubs would only
+# add casts.
+np: Any = numpy
 
 __all__ = ["PerfResult", "TimingSimulator", "evaluate_performance"]
+
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -71,13 +109,21 @@ class PerfResult:
 
 
 class TimingSimulator:
-    """Runs a trace through a controller while scheduling array ports."""
+    """Runs a trace through a controller while scheduling array ports.
+
+    After :meth:`run`, :attr:`result` holds the run's
+    :class:`SimulationResult` (events, counts, cache statistics), so a
+    caller that needs both timing and energy runs the controller once.
+    ``batch_size`` sets the columnar chunk length, as for
+    :class:`repro.sim.simulator.Simulator`.
+    """
 
     def __init__(
         self,
         technique: str,
         geometry: CacheGeometry,
         timing: Optional[PhaseTiming] = None,
+        batch_size: Optional[int] = None,
         **controller_kwargs,
     ) -> None:
         timing = PhaseTiming() if timing is None else timing
@@ -86,114 +132,155 @@ class TimingSimulator:
             technique, self.cache, **controller_kwargs
         )
         self.timing = timing
+        self.batch_size = batch_size
         # Park et al.'s local RMW confines port occupancy to one
-        # sub-array: give such controllers one tracker per sub-array so
-        # requests to other banks proceed concurrently.
-        subarrays = getattr(self.controller, "subarrays", 1)
-        self._trackers = [PortTracker() for _ in range(subarrays)]
-        self.ports = self._trackers[0]
+        # sub-array: such controllers get one port pair per sub-array,
+        # so requests to other banks proceed concurrently.
+        self._subarrays: int = getattr(self.controller, "subarrays", 1)
         # Kim et al.'s pulse assist stretches every write pulse.
-        self._write_cycles = timing.array_write_cycles * getattr(
+        self._write_cycles: int = timing.array_write_cycles * getattr(
             self.controller, "write_cycle_factor", 1
         )
-        self._reads = 0
-        self._writes = 0
-        self._total_read_latency = 0
-        self._bypassed = 0
-        self._last_cycle = 0
+        self._result: Optional[SimulationResult] = None
 
-    def _tracker_for(self, access: MemoryAccess) -> PortTracker:
-        if len(self._trackers) == 1:
-            return self._trackers[0]
-        set_index = self.cache.mapper.set_index(access.address)
-        return self._trackers[self.controller.subarray_of(set_index)]
+    @property
+    def result(self) -> SimulationResult:
+        """The last :meth:`run`'s :class:`SimulationResult`."""
+        if self._result is None:
+            raise StateError("TimingSimulator.run() has not run yet")
+        return self._result
 
     def run(self, trace: Iterable[MemoryAccess]) -> PerfResult:
-        timing = self.timing
-        for access in trace:
-            arrival = access.icount
-            tracker = self._tracker_for(access)
-            outcome = self.controller.process(access)
-            if access.is_read:
-                self._reads += 1
-                self._total_read_latency += self._schedule_read(
-                    tracker, arrival, outcome, timing
-                )
-            else:
-                self._writes += 1
-                self._schedule_write(tracker, arrival, outcome, timing)
-            self._last_cycle = max(
-                self._last_cycle,
-                tracker.free_at[PortKind.READ],
-                tracker.free_at[PortKind.WRITE],
-                arrival,
+        controller = self.controller
+        geometry = self.cache.geometry
+        icounts: List[Any] = []
+        kinds: List[Any] = []
+        codes: List[Any] = []
+        sets: List[Any] = []
+        for chunk in iter_chunks(trace, geometry, self.batch_size):
+            chunk_codes = np.empty(len(chunk), dtype=np.uint8)
+            process_chunk(controller, chunk, chunk_codes)
+            icounts.append(chunk.icounts)
+            kinds.append(chunk.kinds)
+            codes.append(chunk_codes)
+            sets.append(chunk.set_indices)
+        controller.finalize()
+        requests = sum(len(part) for part in kinds)
+        self._result = SimulationResult(
+            technique=controller.name,
+            geometry=geometry,
+            requests=requests,
+            events=controller.events.copy(),
+            counts=controller.counts,
+            cache_stats=self.cache.stats,
+        )
+        if not requests:
+            return PerfResult(controller.name, *(0,) * 9)
+        banks = None
+        if self._subarrays > 1:
+            banks = controller.subarray_of(  # type: ignore[attr-defined]
+                np.concatenate(sets)
             )
-        self.controller.finalize()
+        return self._schedule(
+            np.concatenate(icounts),
+            np.concatenate(kinds) == 0,
+            np.concatenate(codes),
+            banks,
+        )
+
+    def _schedule(
+        self, icounts: Any, is_read: Any, codes: Any, banks: Optional[Any]
+    ) -> PerfResult:
+        """Schedule every request's port operations at once."""
+        timing = self.timing
+        read_cycles = timing.array_read_cycles
+        write_cycles = self._write_cycles
+        n = len(codes)
+        latest = int(icounts.max())
+        if latest + n * (read_cycles + write_cycles) > _INT64_MAX:
+            raise ValidationError(
+                f"instruction counts up to {latest} leave no int64 "
+                f"headroom to schedule {n} requests"
+            )
+        arrivals = icounts.astype(np.int64)
+        has_read = (codes & PORT_READ) != 0
+        has_write = (codes & PORT_WRITE) != 0
+        both = has_read & has_write
+        write_first = both & ((codes & PORT_WRITE_FIRST) != 0)
+        writes_lead = bool(write_first.any())
+        if writes_lead and not np.array_equal(write_first, both):
+            raise SimulationError(
+                f"{self.controller.name}: some requests read before they "
+                "write and others write before they read; the port "
+                "schedule needs one dependency direction per run"
+            )
+        # Scan the port that goes first, then the other one, whose
+        # operation in a two-operation request waits for the first.
+        if writes_lead:
+            lead, lead_cycles = has_write, write_cycles
+            trail, trail_cycles = has_read, read_cycles
+        else:
+            lead, lead_cycles = has_read, read_cycles
+            trail, trail_cycles = has_write, write_cycles
+        lead_finish = np.zeros(n, dtype=np.int64)
+        trail_finish = np.zeros(n, dtype=np.int64)
+        lead_conflicts = trail_conflicts = 0
+        banks_of = (
+            [np.arange(n)]
+            if banks is None
+            else [np.flatnonzero(banks == bank) for bank in range(self._subarrays)]
+        )
+        for members in banks_of:
+            arrive = arrivals[members]
+            lead_ops, trail_ops = lead[members], trail[members]
+            finish, conflicts = _fcfs_finish(arrive[lead_ops], lead_cycles)
+            lead_finish[members[lead_ops]] = finish
+            lead_conflicts += conflicts
+            ready = np.where(both[members], lead_finish[members], arrive)
+            finish, conflicts = _fcfs_finish(ready[trail_ops], trail_cycles)
+            trail_finish[members[trail_ops]] = finish
+            trail_conflicts += conflicts
+        if writes_lead:
+            read_finish, write_finish = trail_finish, lead_finish
+            read_conflicts, write_conflicts = trail_conflicts, lead_conflicts
+        else:
+            read_finish, write_finish = lead_finish, trail_finish
+            read_conflicts, write_conflicts = lead_conflicts, trail_conflicts
+
+        array_reads = is_read & has_read
+        bypassed = int(np.count_nonzero(is_read & ((codes & PORT_BYPASS) != 0)))
+        total_read_latency = (
+            int((read_finish[array_reads] - arrivals[array_reads]).sum())
+            + bypassed * timing.set_buffer_cycles
+        )
+        reads = int(np.count_nonzero(is_read))
         return PerfResult(
             technique=self.controller.name,
-            reads=self._reads,
-            writes=self._writes,
-            total_read_latency=self._total_read_latency,
-            read_port_conflicts=self._sum(PortKind.READ, "conflicts"),
-            write_port_conflicts=self._sum(PortKind.WRITE, "conflicts"),
-            read_port_busy=self._sum(PortKind.READ, "busy_cycles"),
-            write_port_busy=self._sum(PortKind.WRITE, "busy_cycles"),
-            elapsed_cycles=self._last_cycle,
-            bypassed_reads=self._bypassed,
+            reads=reads,
+            writes=n - reads,
+            total_read_latency=total_read_latency,
+            read_port_conflicts=read_conflicts,
+            write_port_conflicts=write_conflicts,
+            read_port_busy=int(np.count_nonzero(has_read)) * read_cycles,
+            write_port_busy=int(np.count_nonzero(has_write)) * write_cycles,
+            elapsed_cycles=int(
+                max(arrivals.max(), read_finish.max(), write_finish.max())
+            ),
+            bypassed_reads=bypassed,
         )
 
-    def _sum(self, port: PortKind, field: str) -> int:
-        return sum(getattr(tracker, field)[port] for tracker in self._trackers)
 
-    # -- scheduling ---------------------------------------------------------------
+def _fcfs_finish(ready: Any, duration: int) -> Tuple[Any, int]:
+    """Finish cycles and conflict count of one port's operations.
 
-    def _schedule_read(
-        self,
-        tracker: PortTracker,
-        arrival: int,
-        outcome: AccessOutcome,
-        timing: PhaseTiming,
-    ) -> int:
-        if outcome.bypassed:
-            # Served from the Set-Buffer: short fixed latency, no port.
-            self._bypassed += 1
-            return timing.set_buffer_cycles
-        start = arrival
-        if outcome.forced_writeback:
-            # The premature write-back must land before the array read.
-            writeback_start = tracker.acquire(
-                PortKind.WRITE, arrival, self._write_cycles
-            )
-            start = writeback_start + self._write_cycles
-        read_start = tracker.acquire(
-            PortKind.READ, start, timing.array_read_cycles
-        )
-        finish = read_start + timing.array_read_cycles
-        return finish - arrival
-
-    def _schedule_write(
-        self,
-        tracker: PortTracker,
-        arrival: int,
-        outcome: AccessOutcome,
-        timing: PhaseTiming,
-    ) -> None:
-        # Writes are off the critical path; they only occupy ports.
-        start = arrival
-        if outcome.forced_writeback:
-            writeback_start = tracker.acquire(
-                PortKind.WRITE, start, self._write_cycles
-            )
-            start = writeback_start + self._write_cycles
-        if outcome.array_reads:
-            # RMW read phase / Set-Buffer fill occupies the read port.
-            read_start = tracker.acquire(
-                PortKind.READ, start, timing.array_read_cycles
-            )
-            start = read_start + timing.array_read_cycles
-        if outcome.array_writes and not outcome.forced_writeback:
-            # RMW write-back phase (grouped writes never get here).
-            tracker.acquire(PortKind.WRITE, start, self._write_cycles)
+    The operations are served in order from a port free at cycle 0,
+    each ``start_k = max(ready_k, start_{k-1} + duration)``; with every
+    ``ready_k >= 0`` that unrolls to the prefix scan below.  An
+    operation that had to wait (``start_k > ready_k``) is a conflict.
+    """
+    steps = np.arange(len(ready), dtype=np.int64) * duration
+    start = np.maximum.accumulate(ready - steps) + steps
+    return start + duration, int(np.count_nonzero(start > ready))
 
 
 def evaluate_performance(

@@ -4,21 +4,23 @@ Execution engines
 -----------------
 ``Simulator`` feeds its controller through one of three engines:
 
-* ``"batched"`` (default) — the trace is chunked into struct-of-arrays
-  :class:`repro.engine.batch.AccessBatch` objects and handed to
-  :meth:`CacheController.process_batch`, which runs the technique's
-  specialised batched fast path when available.  Results are
-  bit-identical to scalar execution (``tests/engine/`` proves it);
-  throughput is several times higher.
-* ``"scalar"`` — one :meth:`CacheController.process` call per record;
-  the reference path the differential suite compares against.
-* ``"columnar"`` — the second-generation engine, which campaigns run
-  on: chunks become NumPy arrays
-  (:class:`repro.engine.columnar.ColumnarChunk`, zero-copy when read
+* ``"columnar"`` (default) — chunks become NumPy arrays
+  (:class:`repro.engine.columnar.ColumnarChunk`: views over the columns
+  of a :class:`repro.trace.columns.TraceColumns`, zero-copy when read
   from an ``RPCOL1`` mmap via :mod:`repro.trace.colio`) and the hot
   path runs vectorized kernels, metrics-only telemetry included.  A
   chunk falls back to the batched engine whenever exact semantics
   require it (see :mod:`repro.engine.columnar`).
+* ``"batched"`` — the trace is chunked into struct-of-arrays
+  :class:`repro.engine.batch.AccessBatch` objects and handed to
+  :meth:`CacheController.process_batch`, which runs the technique's
+  specialised batched fast path when available.  The columnar engine's
+  fallback, and one leg of the differential suite.
+* ``"scalar"`` — one :meth:`CacheController.process` call per record;
+  the reference path the differential suite compares against.
+
+All three are bit-identical (``tests/engine/`` and ``repro.check``
+prove it).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class Simulator:
         geometry: CacheGeometry,
         memory: Optional[FunctionalMemory] = None,
         telemetry: Optional[Telemetry] = None,
-        engine: str = "batched",
+        engine: str = "columnar",
         batch_size: Optional[int] = None,
         **controller_kwargs,
     ) -> None:
@@ -97,8 +99,8 @@ class Simulator:
     def feed(self, trace: Iterable[MemoryAccess]) -> None:
         """Process a stream of accesses (may be called repeatedly).
 
-        Streaming either way: the batched engine holds at most one
-        batch of decoded records at a time.
+        Streaming on every engine: the columnar and batched engines
+        hold at most one chunk of decoded records at a time.
         """
         if self.engine == "scalar":
             process = self.controller.process

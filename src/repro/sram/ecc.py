@@ -207,11 +207,16 @@ class InterleavedRowLayout:
         return counts
 
     def burst_correctable(self, first_column: int, width: int) -> bool:
-        """True when SEC-DED corrects the whole burst."""
-        return all(
-            count <= 1
-            for count in self.errors_per_word(first_column, width).values()
-        )
+        """True when SEC-DED corrects the whole burst.
+
+        The burst covers ``min(width, columns - first_column)`` adjacent
+        columns (it is truncated at the row edge), and adjacent columns
+        cycle through the ``words`` interleaved words, so no word takes
+        two flips exactly when that many columns fit in one cycle — the
+        closed form of :meth:`errors_per_word`'s "every count <= 1".
+        """
+        check_non_negative("width", width)
+        return min(width, self.columns - first_column) <= self.words
 
     def max_correctable_burst(self) -> int:
         """Widest adjacent burst guaranteed correctable anywhere.

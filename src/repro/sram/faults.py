@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sram.ecc import InterleavedRowLayout
-from repro.utils.rng import DeterministicRNG
+from repro.utils.rng import DeterministicRNG, below, geometric_stop
 from repro.utils.validation import check_in_range, check_positive
 
 __all__ = ["ReliabilityReport", "FaultInjector", "mean_burst_width"]
@@ -68,27 +68,31 @@ class FaultInjector:
         self.layout = layout
         self._rng = rng
 
-    def _draw_width(self, vdd_mv: float) -> int:
-        """Geometric burst width with the voltage-dependent mean."""
-        return self._rng.geometric(mean_burst_width(vdd_mv))
-
     def inject(self, strikes: int, vdd_mv: float) -> ReliabilityReport:
         """Throw ``strikes`` independent strikes; classify each.
 
         A strike is *corrected* when every affected word sees at most
         one flipped bit (SEC-DED repairs it), *uncorrectable* otherwise.
+        Each strike makes the draws ``randint(0, columns - 1)`` (first
+        column) and ``geometric(mean_burst_width(vdd_mv))`` (burst width)
+        would, from the stream's bound primitives.
         """
         check_positive("strikes", strikes)
         corrected = 0
-        uncorrectable = 0
-        last_column = self.layout.columns - 1
+        columns = self.layout.columns
+        correctable = self.layout.burst_correctable
+        stop = geometric_stop(mean_burst_width(vdd_mv))
+        draw = self._rng.draw
+        draw_bits = self._rng.draw_bits
         for _ in range(strikes):
-            first_column = self._rng.randint(0, last_column)
-            width = self._draw_width(vdd_mv)
-            if self.layout.burst_correctable(first_column, width):
+            first_column = below(draw_bits, columns)
+            width = 1
+            if stop is not None:
+                while draw() >= stop:
+                    width += 1
+            if correctable(first_column, width):
                 corrected += 1
-            else:
-                uncorrectable += 1
+        uncorrectable = strikes - corrected
         return ReliabilityReport(
             strikes=strikes,
             corrected=corrected,

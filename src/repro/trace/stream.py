@@ -7,8 +7,9 @@ in constant memory.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, Sequence
 
+from repro.trace.columns import TraceColumns
 from repro.trace.record import MemoryAccess
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -66,11 +67,15 @@ def sample_accesses(
             yield access
 
 
-def materialize(trace: Iterable[MemoryAccess]) -> List[MemoryAccess]:
-    """Fully realise a stream into a list (for reuse across techniques).
+def materialize(trace: Iterable[MemoryAccess]) -> Sequence[MemoryAccess]:
+    """Fully realise a stream into a reusable sequence.
 
     The paper evaluated all techniques in one Pin run because Pin is not
     repeatable; we instead materialise a trace once and replay it through
-    every controller so comparisons are exact.
+    every controller so comparisons are exact.  A :class:`TraceColumns`
+    is already a reusable sequence and comes back as it is, so column
+    consumers never build its records; anything else becomes a list.
     """
+    if isinstance(trace, TraceColumns):
+        return trace
     return list(trace)

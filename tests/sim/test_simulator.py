@@ -42,6 +42,9 @@ class TestRunSimulation:
 
 
 class TestEngines:
+    def test_default_engine_is_columnar(self, tiny_geometry):
+        assert Simulator("rmw", tiny_geometry).engine == "columnar"
+
     def test_unknown_engine_rejected(self, tiny_geometry):
         with pytest.raises(ValueError, match="unknown engine"):
             Simulator("rmw", tiny_geometry, engine="vectorized")

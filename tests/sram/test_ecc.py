@@ -121,6 +121,32 @@ class TestUpsetBursts:
         hits = layout.upset_burst(first_column=6, width=10)
         assert len(hits) == 2  # columns 6 and 7 only
 
+    @pytest.mark.parametrize(
+        "words, bits_per_word",
+        [(1, CODEWORD_BITS), (2, CODEWORD_BITS), (1, 8), (2, 8), (4, 8), (16, 8)],
+    )
+    def test_closed_form_matches_definition_exhaustively(
+        self, words, bits_per_word
+    ):
+        """``burst_correctable`` is the closed form of "every word of
+        ``errors_per_word`` takes at most one flip", at every start
+        column and every width through the row edge and past it."""
+        layout = InterleavedRowLayout(words=words, bits_per_word=bits_per_word)
+        for first_column in range(layout.columns):
+            for width in range(layout.columns + 3):
+                expected = all(
+                    count <= 1
+                    for count in layout.errors_per_word(first_column, width).values()
+                )
+                assert layout.burst_correctable(first_column, width) == expected, (
+                    first_column,
+                    width,
+                )
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError):
+            InterleavedRowLayout(words=4).burst_correctable(0, -1)
+
     @given(
         words=st.sampled_from([2, 4, 8, 16]),
         start=st.integers(min_value=0, max_value=200),

@@ -1,10 +1,47 @@
 """Unit tests for the soft-error injection model."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.analysis.reliability import reliability_vs_voltage
 from repro.sram.ecc import InterleavedRowLayout
 from repro.sram.faults import FaultInjector, ReliabilityReport, mean_burst_width
 from repro.utils.rng import DeterministicRNG
+
+
+def digest(document) -> str:
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: Digest of ``[[corrected, uncorrectable], ...]`` for 3000 strikes at
+#: 200/400/600/800/1000 mV, each from a fresh ``DeterministicRNG(seed)``,
+#: keyed by (interleaved words, seed).  Recorded with the per-strike
+#: ``randint``/``geometric``/``errors_per_word`` injector.
+INJECTION_DIGESTS = {
+    (1, 2012): "48d2056bf343ad1b",
+    (1, 7): "2ed8096ac3220f94",
+    (1, 3): "a805a5741686c279",
+    (2, 2012): "d1d2abf4dfccbae0",
+    (2, 7): "90d3e407ee8314db",
+    (2, 3): "ce4b0048b0f63353",
+    (4, 2012): "abaa72ad4ef3c4e7",
+    (4, 7): "e6607b4a1e162d55",
+    (4, 3): "a21169e55e0d0777",
+    (16, 2012): "7a88e7a046dd6122",
+    (16, 7): "65442285dc7d28a5",
+    (16, 3): "91a0965790cded5b",
+}
+
+#: Digest of the default ``reliability_vs_voltage(seed=...)`` rows and
+#: summary, recorded the same way.
+FIGURE_DIGESTS = {
+    2012: "3874d3472a335aa0",
+    7: "763b182a17faa13f",
+    3: "f62597608e3ef715",
+}
 
 
 class TestBurstWidthCurve:
@@ -89,3 +126,26 @@ class TestReliabilityAnalysis:
             result.summary["flat_uncorrectable_400mv"]
             > result.summary["flat_uncorrectable_1000mv"]
         )
+
+
+class TestBitIdentity:
+    """The injector makes the same draws and classifications it did with
+    per-strike ``randint``/``geometric`` calls and the per-word count."""
+
+    @pytest.mark.parametrize("words, seed", sorted(INJECTION_DIGESTS))
+    def test_injection_counts(self, words, seed):
+        layout = InterleavedRowLayout(words=words)
+        reports = []
+        for vdd in (200.0, 400.0, 600.0, 800.0, 1000.0):
+            report = FaultInjector(layout, DeterministicRNG(seed)).inject(3000, vdd)
+            reports.append([report.corrected, report.uncorrectable])
+        assert digest(reports) == INJECTION_DIGESTS[(words, seed)]
+
+    @pytest.mark.parametrize("seed", sorted(FIGURE_DIGESTS))
+    def test_figure(self, seed):
+        figure = reliability_vs_voltage(seed=seed)
+        document = {
+            "rows": [list(row) for row in figure.rows],
+            "summary": figure.summary,
+        }
+        assert digest(document) == FIGURE_DIGESTS[seed]

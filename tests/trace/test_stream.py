@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.trace.columns import TraceColumns
 from repro.trace.record import AccessType, MemoryAccess
 from repro.trace.stream import (
     limit_accesses,
@@ -94,6 +95,16 @@ class TestMaterialize:
         result = materialize(a for a in _trace(4))
         assert isinstance(result, list)
         assert len(result) == 4
+
+    def test_list_becomes_a_new_list(self):
+        trace = _trace(3)
+        result = materialize(trace)
+        assert isinstance(result, list)
+        assert result == trace and result is not trace
+
+    def test_trace_columns_come_back_as_they_are(self):
+        columns = TraceColumns.from_lists([1, 2], [0, 1], [0, 8], [0, 5])
+        assert materialize(columns) is columns
 
     def test_composition(self):
         result = materialize(
