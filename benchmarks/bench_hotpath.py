@@ -16,8 +16,9 @@ technique falling off its fast path — not on scheduler jitter).  The CI
 perf-smoke job now gates through ``repro-8t perf compare`` instead,
 which ratchets these same floors upward against a rolling bench-history
 baseline; this script remains the simple zero-history entry point.
-Every run also cross-checks that both engines produce identical event
-logs, so it doubles as an end-to-end equivalence test.
+Every run also cross-checks that the scalar path and the columnar
+engine produce identical event logs, so it doubles as an end-to-end
+equivalence test.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.cache.config import BASELINE_GEOMETRY
 from repro.engine.bench import bench_report, run_hotpath_bench
 from repro.obs.perf import FALLBACK_SPEEDUP_FLOORS, environment_fingerprint, utc_timestamp
 
-#: Minimum acceptable batched/scalar speedup per technique.  Structural
+#: Minimum acceptable columnar/scalar speedup per technique.  Structural
 #: floors, not performance targets — see the module docstring.  These
 #: are the same fallback floors ``repro-8t perf compare`` ratchets up
 #: from once the bench-history ledger has enough samples.
@@ -48,29 +49,17 @@ def main(argv=None) -> int:
         "--out", default="BENCH_hotpath.json", help="report output path"
     )
     parser.add_argument(
-        "--engine",
-        action="append",
-        dest="engines",
-        choices=["scalar", "batched", "columnar"],
-        help="engine tier to measure (repeatable); scalar and batched "
-        "are always timed, '--engine columnar' adds the columnar tier",
-    )
-    parser.add_argument(
         "--no-floors",
         action="store_true",
         help="measure only; never fail on a speedup regression",
     )
     args = parser.parse_args(argv)
 
-    engines = {"scalar", "batched"}
-    engines.update(args.engines or ())
-
     results = run_hotpath_bench(
         accesses=args.accesses,
         benchmark=args.benchmark,
         seed=args.seed,
         repeats=args.repeats,
-        engines=sorted(engines),
     )
     floors = None if args.no_floors else SPEEDUP_FLOORS
     report = bench_report(
@@ -84,17 +73,11 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
     for result in results:
-        line = (
+        print(
             f"{result.technique:<14} scalar {result.scalar_aps:>12,.0f}/s   "
-            f"batched {result.batched_aps:>12,.0f}/s   "
+            f"columnar {result.columnar_aps:>12,.0f}/s   "
             f"speedup {result.speedup:.2f}x"
         )
-        if result.columnar_seconds is not None:
-            line += (
-                f"   columnar {result.columnar_aps:>12,.0f}/s   "
-                f"col/batched {result.columnar_speedup:.2f}x"
-            )
-        print(line)
     print(f"wrote {args.out}")
     if report["regressions"]:
         for regression in report["regressions"]:

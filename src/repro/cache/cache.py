@@ -22,7 +22,7 @@ slot arrays keep the inner loops on C-level list primitives:
   is valid, i.e. stamped, so this matches the list-based LRU exactly).
 
 Non-LRU policies (fifo/random/plru) keep per-set policy objects; the
-batched engine fast paths require stamp-LRU and check
+columnar engine's kernels require stamp-LRU and check
 :attr:`engine_fast_ok` before engaging.
 """
 
@@ -115,9 +115,9 @@ class SetAssociativeCache:
 
     @property
     def engine_fast_ok(self) -> bool:
-        """True when batched fast paths may drive the slot arrays directly.
+        """True when the columnar kernels may drive the slot arrays directly.
 
-        Fast paths replicate stamp-LRU inline; any other replacement
+        The kernels replicate stamp-LRU inline; any other replacement
         policy forces the scalar path (which goes through the policy
         objects).
         """
@@ -179,9 +179,7 @@ class SetAssociativeCache:
     def _fill(
         self, set_index: int, tag: int, address: int, is_read: bool
     ):
-        """Miss half of :meth:`ensure_resident`, shared with the batched
-        engine fast paths (which probe the tag slots themselves and call
-        this only on a verified miss).
+        """Miss half of :meth:`ensure_resident`.
 
         Records miss statistics, evicts the victim (writing a dirty one
         back), fills from the next level and stamps the way.  Returns

@@ -22,9 +22,10 @@ __all__ = ["AddressCodec", "CacheGeometry", "BASELINE_GEOMETRY"]
 class AddressCodec(NamedTuple):
     """Shift/mask constants for splitting a byte address in one pass.
 
-    The batched execution engine decodes whole trace chunks with these
-    (``repro.engine.batch``), so they are computed once per geometry and
-    cached on the :class:`CacheGeometry` instance.  The decomposition is
+    The trace decoders split whole chunks with these
+    (:mod:`repro.engine.batch`, :mod:`repro.engine.columnar`), so they are
+    computed once per geometry and cached on the :class:`CacheGeometry`
+    instance.  The decomposition is
     exactly :class:`repro.cache.address.AddressMapper`'s::
 
         set_index   = (address >> index_shift) & index_mask
@@ -121,11 +122,11 @@ class CacheGeometry:
 
     @cached_property
     def codec(self) -> AddressCodec:
-        """Shift/mask constants for batched address decoding.
+        """Shift/mask constants for chunked address decoding.
 
         Cached per geometry (the dataclass is frozen, so the derived
-        bit layout never changes after construction); the batch decoder
-        reads these once into locals before its inner loop.
+        bit layout never changes after construction); the chunk decoders
+        read these once before their loops.
         """
         return AddressCodec(
             index_shift=self.offset_bits,

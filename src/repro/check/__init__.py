@@ -7,7 +7,7 @@ independent directions (see ``docs/correctness.md``):
   functional model of each technique, written against the paper's
   algorithm descriptions rather than against ``repro.core``;
 * :mod:`repro.check.differential` — replays one trace through oracle,
-  scalar engine, and batched engine and diffs every observable;
+  scalar path, and columnar engine and diffs every observable;
 * :mod:`repro.check.fuzz` + :mod:`repro.check.shrink` — deterministic
   adversarial trace generation with ddmin shrinking of failures;
 * :mod:`repro.check.invariants` — debug-mode structural audits of the

@@ -1,11 +1,10 @@
-"""Four-way differential check: oracle vs scalar vs batched vs columnar.
+"""Three-way differential check: oracle vs scalar vs columnar.
 
 One :func:`run_differential` call replays a single trace through
 
 * the :class:`repro.check.oracle.ReferenceOracle` (independent model),
-* the scalar engine (``CacheController.process`` per record),
-* the batched engine (``Simulator(engine="batched")``), and
-* the columnar engine (``Simulator(engine="columnar")``),
+* the scalar path (``CacheController.process`` per record), and
+* the columnar engine (:class:`repro.sim.simulator.Simulator`),
 
 then compares every observable the models share: per-read values
 (oracle vs scalar, access by access), circuit events, operation counts,
@@ -90,17 +89,14 @@ def _run_scalar(
     return controller, cache, outcomes, memory.snapshot(), observed_state(telemetry)
 
 
-def _run_engine(
+def _run_columnar(
     trace: Sequence[MemoryAccess],
     technique: str,
     geometry: CacheGeometry,
     kwargs: Dict[str, object],
     batch_size: Optional[int],
-    engine: str,
 ):
-    simulator = Simulator(
-        technique, geometry, engine=engine, batch_size=batch_size, **kwargs
-    )
+    simulator = Simulator(technique, geometry, batch_size=batch_size, **kwargs)
     simulator.feed(list(trace))
     result = simulator.finish()
     simulator.cache.flush_all_dirty()
@@ -155,38 +151,37 @@ def run_differential(
 
     divergences: List[str] = []
 
-    # -- scalar vs batched / columnar: must be bit-identical ----------------
-    for engine in ("batched", "columnar"):
-        candidate, candidate_memory = _run_engine(
-            trace, technique, geometry, kwargs, batch_size, engine
+    # -- scalar vs columnar: must be bit-identical --------------------------
+    candidate, candidate_memory = _run_columnar(
+        trace, technique, geometry, kwargs, batch_size
+    )
+    label = "scalar-vs-columnar"
+    divergences += _diff_mapping(
+        f"{label} events",
+        controller.events.to_dict(),
+        candidate.events.to_dict(),
+    )
+    divergences += _diff_mapping(
+        f"{label} counts",
+        _as_dict(controller.counts),
+        _as_dict(candidate.counts),
+    )
+    divergences += _diff_mapping(
+        f"{label} stats",
+        _as_dict(cache.stats),
+        _as_dict(candidate.cache_stats),
+    )
+    if scalar_memory != candidate_memory:
+        delta = {
+            word
+            for word in set(scalar_memory) | set(candidate_memory)
+            if scalar_memory.get(word, 0) != candidate_memory.get(word, 0)
+        }
+        divergences.append(
+            f"{label} memory: "
+            f"{len(delta)} word(s) differ, first at word "
+            f"{min(delta)}"
         )
-        label = f"scalar-vs-{engine}"
-        divergences += _diff_mapping(
-            f"{label} events",
-            controller.events.to_dict(),
-            candidate.events.to_dict(),
-        )
-        divergences += _diff_mapping(
-            f"{label} counts",
-            _as_dict(controller.counts),
-            _as_dict(candidate.counts),
-        )
-        divergences += _diff_mapping(
-            f"{label} stats",
-            _as_dict(cache.stats),
-            _as_dict(candidate.cache_stats),
-        )
-        if scalar_memory != candidate_memory:
-            delta = {
-                word
-                for word in set(scalar_memory) | set(candidate_memory)
-                if scalar_memory.get(word, 0) != candidate_memory.get(word, 0)
-            }
-            divergences.append(
-                f"{label} memory: "
-                f"{len(delta)} word(s) differ, first at word "
-                f"{min(delta)}"
-            )
 
     divergences += _diff_telemetry(
         scalar_observed,
@@ -244,12 +239,7 @@ def _observed_columnar(
 ) -> ObservedState:
     telemetry = Telemetry(sampler=IntervalSampler(TELEMETRY_WINDOW))
     simulator = Simulator(
-        technique,
-        geometry,
-        telemetry=telemetry,
-        engine="columnar",
-        batch_size=batch_size,
-        **kwargs,
+        technique, geometry, telemetry=telemetry, batch_size=batch_size, **kwargs
     )
     simulator.feed(trace)
     simulator.finish()

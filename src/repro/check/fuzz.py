@@ -5,12 +5,12 @@ Every generator draws from a :class:`random.Random` seeded through
 from ``(seed, iteration)`` — rerunning ``repro-8t check --seed 0``
 regenerates the exact traces, geometries, batch sizes and knobs.
 
-The scenarios target the places where the batched fast paths diverge
+The scenarios target the places where the columnar kernels diverge
 from a naive per-request loop:
 
 * ``write_runs`` — long same-set write runs with lengths chosen to
   straddle the (deliberately tiny) fuzzed batch sizes, so runs span
-  batch boundaries while the Set-Buffer is dirty;
+  chunk boundaries while the Set-Buffer is dirty;
 * ``silent_dirty`` — silent and dirty writes interleaved on the same
   words (value-tracking makes silent writes genuinely silent);
 * ``buffered_reads`` — reads to Set-Buffer-resident sets (premature

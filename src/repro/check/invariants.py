@@ -25,8 +25,8 @@ Checked invariants:
   stays the sum of its parts.
 
 Checks are read-only: enabling them never changes simulation results,
-only speed (the batched fast paths disengage so every access is
-audited individually).
+only speed (the columnar kernels disengage so every access runs
+through ``process()`` and is audited individually).
 """
 
 from __future__ import annotations

@@ -27,11 +27,10 @@ from repro.core.outcomes import AccessOutcome, OperationCounts
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sram.events import SRAMEventLog
 from repro.trace.record import MemoryAccess
-from repro.errors import StateError, ValidationError
+from repro.errors import StateError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.check.invariants import InvariantChecker
-    from repro.engine.batch import AccessBatch
 
 __all__ = ["CacheController"]
 
@@ -42,12 +41,12 @@ class CacheController(abc.ABC):
     #: Short registry name, set by subclasses.
     name: str = "abstract"
 
-    #: Registry name whose semantics the class's ``_process_batch_fast``
-    #: implements, or None when there is no batched fast path.  The gate
-    #: in :meth:`process_batch` requires ``self.name`` to match, so a
-    #: subclass that changes behaviour (and therefore ``name``) falls
-    #: back to the scalar loop instead of inheriting a fast path that no
-    #: longer matches its ``process()``.
+    #: Registry name whose semantics a columnar kernel implements, or
+    #: None when no kernel does.  The columnar engine's gate
+    #: (:func:`repro.engine.columnar._kernel_for`) requires ``self.name``
+    #: to match, so a subclass that changes behaviour (and therefore
+    #: ``name``) runs per access through :meth:`process` instead of
+    #: inheriting a kernel that no longer matches it.
     _fast_path_name: Optional[str] = None
 
     #: ``(OperationCounts field, instrumentation point)`` pairs for which
@@ -194,8 +193,8 @@ class CacheController(abc.ABC):
         of the cache slot arrays and any WG-family buffers, raising
         :class:`repro.errors.InvariantViolation` at the first access
         that breaks one.  Checks are read-only — results are unchanged,
-        only slower: :meth:`process_batch` falls back to the scalar
-        loop so every access is audited individually.  Returns the
+        only slower: the columnar engine runs every access through
+        :meth:`process` so each one is audited.  Returns the
         installed :class:`repro.check.invariants.InvariantChecker`.
         """
         from repro.check.invariants import InvariantChecker
@@ -233,60 +232,6 @@ class CacheController(abc.ABC):
         if self._invariant_checker is not None:
             self._invariant_checker.after_access(self)
         return outcome
-
-    def process_batch(self, batch: "AccessBatch") -> int:
-        """Handle one :class:`AccessBatch`; returns records consumed.
-
-        Bit-identical to replaying the batch through :meth:`process`
-        one record at a time — the differential suite in
-        ``tests/engine/`` enforces this.  Outcome objects are not
-        built, which is most of the speedup.
-
-        The specialised fast path engages only when *all* of these
-        hold; otherwise every record replays through the scalar path:
-
-        * the concrete class implements the semantics it advertises
-          (``name == _fast_path_name`` — subclasses that change
-          behaviour fall back automatically);
-        * the cache uses stamp-LRU (:attr:`SetAssociativeCache.
-          engine_fast_ok`);
-        * telemetry is off (``_obs``): per-request sampler ticks and
-          trace instants cannot be aggregated per batch without
-          changing observable output;
-        * debug-mode invariant checks are off (:meth:`enable_invariant_
-          checks`): the checker audits state after *every* access, so
-          each record must replay through :meth:`process`.
-        """
-        if self._finalized:
-            raise StateError("controller already finalized")
-        if batch.geometry != self.cache.geometry:
-            raise ValidationError(
-                f"batch decoded for {batch.geometry.describe()} fed to a "
-                f"{self.cache.geometry.describe()} cache"
-            )
-        n = len(batch)
-        if n == 0:
-            return 0
-        if (
-            self.name == self._fast_path_name
-            and not self._obs
-            and self._invariant_checker is None
-            and self.cache.engine_fast_ok
-        ):
-            self._process_batch_fast(batch)
-        else:
-            process = self.process
-            for access in batch.accesses():
-                process(access)
-        return n
-
-    def _process_batch_fast(self, batch: "AccessBatch") -> None:
-        """Batched fast path; only reached when the gate in
-        :meth:`process_batch` passed.  Base implementation replays the
-        scalar path (concrete techniques override)."""
-        process = self.process
-        for access in batch.accesses():
-            process(access)
 
     def run(
         self,

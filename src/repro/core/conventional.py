@@ -8,15 +8,10 @@ paper's ">32 % access-frequency increase" claim for RMW.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.cache.cache import AccessResult
 from repro.core.controller import CacheController
 from repro.core.outcomes import AccessOutcome, ServedFrom
 from repro.trace.record import MemoryAccess
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.batch import AccessBatch
 
 __all__ = ["ConventionalController"]
 
@@ -26,89 +21,6 @@ class ConventionalController(CacheController):
 
     name = "conventional"
     _fast_path_name = "conventional"
-
-    def _process_batch_fast(self, batch: "AccessBatch") -> None:
-        """Batched hot loop, fully inline: hits run on the cache's slot
-        arrays, misses through the shared ``cache._fill`` (the same
-        code ``ensure_resident`` runs), with all counters aggregated
-        locally and flushed once per batch."""
-        cache = self.cache
-        tags_by_set = cache._tags  # noqa: SLF001 - engine contract
-        dirty_by_set = cache._dirty  # noqa: SLF001
-        data_by_set = cache._data  # noqa: SLF001
-        stamps_by_set = cache._stamps  # noqa: SLF001
-        tick = cache._tick  # noqa: SLF001
-        fill = cache._fill  # noqa: SLF001
-        wpb = cache.geometry.words_per_block
-        count_mt = self.count_miss_traffic
-        kinds = batch.kinds
-        addresses = batch.addresses
-        values = batch.values
-        set_indices = batch.set_indices
-        req_tags = batch.tags
-        word_offsets = batch.word_offsets
-
-        reads = writes = read_hits = write_hits = 0
-        mt_fills = mt_dirty = 0  # count_miss_traffic charges
-        for i in range(len(kinds)):
-            s = set_indices[i]
-            t = req_tags[i]
-            kind = kinds[i]
-            tags = tags_by_set[s]
-            if t in tags:
-                way = tags.index(t)
-                stamps_by_set[s][way] = tick
-                tick += 1
-                if kind:
-                    write_hits += 1
-                else:
-                    read_hits += 1
-            else:
-                cache._tick = tick  # noqa: SLF001
-                way, _, evicted_dirty = fill(s, t, addresses[i], not kind)
-                tick = cache._tick  # noqa: SLF001
-                if count_mt:
-                    mt_fills += 1
-                    if evicted_dirty:
-                        mt_dirty += 1
-            if kind:
-                writes += 1
-                data_by_set[s][way * wpb + word_offsets[i]] = values[i]
-                dirty_by_set[s][way] = True
-            else:
-                reads += 1
-
-        cache._tick = tick  # noqa: SLF001
-        self._current_icount = batch.icounts[-1]
-        counts = self.counts
-        counts.read_requests += reads
-        counts.write_requests += writes
-        stats = cache.stats
-        stats.read_hits += read_hits
-        stats.write_hits += write_hits
-        events = self.events
-        # One row read per read request (1 word routed), one row write
-        # per write request (1 word driven).
-        events.precharges += reads
-        events.rwl_pulses += reads
-        events.row_reads += reads
-        events.words_routed += reads
-        events.wwl_pulses += writes
-        events.row_writes += writes
-        events.words_driven += writes
-        if count_mt and mt_fills:
-            # Per dirty eviction: a row read of the victim block; per
-            # fill: an RMW over the full row (see _account_miss_traffic).
-            row_words = self._row_words
-            events.rmw_operations += mt_fills
-            events.precharges += mt_dirty + mt_fills
-            events.rwl_pulses += mt_dirty + mt_fills
-            events.row_reads += mt_dirty + mt_fills
-            events.words_routed += mt_dirty * wpb + mt_fills * row_words
-            events.wwl_pulses += mt_fills
-            events.row_writes += mt_fills
-            events.words_driven += mt_fills * row_words
-            counts.rmw_operations += mt_fills
 
     def _handle_read(
         self, access: MemoryAccess, result: AccessResult

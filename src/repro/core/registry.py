@@ -54,7 +54,7 @@ def make_controller(
         factory = _FACTORIES[name.lower()]
     except KeyError:
         raise ValidationError(
-            f"unknown controller {name!r}; known: {list(CONTROLLER_NAMES)}"
+            f"unknown controller {name!r}; known: {list(ALL_CONTROLLER_NAMES)}"
         ) from None
     controller = factory(cache, **kwargs)
     if telemetry is not None:

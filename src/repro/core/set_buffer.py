@@ -70,13 +70,14 @@ class SetBuffer:
         return False
 
     def engine_views(self) -> Tuple[List[List[int]], Set[Tuple[int, int]]]:
-        """``(data, modified)`` internals for the batched engine.
+        """``(data, modified)`` internals for the columnar engine.
 
-        The fast paths in :mod:`repro.core.write_grouping` mutate these
-        in place, replicating :meth:`write` without the per-word method
-        call.  The views go stale when the buffer is refilled or
-        drained (:meth:`fill`/:meth:`take_modified` rebind the set), so
-        callers must re-fetch them after any scalar fallback.
+        The WG kernel in :mod:`repro.engine.columnar` lifts these into
+        locals at chunk start and mutates them in place, replicating
+        :meth:`write` without the per-word method call.  The views go
+        stale when the buffer is refilled or drained (:meth:`fill`/
+        :meth:`take_modified` rebind the set), so callers must re-fetch
+        them after any per-access :meth:`write`.
         """
         self._check_valid()
         return self._data, self._modified

@@ -22,7 +22,7 @@ class WGRBController(WriteGroupingController):
 
     name = "wg_rb"
     _fast_path_name = "wg_rb"
-    _rb_bypass = True  # the batched fast path serves probe-hit reads
+    _rb_bypass = True  # the columnar WG kernel serves probe-hit reads
     # from the Set-Buffer, mirroring _handle_read below
     _counted_points = WriteGroupingController._counted_points + (
         ("bypassed_reads", "read_bypass"),

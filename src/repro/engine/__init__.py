@@ -1,15 +1,16 @@
-"""Execution engines.
+"""Execution engine.
 
-The throughput layers of the simulator.  Tier one is the batched
-engine: struct-of-arrays trace batches (:mod:`repro.engine.batch`)
-feed the controllers' ``process_batch()`` fast paths, several times
-faster than the scalar ``process()`` loop and bit-identical to it (see
-``docs/performance.md`` and the differential suite in
-``tests/engine/``).  Tier two is the columnar engine
-(:mod:`repro.engine.columnar`): chunks become NumPy arrays — zero-copy
-views when read from ``RPCOL1`` mmap traces (:mod:`repro.trace.colio`)
-— and vectorized kernels replace the per-record Python loop for the
-common case.  :mod:`repro.engine.bench` measures all tiers.
+The throughput layer of the simulator.  The columnar engine
+(:mod:`repro.engine.columnar`) turns trace chunks into NumPy arrays —
+zero-copy views when read from ``RPCOL1`` mmap traces
+(:mod:`repro.trace.colio`) or taken from a
+:class:`repro.trace.TraceColumns` — and runs per-technique kernels that
+are bit-identical to the scalar ``process()`` loop, the semantics of
+record and the only fallback (see ``docs/performance.md`` and the
+differential suite in ``tests/engine/``).  :mod:`repro.engine.batch`
+holds the list-based :class:`AccessBatch` the binary and text trace
+readers decode to; :mod:`repro.engine.bench` measures columnar against
+scalar.
 """
 
 from repro.engine.batch import AccessBatch, DEFAULT_BATCH_SIZE, iter_batches

@@ -1,25 +1,21 @@
 """Struct-of-arrays access batches.
 
-The scalar hot path pays four layers of per-access Python calls (trace
-decode → address split → residency → controller template methods).  An
-:class:`AccessBatch` amortises the first two: a chunk of N records is
-decoded once into parallel lists, with the set/tag/word address fields
-pre-split using the shift/mask constants cached on
+An :class:`AccessBatch` is a chunk of N records decoded once into
+parallel lists, with the set/tag/word address fields pre-split using
+the shift/mask constants cached on
 :class:`repro.cache.config.CacheGeometry` (``geometry.codec``).  The
-batched controller fast paths (:meth:`CacheController.process_batch`)
-then iterate plain ints instead of constructing a :class:`MemoryAccess`
-object per record.
+binary and text trace readers (``repro.trace.binio``/``textio``) decode
+to batches; :meth:`repro.sim.simulator.Simulator.feed_batches` lifts
+each one into a :class:`repro.engine.columnar.ColumnarChunk` for the
+columnar engine.
 
 Invariants
 ----------
-* Batching never changes results: every batched path is bit-identical
-  to replaying the same records through ``process()`` one at a time
-  (enforced by ``tests/engine/test_differential.py``).
 * ``kinds`` uses ``0`` for reads and ``1`` for writes — the same
   encoding as the binary trace format.
 * A batch is tied to the geometry whose codec decoded it; feeding it to
   a controller with a different geometry is a usage error (checked by
-  ``process_batch``).
+  :func:`repro.engine.columnar.process_chunk`).
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ class AccessBatch:
         )
 
     def accesses(self) -> Iterator[MemoryAccess]:
-        """Iterate the batch as scalar records (the fallback path)."""
+        """Iterate the batch as scalar records."""
         for i in range(len(self.icounts)):
             yield self.access(i)
 

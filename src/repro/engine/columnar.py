@@ -1,15 +1,16 @@
-"""Columnar (second-generation) execution engine.
+"""Columnar execution engine: the simulator's one fast path.
 
-The batched engine removed per-record object construction but still
-pays Python's per-record indirection tax on every access: container
-lookups for the set's slot arrays, method calls into ``cache._fill``,
-``memory.read_block`` and the Set-Buffer, attribute traffic on shared
-counters.  This tier removes that tax.  A :class:`ColumnarChunk` holds
-a trace chunk as NumPy arrays (zero-copy views when it comes from an
-``RPCOL1`` mmap, see :mod:`repro.trace.colio`); the kernels below use
-vectorized decode/regrouping to set the loops up, then replay records
-through loops whose *entire* working state lives in local variables —
-the fill path, next-level memory transfers, buffer write-backs and all
+Scalar execution (:meth:`CacheController.process`, the semantics of
+record) pays Python's per-record tax on every access: a record object,
+container lookups for the set's slot arrays, method calls into
+``cache._fill``, ``memory.read_block`` and the Set-Buffer, attribute
+traffic on shared counters.  This engine removes that tax.  A
+:class:`ColumnarChunk` holds a trace chunk as NumPy arrays (zero-copy
+views when it comes from an ``RPCOL1`` mmap, see
+:mod:`repro.trace.colio`); the kernels below use vectorized
+decode/regrouping to set the loops up, then replay records through
+loops whose *entire* working state lives in local variables — the fill
+path, next-level memory transfers, buffer write-backs and all
 statistics inlined, flushed once per chunk.
 
 Why this is bit-identical
@@ -39,22 +40,23 @@ Why this is bit-identical
 
 Gating
 ------
-The kernels run whenever the controller is the technique they
-implement (``name == _fast_path_name``), its cache uses stamp-LRU
-(``engine_fast_ok``) and — for WG — its buffer pool has one entry.
-Metrics-only telemetry rides along: after every kernel call
-:func:`process_chunk` credits the controller's registry counters with
-the call's deltas (:meth:`CacheController._add_telemetry_deltas`), and
-with an :class:`repro.obs.sampler.IntervalSampler` attached it stops
-each kernel call at the sampler's next window boundary, so registry
-counters and snapshots match per-access execution exactly.  Four
-cases send the whole chunk to the batched engine instead: a live trace
-sink (it needs one instant per instrumentation point), the invariant
-checker, WG buffer pools with more than one entry, and non-LRU
-replacement.  Its gate runs the chunk per access whenever telemetry or
-the checker is on, so those runs still see every access.  The four-way
-scalar↔batched↔columnar↔oracle differential in ``tests/engine/`` and
-``repro/check/`` enforces bit-identity across all of it.
+:func:`_kernel_for` is the one gate.  The kernels run whenever the
+controller is the technique they implement (``name ==
+_fast_path_name``), its cache uses stamp-LRU (``engine_fast_ok``) and —
+for WG — its buffer pool has one entry.  Metrics-only telemetry rides
+along: after every kernel call :func:`process_chunk` credits the
+controller's registry counters with the call's deltas
+(:meth:`CacheController._add_telemetry_deltas`), and with an
+:class:`repro.obs.sampler.IntervalSampler` attached it stops each
+kernel call at the sampler's next window boundary, so registry counters
+and snapshots match per-access execution exactly.  Four cases run the
+whole chunk per access through :meth:`CacheController.process`
+instead: a live trace sink (it needs one instant per instrumentation
+point), the invariant checker (it audits every access), WG buffer
+pools with more than one entry (pool-LRU; no benchmark workload uses
+one), and non-LRU replacement.  The three-way oracle↔scalar↔columnar
+differential in ``tests/engine/`` and ``repro/check/`` enforces
+bit-identity across all of it.
 
 Port-operation codes
 --------------------
@@ -138,7 +140,7 @@ def split_addresses(
 class ColumnarChunk:
     """One trace chunk as seven parallel NumPy arrays.
 
-    The columnar counterpart of :class:`AccessBatch`: ``icounts``/
+    The array form of :class:`AccessBatch`: ``icounts``/
     ``addresses``/``values`` are u64, ``kinds`` u8, and the pre-split
     ``set_indices``/``tags``/``word_offsets`` are i64 (signed, so they
     compare directly against the cache's slot-array tags, whose invalid
@@ -220,19 +222,6 @@ class ColumnarChunk:
             set_indices=np.array(batch.set_indices, dtype=np.int64),
             tags=np.array(batch.tags, dtype=np.int64),
             word_offsets=np.array(batch.word_offsets, dtype=np.int64),
-        )
-
-    def to_access_batch(self) -> AccessBatch:
-        """Decode back to plain-int lists (the batched-engine fallback)."""
-        return AccessBatch(
-            geometry=self.geometry,
-            icounts=self.icounts.tolist(),
-            kinds=self.kinds.tolist(),
-            addresses=self.addresses.tolist(),
-            values=self.values.tolist(),
-            set_indices=self.set_indices.tolist(),
-            tags=self.tags.tolist(),
-            word_offsets=self.word_offsets.tolist(),
         )
 
 
@@ -351,16 +340,15 @@ def process_chunk(
 ) -> int:
     """Run one chunk through the columnar kernels; returns records consumed.
 
-    Mirrors :meth:`CacheController.process_batch`'s contract (finalized
-    check, geometry check) and falls back to the batched engine — itself
-    gated down to scalar when needed — whenever no kernel reproduces the
-    exact semantics (see the module docstring's gating section).
+    Rejects a finalized controller and a chunk decoded for another
+    geometry.  Whenever no kernel reproduces the exact semantics (see
+    the module docstring's gating section), every record runs through
+    :meth:`CacheController.process` instead.
 
     ``codes``, a u8 array of ``len(chunk)``, receives each request's
     port-operation code (:meth:`AccessOutcome.port_code`, the timing
     model's input).  The kernels write it from the access kind and their
-    event sites; a chunk no kernel handles then runs per access through
-    :meth:`CacheController.process` and takes each code from the outcome.
+    event sites; a chunk run per access takes each code from the outcome.
     """
     if controller._finalized:  # noqa: SLF001 - engine contract
         raise StateError("controller already finalized")
@@ -374,12 +362,16 @@ def process_chunk(
         return 0
     kernel = _kernel_for(controller)
     if kernel is None:
-        batch = chunk.to_access_batch()
-        if codes is None:
-            return controller.process_batch(batch)
+        records = TraceColumns(
+            chunk.icounts, chunk.kinds, chunk.addresses, chunk.values
+        )
         process = controller.process
-        for i, access in enumerate(batch.accesses()):
-            codes[i] = process(access).port_code(access.is_read)
+        if codes is None:
+            for access in records:
+                process(access)
+        else:
+            for i, access in enumerate(records):
+                codes[i] = process(access).port_code(access.is_read)
         return n
     if not controller._obs:  # noqa: SLF001
         kernel(controller, chunk, codes)
@@ -410,7 +402,12 @@ def process_chunk(
 
 
 def _kernel_for(controller: "CacheController") -> Optional[_Kernel]:
-    """The kernel reproducing ``controller`` exactly, or None."""
+    """The kernel reproducing ``controller`` exactly, or None.
+
+    The engine's one gate (see the module docstring).  Kernels are read
+    from the module globals on every call, so the check campaign's
+    injected-bug tests can patch ``_process_chunk_wg``.
+    """
     if (
         controller.name != controller._fast_path_name  # noqa: SLF001
         or controller._invariant_checker is not None  # noqa: SLF001

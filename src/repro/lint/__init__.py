@@ -3,8 +3,8 @@
 An AST-based, single-pass rule engine with stable ``RPRxxx`` rule ids,
 ``# repro-lint: disable=RPRxxx`` line suppressions, and a JSON baseline
 for incremental adoption.  The rules encode this repo's contracts —
-determinism of the sim path, the ReproError hierarchy, the batched
-fast-path gate, the declared metric-name set, and library hygiene — so
+determinism of the sim path, the ReproError hierarchy, the scalar
+controller API, the declared metric-name set, and library hygiene — so
 whole classes of plausible-but-wrong reproduction bugs fail the build
 before any trace runs.
 

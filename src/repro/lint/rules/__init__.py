@@ -12,7 +12,6 @@ RPR102   unseeded-global-random          determinism
 RPR111   raise-non-repro-error           errors_discipline
 RPR112   bare-except                     errors_discipline
 RPR121   controller-missing-scalar-api   controllers
-RPR122   fast-path-missing-gate          controllers
 RPR131   undeclared-metric-name          telemetry
 RPR132   unemitted-metric-declaration    telemetry
 RPR141   print-in-library                hygiene

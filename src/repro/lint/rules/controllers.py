@@ -1,21 +1,14 @@
-"""Controller-contract rules (RPR121, RPR122).
+"""Controller-contract rule (RPR121).
 
-The batched engine (PR 3) made every controller a two-implementation
-class: the scalar ``process()`` path is the semantics of record, and
-``process_batch``/``_process_batch_fast`` is an optimisation that must
-be *observably identical*.  Two structural properties keep that true,
-and both are properties of the class text — exactly what a static pass
-can hold forever:
-
-* every concrete controller implements the scalar API
-  (``_handle_read``/``_handle_write``) — the oracle, the invariant
-  checker, and the differential fuzzer all exercise controllers through
-  it;
-* any ``process_batch`` override re-states the full fallback gate
-  (stamp-LRU via ``engine_fast_ok``, telemetry via ``_obs``, debug mode
-  via ``_invariant_checker``) or delegates to ``super().process_batch``
-  — a fast path taken with telemetry or invariant checks active changes
-  observable output and skips audits silently.
+Every controller has two implementations: the scalar ``process()``
+path is the semantics of record, and the columnar kernels
+(:mod:`repro.engine.columnar`) are an optimisation that must be
+*observably identical*.  One structural property keeps the reference
+in place, and it is a property of the class text — exactly what a
+static pass can hold forever: every concrete controller implements the
+scalar API (``_handle_read``/``_handle_write``) — the oracle, the
+invariant checker, the differential fuzzer and the columnar engine's
+per-access fallback all exercise controllers through it.
 """
 
 from __future__ import annotations
@@ -27,11 +20,10 @@ from repro.lint.asthelpers import dotted_name
 from repro.lint.engine import FileContext, Rule, register_rule
 from repro.lint.finding import Severity
 
-__all__ = ["ScalarApiRule", "FastPathGateRule"]
+__all__ = ["ScalarApiRule"]
 
 _BASE_CLASS = "CacheController"
 _SCALAR_API = ("_handle_read", "_handle_write")
-_GATE_ATTRS = ("engine_fast_ok", "_obs", "_invariant_checker")
 
 
 def _direct_methods(class_node: ast.ClassDef) -> Set[str]:
@@ -91,57 +83,4 @@ class ScalarApiRule(Rule):
                 f"does not implement {', '.join(missing)}; every "
                 f"concrete technique must define the scalar semantics "
                 f"of record",
-            )
-
-
-@register_rule
-class FastPathGateRule(Rule):
-    id = "RPR122"
-    name = "fast-path-missing-gate"
-    severity = Severity.ERROR
-    description = (
-        "a process_batch override must gate on engine_fast_ok, _obs, "
-        "and _invariant_checker (or delegate to super().process_batch) "
-        "before taking a batched fast path; an ungated fast path skips "
-        "telemetry and debug-mode audits silently"
-    )
-
-    def visit_ClassDef(self, node: ast.ClassDef, ctx: FileContext) -> None:
-        for stmt in node.body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name == "process_batch"
-            ):
-                self._check_override(stmt, node, ctx)
-
-    def _check_override(
-        self,
-        method: ast.FunctionDef,
-        class_node: ast.ClassDef,
-        ctx: FileContext,
-    ) -> None:
-        seen_attrs: Set[str] = set()
-        delegates = False
-        for inner in ast.walk(method):
-            if isinstance(inner, ast.Attribute):
-                if inner.attr in _GATE_ATTRS:
-                    seen_attrs.add(inner.attr)
-                elif inner.attr == "process_batch" and isinstance(
-                    inner.value, ast.Call
-                ):
-                    # super().process_batch(...) — the base gate runs.
-                    func = dotted_name(inner.value.func)
-                    if func == "super":
-                        delegates = True
-        if delegates:
-            return
-        missing = [name for name in _GATE_ATTRS if name not in seen_attrs]
-        if missing:
-            ctx.report(
-                self,
-                method,
-                f"{class_node.name}.process_batch overrides the batched "
-                f"entry point without consulting {', '.join(missing)}; "
-                f"re-state the scalar-fallback gate or call "
-                f"super().process_batch()",
             )

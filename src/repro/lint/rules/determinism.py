@@ -8,7 +8,7 @@ run to run with no crash to notice.  These rules fence the modules
 whose outputs are the paper's numbers:
 
 * ``repro.core``   — controllers (the techniques under test)
-* ``repro.engine`` — the batched execution engine
+* ``repro.engine`` — the columnar execution engine
 * ``repro.sim``    — simulator, campaigns, checkpoint/resume
 * ``repro.check``  — oracle, differential runner, fuzzer
 

@@ -26,7 +26,7 @@ noise?".  This package closes the loop with four pieces:
     ``repro-8t perf report`` — a per-technique trajectory rendered as a
     markdown table with sparkline deltas (``docs/perf-trend.md``).
 
-Gates compare **speedup ratios** (batched over scalar), not absolute
+Gates compare **speedup ratios** (columnar over scalar), not absolute
 accesses/sec: a ratio measured on one machine transfers to another,
 while raw throughput does not — which is exactly why the ledger also
 carries the environment fingerprint for the absolute numbers.

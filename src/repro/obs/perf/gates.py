@@ -2,7 +2,7 @@
 
 ``repro-8t perf compare`` replaces the hand-pinned speedup floors that
 used to live in ``benchmarks/bench_hotpath.py``: instead of a constant
-chosen once ("the batched engine must stay above 2.0x"), the gate
+chosen once ("the fast path must stay above 2.0x"), the gate
 derives a **rolling baseline** from the last K comparable ledger
 entries and fails only on a drop beyond the measured noise.
 
@@ -27,9 +27,9 @@ not re-implemented).  The regression threshold is::
   technique (when one exists), so the gate is a **ratchet**: history
   can only tighten it, never loosen it below the hand-pinned minimum.
 
-Only ledger entries measuring the *same workload shape* (benchmark,
-geometry, trace length) enter the baseline, and the gate compares
-speedup **ratios**, which transfer across machines; absolute
+Only current-schema ledger entries measuring the *same workload shape*
+(benchmark, geometry, trace length) enter the baseline, and the gate
+compares speedup **ratios**, which transfer across machines; absolute
 accesses/sec do not and are reported for context only.
 
 With fewer than :data:`MIN_SAMPLES` comparable entries the gate falls
@@ -227,10 +227,11 @@ def compare_to_baseline(
 ) -> GateResult:
     """Gate ``current_results`` against the rolling ledger baseline.
 
-    ``entries`` is the full parsed ledger (oldest first); only entries
-    matching the ``(benchmark, geometry, accesses)`` workload shape are
-    baselined, and of those only the newest ``window``.  ``floors``
-    defaults to :data:`FALLBACK_SPEEDUP_FLOORS`.
+    ``entries`` is the full parsed ledger (oldest first); only
+    current-schema entries matching the ``(benchmark, geometry,
+    accesses)`` workload shape are baselined, and of those only the
+    newest ``window``.  ``floors`` defaults to
+    :data:`FALLBACK_SPEEDUP_FLOORS`.
     """
     if window < MIN_SAMPLES:
         raise ValidationError(
@@ -247,7 +248,8 @@ def compare_to_baseline(
     comparable = [
         entry
         for entry in entries
-        if entry.matches_workload(benchmark, geometry, accesses)
+        if entry.current_schema
+        and entry.matches_workload(benchmark, geometry, accesses)
     ]
     recent = comparable[-window:]
     gates = []

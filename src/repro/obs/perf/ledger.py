@@ -13,7 +13,10 @@ Robustness rules, in the spirit of the checkpoint journal
 (:mod:`repro.sim.checkpoint`): appends are single ``write()`` calls of
 one line, reads skip torn or malformed lines instead of failing (a
 half-written record from a killed run must not poison the history), and
-unknown future schema versions are skipped, not guessed at.
+unknown future schema versions are skipped, not guessed at.  Records
+of an older schema still parse, but the gates and the trend report read
+only current-schema records (:attr:`LedgerEntry.current_schema`): a
+schema bump means a field changed meaning.
 """
 
 from __future__ import annotations
@@ -36,26 +39,23 @@ __all__ = [
 ]
 
 #: Bump when the record shape changes incompatibly; readers skip
-#: records from the future instead of misinterpreting them.
-LEDGER_SCHEMA_VERSION = 1
+#: records from the future instead of misinterpreting them.  Schema 2:
+#: ``speedup`` is columnar over scalar (schema 1: batched over scalar,
+#: with the columnar tier in optional ``columnar_*`` fields).
+LEDGER_SCHEMA_VERSION = 2
 
 #: Where ``repro-8t bench --history`` appends by default (repo-relative).
 DEFAULT_LEDGER_PATH = Path("benchmarks") / "results" / "bench_history.jsonl"
 
-#: Per-technique result fields copied into each ledger record.  The
-#: columnar tier's fields are additive — absent when a run did not
-#: measure the columnar engine — so the schema version is unchanged.
+#: Per-technique result fields copied into each ledger record.
 _RESULT_FIELDS = (
     "technique",
     "accesses",
     "scalar_seconds",
-    "batched_seconds",
     "columnar_seconds",
     "scalar_accesses_per_second",
-    "batched_accesses_per_second",
     "columnar_accesses_per_second",
     "speedup",
-    "columnar_speedup",
 )
 
 #: ``on_skip(line_number, reason)`` callback for unreadable records.
@@ -86,18 +86,17 @@ class LedgerEntry:
         result = self.results.get(technique)
         return None if result is None else float(result.get("speedup", 0.0))
 
-    def batched_aps(self, technique: str) -> Optional[float]:
+    def columnar_aps(self, technique: str) -> Optional[float]:
         result = self.results.get(technique)
         if result is None:
             return None
-        return float(result.get("batched_accesses_per_second", 0.0))
+        return float(result.get("columnar_accesses_per_second", 0.0))
 
-    def columnar_speedup(self, technique: str) -> Optional[float]:
-        """Columnar-over-batched speedup; ``None`` when not measured."""
-        result = self.results.get(technique)
-        if result is None or "columnar_speedup" not in result:
-            return None
-        return float(result["columnar_speedup"])
+    @property
+    def current_schema(self) -> bool:
+        """True when this record's fields mean what this version's do;
+        only such records enter the gates and the trend report."""
+        return self.schema == LEDGER_SCHEMA_VERSION
 
     # -- provenance shorthands ----------------------------------------------
 

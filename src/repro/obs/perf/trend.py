@@ -5,7 +5,8 @@
 delta against the previous run, rolling mean, best-ever, and a
 sparkline of the whole windowed trajectory) plus a recent-runs table
 with per-run provenance (commit, host) so a jump in the curve can be
-traced to the machine or commit that caused it.
+traced to the machine or commit that caused it.  Only current-schema
+ledger records are trended (:attr:`LedgerEntry.current_schema`).
 
 Sparklines use the eight U+2581..U+2588 block glyphs, min-max
 normalised per technique — they show the *shape* of the trajectory;
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ValidationError
-from repro.obs.perf.ledger import LedgerEntry
+from repro.obs.perf.ledger import LEDGER_SCHEMA_VERSION, LedgerEntry
 from repro.sim.stability import StabilityResult
 
 __all__ = ["sparkline", "render_trend", "write_trend_report"]
@@ -65,25 +66,6 @@ def _technique_series(
     return series
 
 
-def _columnar_series(
-    entries: Sequence[LedgerEntry],
-) -> Dict[str, List[float]]:
-    """``technique -> columnar/batched speedups`` (unmeasured runs skipped).
-
-    Sparse by design: the columnar tier is opt-in per run, so a
-    technique's columnar trajectory only collects the runs that timed
-    it.  Empty when no windowed run ever measured the columnar engine —
-    the report omits the section entirely then.
-    """
-    series: Dict[str, List[float]] = {}
-    for entry in entries:
-        for technique in entry.techniques:
-            speedup = entry.columnar_speedup(technique)
-            if speedup is not None:
-                series.setdefault(technique, []).append(speedup)
-    return series
-
-
 def render_trend(
     entries: Sequence[LedgerEntry],
     window: int = 20,
@@ -97,6 +79,7 @@ def render_trend(
     """
     if window < 1 or recent_runs < 1:
         raise ValidationError("window and recent_runs must be >= 1")
+    entries = [entry for entry in entries if entry.current_schema]
     lines = [
         "# Hot-path performance trend",
         "",
@@ -107,7 +90,11 @@ def render_trend(
         "",
     ]
     if not entries:
-        lines += ["*(the ledger is empty — run `repro-8t bench --history`)*", ""]
+        lines += [
+            f"*(the ledger is empty — no schema-{LEDGER_SCHEMA_VERSION} runs; "
+            "run `repro-8t bench --history`)*",
+            "",
+        ]
         return "\n".join(lines)
 
     windowed = list(entries[-window:])
@@ -119,7 +106,7 @@ def render_trend(
         f"workload `{latest.benchmark}` x {latest.accesses:,} accesses "
         f"on `{latest.geometry}`.",
         "",
-        "## Per-technique trajectory (batched/scalar speedup)",
+        "## Per-technique trajectory (columnar/scalar speedup)",
         "",
         "| technique | latest | delta vs prev | rolling mean | std | "
         "best | trajectory |",
@@ -138,32 +125,6 @@ def render_trend(
             f"{stats.std:.3f} | {max(speedups):.2f}x | "
             f"`{sparkline(speedups)}` |"
         )
-    columnar = _columnar_series(windowed)
-    if columnar:
-        lines += [
-            "",
-            "## Columnar tier (columnar/batched speedup)",
-            "",
-            "Runs that timed the second-generation columnar engine "
-            "(`repro-8t bench --engine columnar`); the ratio is columnar "
-            "over *batched* throughput, on top of the batched/scalar "
-            "speedup above.",
-            "",
-            "| technique | latest | delta vs prev | rolling mean | "
-            "best | trajectory |",
-            "|---|---|---|---|---|---|",
-        ]
-        for technique in sorted(columnar):
-            speedups = columnar[technique]
-            stats = StabilityResult(
-                technique=technique, per_seed_means=tuple(speedups)
-            )
-            previous = speedups[-2] if len(speedups) >= 2 else None
-            lines.append(
-                f"| {technique} | {speedups[-1]:.2f}x | "
-                f"{_delta(speedups[-1], previous)} | {stats.mean:.2f}x | "
-                f"{max(speedups):.2f}x | `{sparkline(speedups)}` |"
-            )
     lines += [
         "",
         "## Recent runs",
@@ -174,7 +135,7 @@ def render_trend(
         "",
         "| when (UTC) | commit | host | "
         + " | ".join(
-            f"{technique} (batched acc/s)" for technique in sorted(series)
+            f"{technique} (columnar acc/s)" for technique in sorted(series)
         )
         + " |",
         "|---|---|---|" + "---|" * len(series),
@@ -187,7 +148,7 @@ def render_trend(
                 cells.append("-")
             else:
                 cells.append(
-                    f"{speedup:.2f}x ({_fmt_aps(entry.batched_aps(technique))})"
+                    f"{speedup:.2f}x ({_fmt_aps(entry.columnar_aps(technique))})"
                 )
         lines.append(
             f"| {entry.short_timestamp} | `{entry.short_commit}` | "

@@ -97,9 +97,7 @@ def profile_benchmark(
     warmup = int(accesses * warmup_fraction)
     results: Dict[str, SimulationResult] = {}
     for technique in techniques:
-        simulator = Simulator(
-            technique, geometry, telemetry=telem, engine="columnar"
-        )
+        simulator = Simulator(technique, geometry, telemetry=telem)
         if warmup:
             with span(telem, f"warmup.{technique}", benchmark=benchmark):
                 simulator.feed(trace[:warmup])

@@ -250,9 +250,7 @@ def _run_one(
     per-access path so each instrumentation point emits its instant.
     """
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
-    simulator = Simulator(
-        technique, config.geometry, telemetry=telemetry, engine="columnar"
-    )
+    simulator = Simulator(technique, config.geometry, telemetry=telemetry)
     warmup = config.warmup_accesses
     if warmup:
         with span(telem, "warmup", technique=technique):

@@ -45,7 +45,7 @@ parallelism and the engine compose without affecting determinism.
 For trace-file campaigns the ``RPCOL1`` columnar format
 (:mod:`repro.trace.colio`) composes with this fan-out: every worker
 memory-maps the same file read-only and feeds zero-copy chunks to the
-columnar engine (``Simulator(engine="columnar").feed_chunks(...)``),
+columnar engine (``Simulator(...).feed_chunks(...)``),
 so the OS page cache backs all workers with one physical copy of the
 trace and no per-worker deserialization.  The chunk's grouped
 projection (:meth:`repro.engine.columnar.ColumnarChunk.grouped`) is a

@@ -55,8 +55,8 @@ def _check_kind_byte(
 ) -> None:
     """Reject kind bytes other than 0 (read) / 1 (write).
 
-    The single source of truth for kind validation: the scalar and
-    batched readers both call this, so a corrupt file raises
+    The single source of truth for kind validation: the record and
+    batch readers both call this, so a corrupt file raises
     :class:`TraceFormatError` with identical record-index/byte-offset
     text regardless of which reader hit it first.
     """
@@ -152,7 +152,7 @@ def read_binary_trace_batches(
 ) -> Iterator["AccessBatch"]:
     """Parse a binary trace straight into struct-of-arrays batches.
 
-    The batched-engine counterpart of :func:`read_binary_trace`: whole
+    The batch counterpart of :func:`read_binary_trace`: whole
     chunks of records are unpacked at once and the address fields are
     pre-split with ``geometry``'s cached shift/mask codec, skipping the
     per-record :class:`MemoryAccess` construction entirely.  Raises the

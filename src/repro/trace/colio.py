@@ -52,7 +52,6 @@ from repro.trace.record import AccessType, MemoryAccess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.config import CacheGeometry
-    from repro.engine.batch import AccessBatch
     from repro.engine.columnar import ColumnarChunk
 
 # Bound as ``Any``: zero-copy views over an mmap are checked by the
@@ -360,13 +359,6 @@ class ColumnarTrace:
                 tags=self.tags[start:stop],
                 word_offsets=self.word_offsets[start:stop],
             )
-
-    def batches(
-        self, batch_size: Optional[int] = None
-    ) -> Iterator["AccessBatch"]:
-        """Decode into :class:`AccessBatch` chunks (for the batched engine)."""
-        for chunk in self.chunks(batch_size):
-            yield chunk.to_access_batch()
 
     def accesses(self) -> Iterator[MemoryAccess]:
         """Iterate the mapping as scalar :class:`MemoryAccess` records."""

@@ -1,9 +1,11 @@
 """Campaign tests: clean runs, injected bugs, shrinking, corpus replay.
 
 The injected-bug tests are the acceptance criterion for the whole
-subsystem: a deliberate off-by-one planted in the WG batched fast path
+subsystem: a deliberate off-by-one planted in the columnar WG kernel
 must be *caught* by the differential campaign and *shrunk* to a repro
-of at most 32 accesses.
+of at most 32 accesses.  The kernel runs single-entry buffer pools
+only, so a planted kernel bug reaches exactly the fuzz cases with
+``entries == 1``.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from repro.check.corpus import CorpusEntry, iter_corpus, load_entry, save_entry
 from repro.check.differential import run_differential
 from repro.check.fuzz import TraceFuzzer
 from repro.core.registry import CONTROLLER_NAMES
-from repro.core.write_grouping import WriteGroupingController
+from repro.engine import columnar
 from repro.errors import TraceFormatError
 
 
@@ -48,54 +50,54 @@ class TestCleanCampaign:
 
 
 class _CounterOffByOne:
-    """Deliberate bug: the WG batched path overcounts grouped writes."""
+    """Deliberate bug: the columnar WG kernel overcounts grouped writes."""
 
     def __init__(self):
-        self._original = WriteGroupingController._process_batch_fast
+        self._original = columnar._process_chunk_wg
 
     def __enter__(self):
         original = self._original
 
-        def buggy(controller, batch):
-            original(controller, batch)
+        def buggy(controller, chunk, codes):
+            original(controller, chunk, codes)
             controller.counts.grouped_writes += 1
 
-        WriteGroupingController._process_batch_fast = buggy
+        columnar._process_chunk_wg = buggy
         return self
 
     def __exit__(self, *exc):
-        WriteGroupingController._process_batch_fast = self._original
+        columnar._process_chunk_wg = self._original
         return False
 
 
 class _LostWritebackAlias:
-    """Deliberate bug: drop one buffered modification per batched flush.
+    """Deliberate bug: drop one buffered modification per kernel call.
 
-    A realistic data-plane bug (not just a counter): the batched WG
-    path 'forgets' one modified word, so a grouped write-back silently
+    A realistic data-plane bug (not just a counter): the columnar WG
+    kernel 'forgets' one modified word, so a grouped write-back silently
     loses data and the final memory image diverges from the oracle and
-    the scalar engine.
+    the scalar path.
     """
 
     def __init__(self):
-        self._original = WriteGroupingController._process_batch_fast
+        self._original = columnar._process_chunk_wg
 
     def __enter__(self):
         original = self._original
 
-        def buggy(controller, batch):
-            original(controller, batch)
+        def buggy(controller, chunk, codes):
+            original(controller, chunk, codes)
             for entry in controller.buffer_entries:
                 modified = entry.set_buffer._modified  # noqa: SLF001
                 if len(modified) > 1:
                     modified.pop()
                     break
 
-        WriteGroupingController._process_batch_fast = buggy
+        columnar._process_chunk_wg = buggy
         return self
 
     def __exit__(self, *exc):
-        WriteGroupingController._process_batch_fast = self._original
+        columnar._process_chunk_wg = self._original
         return False
 
 
@@ -107,7 +109,11 @@ class TestInjectedBugs:
                 seed=0, iterations=4, techniques=("wg",), max_accesses=300
             )
         assert not report.ok
-        assert len(report.failures) == 4
+        # The kernel bug reaches exactly the single-entry cases.
+        fuzzer = TraceFuzzer(seed=0, max_accesses=300)
+        assert [f.iteration for f in report.failures] == [
+            i for i in range(4) if fuzzer.case(i).entries == 1
+        ]
         for failure in report.failures:
             assert failure.technique == "wg"
             assert any(
@@ -138,7 +144,7 @@ class TestInjectedBugs:
         with _CounterOffByOne():
             report = run_check_campaign(
                 seed=0,
-                iterations=1,
+                iterations=2,
                 techniques=("wg",),
                 max_accesses=200,
                 shrink=False,
@@ -149,7 +155,7 @@ class TestInjectedBugs:
     def test_failure_describe_is_replayable(self):
         with _CounterOffByOne():
             report = run_check_campaign(
-                seed=0, iterations=1, techniques=("wg",), max_accesses=200
+                seed=0, iterations=2, techniques=("wg",), max_accesses=200
             )
         text = report.failures[0].describe()
         assert "wg" in text
@@ -230,7 +236,7 @@ class TestReplay:
         with _CounterOffByOne():
             run_check_campaign(
                 seed=0,
-                iterations=1,
+                iterations=3,
                 techniques=("wg",),
                 max_accesses=300,
                 corpus_dir=str(corpus),

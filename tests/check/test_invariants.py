@@ -152,20 +152,21 @@ class TestMonotonicity:
 
 
 class TestBatchedPathUnderDebugMode:
+    """``Simulator.feed`` in batches of 64: the checker sends every
+    access through ``process()`` instead of the columnar kernel."""
+
     def test_fast_path_disengages_and_results_match(self):
-        from repro.engine.batch import iter_batches
+        from repro.sim.simulator import Simulator
 
         trace = make_random_trace(500, seed=47, word_span=120)
         results = []
         for debug in (False, True):
-            cache = SetAssociativeCache(TINY)
-            controller = make_controller("wg", cache)
+            simulator = Simulator("wg", TINY, batch_size=64)
             if debug:
-                checker = controller.enable_invariant_checks()
-            for batch in iter_batches(trace, TINY, 64):
-                controller.process_batch(batch)
-            controller.finalize()
-            results.append((controller.events, controller.counts, cache.stats))
+                checker = simulator.controller.enable_invariant_checks()
+            simulator.feed(trace)
+            result = simulator.finish()
+            results.append((result.events, result.counts, result.cache_stats))
         assert results[0] == results[1]
         # Debug mode really audited every access despite batched feeding.
         assert checker.checks_run == 500

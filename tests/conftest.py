@@ -8,6 +8,7 @@ from typing import List, Optional
 import pytest
 
 from repro.cache.config import CacheGeometry
+from repro.sim.simulator import Simulator
 from repro.trace.record import AccessType, MemoryAccess, WORD_BYTES
 
 
@@ -56,6 +57,18 @@ def make_random_trace(
                 MemoryAccess(icount=icount, kind=AccessType.READ, address=address)
             )
     return trace
+
+
+class ScalarSimulator(Simulator):
+    """A :class:`Simulator` that feeds every record through
+    ``controller.process``: the scalar reference the columnar engine is
+    checked against, with the same warm-up reset and result snapshot."""
+
+    def feed(self, trace):
+        process = self.controller.process
+        for access in trace:
+            process(access)
+            self._requests += 1
 
 
 def oracle_read_values(trace) -> List[Optional[int]]:

@@ -28,8 +28,12 @@ class TestRegistry:
         assert isinstance(make_controller("RMW", cache), RMWController)
 
     def test_unknown_rejected(self, tiny_geometry):
-        with pytest.raises(ValueError, match="unknown controller"):
+        with pytest.raises(ValueError, match="unknown controller") as excinfo:
             make_controller("wg++", SetAssociativeCache(tiny_geometry))
+        # The message lists every registered technique, not just the
+        # paper's four, so a typo of a comparator finds its real name.
+        for name in ("word_write", "rmw_local", "pulse_assist", "write_buffer"):
+            assert repr(name) in str(excinfo.value)
 
     def test_kwargs_forwarded(self, tiny_geometry):
         cache = SetAssociativeCache(tiny_geometry)

@@ -1,1 +1,1 @@
-"""Tests for the batched execution engine (:mod:`repro.engine`)."""
+"""Tests for the execution engine (:mod:`repro.engine`)."""

@@ -10,7 +10,7 @@ from repro.cache.cache import SetAssociativeCache
 from repro.check.differential import observed_state, run_differential
 from repro.check.fuzz import SCENARIO_NAMES, TraceFuzzer
 from repro.core.registry import CONTROLLER_NAMES, make_controller
-from repro.engine.batch import iter_batches
+from repro.engine.batch import AccessBatch, iter_batches
 from repro.engine.columnar import (
     ColumnarChunk,
     iter_chunks,
@@ -23,8 +23,9 @@ from repro.obs.telemetry import Telemetry
 from repro.sim import campaign
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.simulator import Simulator
+from repro.trace.columns import TraceColumns
 
-from tests.conftest import make_random_trace
+from tests.conftest import ScalarSimulator, make_random_trace
 from tests.engine.test_differential import GEOMETRIES, assert_identical
 
 COLUMNS = (
@@ -107,8 +108,6 @@ class TestKernelEquality:
     def test_empty_chunk_is_noop(self, tiny_geometry):
         cache = SetAssociativeCache(tiny_geometry)
         controller = make_controller("conventional", cache)
-        from repro.engine.batch import AccessBatch
-
         empty = ColumnarChunk.from_access_batch(
             AccessBatch(geometry=tiny_geometry)
         )
@@ -119,10 +118,10 @@ class TestKernelEquality:
 
 
 class TestAdversarialScenarios:
-    """The fuzzer's adversarial scenarios, replayed four ways.
+    """The fuzzer's adversarial scenarios, replayed three ways.
 
-    Each case below is an oracle↔scalar↔batched↔columnar comparison,
-    plus the differential's scalar↔columnar telemetry leg.
+    Each case below is an oracle↔scalar↔columnar comparison, plus the
+    differential's scalar↔columnar telemetry leg.
     """
 
     @pytest.mark.parametrize("scenario_index", range(len(SCENARIO_NAMES)))
@@ -219,12 +218,12 @@ class CaptureSink(TraceSink):
         pass
 
 
-def observed_feed(engine, trace, technique, geometry, telemetry,
+def observed_feed(simulator_type, trace, technique, geometry, telemetry,
                   warmup=0, batch_size=None, per_access=None, **kwargs):
     """Feed ``trace`` (warm-up slice, reset, rest) under ``telemetry``."""
-    simulator = Simulator(
-        technique, geometry, telemetry=telemetry, engine=engine,
-        batch_size=batch_size, **kwargs,
+    simulator = simulator_type(
+        technique, geometry, telemetry=telemetry, batch_size=batch_size,
+        **kwargs,
     )
     if per_access is not None:
         per_access(simulator.controller)
@@ -240,11 +239,13 @@ def assert_observed_equal(trace, technique, geometry, window,
     """Scalar and columnar agree on results, registry and snapshots;
     ``per_access`` instruments the columnar run's controller."""
     runs = []
-    for engine, hook in (("scalar", None), ("columnar", per_access)):
+    for simulator_type, hook in (
+        (ScalarSimulator, None), (Simulator, per_access)
+    ):
         telemetry = Telemetry(sampler=IntervalSampler(window))
         result = observed_feed(
-            engine, trace, technique, geometry, telemetry, per_access=hook,
-            **kwargs,
+            simulator_type, trace, technique, geometry, telemetry,
+            per_access=hook, **kwargs,
         )
         runs.append((result, *observed_state(telemetry)))
     (s_result, s_registry, s_snaps), (c_result, c_registry, c_snaps) = runs
@@ -263,9 +264,7 @@ class TestTelemetryOnKernels:
         trace = make_random_trace(1_000, seed=38, word_span=200)
         plain = run_scalar_direct(trace, "wg", tiny_geometry)
         telemetry = Telemetry()
-        instrumented = Simulator(
-            "wg", tiny_geometry, telemetry=telemetry, engine="columnar"
-        )
+        instrumented = Simulator("wg", tiny_geometry, telemetry=telemetry)
         forbid_per_access(instrumented.controller)
         instrumented.feed(trace)
         result = instrumented.finish()
@@ -329,7 +328,7 @@ class TestTelemetryOnKernels:
         trace = make_random_trace(1_200, seed=47, word_span=256, write_share=0.6)
         assert_observed_equal(trace, technique, tiny_geometry, 7, entries=2)
         simulator = Simulator(
-            technique, tiny_geometry, engine="columnar", entries=2,
+            technique, tiny_geometry, entries=2,
             telemetry=Telemetry(sampler=IntervalSampler(7)),
         )
         calls = count_per_access(simulator.controller)
@@ -343,12 +342,8 @@ class TestTelemetryOnKernels:
             accesses_per_benchmark=600,
         )
         runs = []
-        for engine in ("scalar", "columnar"):
-            def simulator(*args, _engine=engine, **kwargs):
-                kwargs["engine"] = _engine
-                return Simulator(*args, **kwargs)
-
-            monkeypatch.setattr(campaign, "Simulator", simulator)
+        for simulator_type in (ScalarSimulator, Simulator):
+            monkeypatch.setattr(campaign, "Simulator", simulator_type)
             telemetry = Telemetry(sampler=IntervalSampler(1000))
             result = campaign.run_campaign(config, telemetry=telemetry)
             runs.append(
@@ -379,10 +374,12 @@ class TestTelemetryOnKernels:
     def test_trace_sink_emits_one_instant_per_point(self, technique, tiny_geometry):
         trace = make_random_trace(800, seed=48, word_span=200, write_share=0.6)
         runs = []
-        for engine in ("scalar", "columnar"):
+        for simulator_type in (ScalarSimulator, Simulator):
             sink = CaptureSink()
             telemetry = Telemetry(sink=sink, sampler=IntervalSampler(50))
-            observed_feed(engine, trace, technique, tiny_geometry, telemetry)
+            observed_feed(
+                simulator_type, trace, technique, tiny_geometry, telemetry
+            )
             runs.append((sink.instants, *observed_state(telemetry)))
         assert runs[0] == runs[1]
         instants, registry, _ = runs[1]
@@ -419,16 +416,17 @@ class TestGates:
         with pytest.raises(ValidationError, match="decoded for"):
             process_chunk(controller, chunk)
 
-    def test_unknown_engine_rejected(self, tiny_geometry):
-        with pytest.raises(ValidationError, match="unknown engine"):
-            Simulator("conventional", tiny_geometry, engine="vectorised")
-
 
 class TestChunkRoundTrip:
     def test_batch_chunk_batch_round_trip(self, tiny_geometry):
         trace = make_random_trace(257, seed=41, word_span=120)
         for batch in iter_batches(trace, tiny_geometry, 64):
-            again = ColumnarChunk.from_access_batch(batch).to_access_batch()
+            chunk = ColumnarChunk.from_access_batch(batch)
+            # The records the per-access fallback builds from a chunk.
+            records = TraceColumns(
+                chunk.icounts, chunk.kinds, chunk.addresses, chunk.values
+            )
+            again = AccessBatch.from_accesses(records, tiny_geometry)
             assert again == batch
 
     def test_grouped_projection_is_cached(self, tiny_geometry):

@@ -1,13 +1,13 @@
-"""Differential suite: scalar vs batched vs columnar must be bit-identical.
+"""Differential suite: scalar vs columnar must be bit-identical.
 
-The batched and columnar engines exist purely for throughput — they
-must never change a number.  Every test here replays the *same*
-randomized trace through ``engine="scalar"``, ``engine="batched"`` and
-``engine="columnar"``, and asserts that the
+The columnar engine exists purely for throughput — it must never change
+a number.  Every test here replays the *same* randomized trace through
+the scalar reference (every record through ``controller.process``) and
+through :class:`Simulator`'s columnar engine, and asserts that the
 :class:`SRAMEventLog`, :class:`OperationCounts`, :class:`CacheStats`
 and the final :class:`FunctionalMemory` contents (after flushing every
 dirty line) are equal, across techniques, geometries, controller knobs
-and batch boundaries.
+and chunk boundaries.
 """
 
 import pytest
@@ -15,10 +15,10 @@ import pytest
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.core.registry import ALL_CONTROLLER_NAMES, CONTROLLER_NAMES, make_controller
-from repro.engine.batch import iter_batches
+from repro.engine.columnar import iter_chunks, process_chunk
 from repro.sim.simulator import Simulator
 
-from tests.conftest import make_random_trace
+from tests.conftest import ScalarSimulator, make_random_trace
 
 GEOMETRIES = {
     "tiny": CacheGeometry(size_bytes=512, associativity=2, block_bytes=32),
@@ -27,10 +27,11 @@ GEOMETRIES = {
 }
 
 
-def run_engine(trace, technique, geometry, engine, batch_size=None, **kwargs):
+def run_engine(trace, technique, geometry, simulator_type, batch_size=None,
+               **kwargs):
     """One full run; returns (result, post-flush memory snapshot)."""
-    simulator = Simulator(
-        technique, geometry, engine=engine, batch_size=batch_size, **kwargs
+    simulator = simulator_type(
+        technique, geometry, batch_size=batch_size, **kwargs
     )
     simulator.feed(trace)
     result = simulator.finish()
@@ -43,17 +44,16 @@ def run_engine(trace, technique, geometry, engine, batch_size=None, **kwargs):
 
 def assert_identical(trace, technique, geometry, batch_size=None, **kwargs):
     scalar, scalar_memory = run_engine(
-        trace, technique, geometry, "scalar", **kwargs
+        trace, technique, geometry, ScalarSimulator, **kwargs
     )
-    for engine in ("batched", "columnar"):
-        candidate, candidate_memory = run_engine(
-            trace, technique, geometry, engine, batch_size=batch_size, **kwargs
-        )
-        assert candidate.requests == scalar.requests, engine
-        assert candidate.events == scalar.events, engine
-        assert candidate.counts == scalar.counts, engine
-        assert candidate.cache_stats == scalar.cache_stats, engine
-        assert candidate_memory == scalar_memory, engine
+    candidate, candidate_memory = run_engine(
+        trace, technique, geometry, Simulator, batch_size=batch_size, **kwargs
+    )
+    assert candidate.requests == scalar.requests
+    assert candidate.events == scalar.events
+    assert candidate.counts == scalar.counts
+    assert candidate.cache_stats == scalar.cache_stats
+    assert candidate_memory == scalar_memory
 
 
 class TestAllTechniques:
@@ -79,7 +79,7 @@ class TestAllTechniques:
 
 
 class TestBatchBoundaries:
-    """A same-set write run split across batches must merge identically."""
+    """A same-set write run split across chunks must merge identically."""
 
     @pytest.mark.parametrize("technique", ("conventional", "wg", "wg_rb"))
     @pytest.mark.parametrize("batch_size", (1, 3, 7, 64, 4096))
@@ -87,7 +87,7 @@ class TestBatchBoundaries:
         self, technique, batch_size, tiny_geometry
     ):
         # Write-heavy + compact footprint: long consecutive same-set
-        # write runs that every batch size except 4096 will split.
+        # write runs that every chunk size except 4096 will split.
         trace = make_random_trace(
             1_500, seed=15, word_span=64, write_share=0.85
         )
@@ -98,10 +98,10 @@ class TestBatchBoundaries:
     def test_same_set_run_spans_boundary_with_dirty_buffer(
         self, technique, batch_size, tiny_geometry
     ):
-        """Pinned corner: a same-set write run crosses a batch boundary
+        """Pinned corner: a same-set write run crosses a chunk boundary
         while the Set-Buffer is dirty from the records before the cut.
 
-        The batched engine must treat the post-boundary writes as a
+        The columnar engine must treat the post-boundary writes as a
         continuation of the buffered run — re-filling (or prematurely
         flushing) at the boundary would change write-back counts and,
         with a lost modification, the final memory image.
@@ -117,7 +117,7 @@ class TestBatchBoundaries:
         trace = []
         icount = 0
         # Ten dirty writes into set 0 across two tags: whatever the
-        # batch size in (2, 3, 4), at least one boundary lands inside
+        # chunk size in (2, 3, 4), at least one boundary lands inside
         # this run with modifications pending in the Set-Buffer.
         for i in range(10):
             icount += 1
@@ -173,49 +173,65 @@ class TestControllerKnobs:
 
 
 class TestFallbackPaths:
-    """Configurations the fast paths must refuse — and still match."""
+    """Configurations the kernels must refuse — and still match."""
 
     @pytest.mark.parametrize("replacement", ("fifo", "random", "plru"))
     def test_non_lru_replacement_falls_back(self, replacement, tiny_geometry):
         trace = make_random_trace(1_500, seed=19, word_span=400)
-        results = []
-        for use_batches in (False, True):
-            cache = SetAssociativeCache(tiny_geometry, replacement=replacement)
-            assert not cache.engine_fast_ok
-            controller = make_controller("wg", cache)
-            if use_batches:
-                for batch in iter_batches(trace, tiny_geometry, 128):
-                    controller.process_batch(batch)
-            else:
-                for access in trace:
-                    controller.process(access)
-            controller.finalize()
-            results.append((controller.events, controller.counts, cache.stats))
-        assert results[0] == results[1]
+        for technique in CONTROLLER_NAMES:
+            results = []
+            for use_chunks in (False, True):
+                cache = SetAssociativeCache(
+                    tiny_geometry, replacement=replacement
+                )
+                assert not cache.engine_fast_ok
+                controller = make_controller(technique, cache)
+                if use_chunks:
+                    for chunk in iter_chunks(trace, tiny_geometry, 128):
+                        process_chunk(controller, chunk)
+                else:
+                    for access in trace:
+                        controller.process(access)
+                controller.finalize()
+                results.append(
+                    (controller.events, controller.counts, cache.stats)
+                )
+            assert results[0] == results[1], technique
 
-    def test_telemetry_forces_scalar_path_same_results(self, tiny_geometry):
+    def test_telemetry_forces_scalar_path_same_results(
+        self, tiny_geometry, tmp_path
+    ):
+        import json
+
         from repro.obs.registry import MetricsRegistry
+        from repro.obs.sinks import JsonlSink
         from repro.obs.telemetry import Telemetry
 
         trace = make_random_trace(1_000, seed=20, word_span=200)
-        plain, plain_memory = run_engine(trace, "wg", tiny_geometry, "scalar")
-        telemetry = Telemetry(registry=MetricsRegistry())
-        instrumented = Simulator(
-            "wg", tiny_geometry, telemetry=telemetry, engine="batched"
+        plain, plain_memory = run_engine(
+            trace, "wg", tiny_geometry, ScalarSimulator
         )
-        instrumented.feed(trace)
-        result = instrumented.finish()
+        # A live trace sink needs one instant per instrumentation
+        # point, so it sends every chunk through ``process()``.
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(path) as sink:
+            telemetry = Telemetry(registry=MetricsRegistry(), sink=sink)
+            instrumented = Simulator("wg", tiny_geometry, telemetry=telemetry)
+            instrumented.feed(trace)
+            result = instrumented.finish()
         instrumented.cache.flush_all_dirty()
         assert result.events == plain.events
         assert result.counts == plain.counts
         assert instrumented.memory.snapshot() == plain_memory
         # The per-access instrumentation really ran.
         assert telemetry.registry.value("ctrl.wg.read_requests") > 0
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert any(event["name"] == "wg.sb_fill" for event in events)
 
     def test_geometry_mismatch_rejected(self, tiny_geometry, small_geometry):
         trace = make_random_trace(10, seed=21)
         cache = SetAssociativeCache(tiny_geometry)
         controller = make_controller("conventional", cache)
-        batch = next(iter_batches(trace, small_geometry))
+        chunk = next(iter_chunks(trace, small_geometry))
         with pytest.raises(ValueError, match="batch decoded for"):
-            controller.process_batch(batch)
+            process_chunk(controller, chunk)

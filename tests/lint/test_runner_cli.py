@@ -74,7 +74,7 @@ class TestSelection:
 
     def test_ignore_subtracts(self):
         report = run_lint([FIXTURES], ignore=["RPR101", "RPR102"])
-        assert {f.rule_id for f in report.findings} == {"RPR121", "RPR122"}
+        assert {f.rule_id for f in report.findings} == {"RPR121"}
 
     def test_unknown_id_rejected(self):
         with pytest.raises(LintConfigError):
@@ -108,7 +108,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["ok"] is False
         rules = {finding["rule"] for finding in payload["findings"]}
-        assert {"RPR101", "RPR102", "RPR121", "RPR122"} <= rules
+        assert {"RPR101", "RPR102", "RPR121"} <= rules
 
     def test_baseline_workflow(self, tmp_path, capsys):
         baseline = str(tmp_path / "lint-baseline.json")

@@ -23,15 +23,15 @@ ENV = {
 
 def result_dict(technique, speedup, scalar_seconds=1.0):
     """One ``BenchResult.to_dict()``-shaped result with a given speedup."""
-    batched_seconds = scalar_seconds / speedup
+    columnar_seconds = scalar_seconds / speedup
     accesses = WORKLOAD["accesses"]
     return {
         "technique": technique,
         "accesses": accesses,
         "scalar_seconds": scalar_seconds,
-        "batched_seconds": batched_seconds,
+        "columnar_seconds": columnar_seconds,
         "scalar_accesses_per_second": accesses / scalar_seconds,
-        "batched_accesses_per_second": accesses / batched_seconds,
+        "columnar_accesses_per_second": accesses / columnar_seconds,
         "speedup": speedup,
     }
 
@@ -50,6 +50,38 @@ def make_record(speedups, timestamp="2026-08-08T10:00:00+00:00", **overrides):
         env=ENV,
         timestamp=timestamp,
     )
+
+
+def make_schema1_record(speedups, timestamp="2026-08-01T10:00:00+00:00"):
+    """A record as schema 1 wrote it: ``speedup`` is batched over scalar,
+    with the columnar tier in additive ``columnar_*`` fields."""
+    accesses = WORKLOAD["accesses"]
+    results = []
+    for technique, speedup in speedups.items():
+        batched_seconds = 1.0 / speedup
+        results.append(
+            {
+                "technique": technique,
+                "accesses": accesses,
+                "scalar_seconds": 1.0,
+                "batched_seconds": batched_seconds,
+                "columnar_seconds": batched_seconds / 2,
+                "scalar_accesses_per_second": float(accesses),
+                "batched_accesses_per_second": accesses / batched_seconds,
+                "columnar_accesses_per_second": 2 * accesses / batched_seconds,
+                "speedup": speedup,
+                "columnar_speedup": 2.0,
+            }
+        )
+    return {
+        "schema": 1,
+        "timestamp_utc": timestamp,
+        **WORKLOAD,
+        "seed": 2012,
+        "repeats": 3,
+        "env": dict(ENV),
+        "results": results,
+    }
 
 
 @pytest.fixture

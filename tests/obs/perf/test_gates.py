@@ -8,7 +8,12 @@ from repro.obs.perf import (
     compare_to_baseline,
     read_ledger,
 )
-from tests.obs.perf.conftest import WORKLOAD, make_record, result_dict
+from tests.obs.perf.conftest import (
+    WORKLOAD,
+    make_record,
+    make_schema1_record,
+    result_dict,
+)
 
 
 def gate(results, entries, **kwargs):
@@ -16,6 +21,27 @@ def gate(results, entries, **kwargs):
 
 
 class TestRollingBaseline:
+    def test_older_schema_runs_never_enter_the_baseline(self, ledger_path):
+        from repro.obs.perf import append_run
+
+        # Schema-1 speedups were batched over scalar: far faster history
+        # that would fail today's columnar run if it were baselined.
+        for i in range(3):
+            append_run(
+                ledger_path,
+                make_schema1_record(
+                    {"conventional": 20.0},
+                    timestamp=f"2026-08-0{i + 1}T10:00:00+00:00",
+                ),
+            )
+        result = gate(
+            [result_dict("conventional", 2.5)], read_ledger(ledger_path)
+        )
+        assert result.ok
+        assert result.comparable_entries == 0
+        (only,) = result.gates
+        assert only.source == "floor"
+
     def test_healthy_run_passes(self, seeded_ledger):
         entries = read_ledger(seeded_ledger)
         result = gate(

@@ -11,7 +11,13 @@ from repro.obs.perf import (
     read_ledger,
     run_record,
 )
-from tests.obs.perf.conftest import ENV, WORKLOAD, make_record, result_dict
+from tests.obs.perf.conftest import (
+    ENV,
+    WORKLOAD,
+    make_record,
+    make_schema1_record,
+    result_dict,
+)
 
 
 class TestRunRecord:
@@ -105,6 +111,17 @@ class TestAppendRead:
         entries = read_ledger(ledger_path)
         assert len(entries) == 1
         assert entries[0].speedup("wg") == 4.0
+
+    def test_schema_1_records_still_parse(self, ledger_path):
+        append_run(ledger_path, make_schema1_record({"wg": 3.5}))
+        append_run(ledger_path, make_record({"wg": 6.0}))
+        old, new = read_ledger(ledger_path)
+        assert old.schema == 1 and not old.current_schema
+        assert old.speedup("wg") == 3.5
+        assert old.results["wg"]["batched_seconds"] == pytest.approx(1 / 3.5)
+        assert new.schema == LEDGER_SCHEMA_VERSION == 2
+        assert new.current_schema
+        assert new.columnar_aps("wg") == pytest.approx(6.0 * 200_000)
 
     def test_blank_lines_ignored(self, ledger_path):
         append_run(ledger_path, make_record({"wg": 4.0}))

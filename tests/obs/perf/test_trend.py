@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs.perf import append_run, read_ledger, render_trend, write_trend_report
 from repro.obs.perf.trend import _delta, sparkline
-from tests.obs.perf.conftest import make_record
+from tests.obs.perf.conftest import make_record, make_schema1_record
 
 
 class TestSparkline:
@@ -77,6 +77,18 @@ class TestRenderTrend:
         # run that did not measure it.
         assert "| wg | 4.00x | · first run |" in text
         assert "| - |" in text or "| - " in text
+
+    def test_only_current_schema_runs_are_trended(self, ledger_path):
+        append_run(ledger_path, make_schema1_record({"wg": 3.5}))
+        assert "ledger is empty" in render_trend(read_ledger(ledger_path))
+        append_run(
+            ledger_path,
+            make_record({"wg": 6.0}, timestamp="2026-08-08T11:00:00+00:00"),
+        )
+        text = render_trend(read_ledger(ledger_path))
+        assert "Ledger runs: **1**" in text
+        assert "| wg | 6.00x | · first run |" in text
+        assert "3.50x" not in text
 
     def test_bad_parameters_rejected(self, seeded_ledger):
         entries = read_ledger(seeded_ledger)

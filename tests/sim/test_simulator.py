@@ -7,7 +7,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.sim.simulator import Simulator, run_simulation
 
-from tests.conftest import make_random_trace
+from tests.conftest import ScalarSimulator, make_random_trace
 
 
 class TestRunSimulation:
@@ -43,20 +43,25 @@ class TestRunSimulation:
 
 class TestEngines:
     def test_default_engine_is_columnar(self, tiny_geometry):
-        assert Simulator("rmw", tiny_geometry).engine == "columnar"
+        simulator = Simulator("rmw", tiny_geometry)
 
-    def test_unknown_engine_rejected(self, tiny_geometry):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Simulator("rmw", tiny_geometry, engine="vectorized")
+        def per_access(access):
+            raise AssertionError("feed left the columnar kernel")
 
-    @pytest.mark.parametrize("engine", ("scalar", "batched"))
-    def test_engines_agree(self, tiny_geometry, engine):
+        simulator.controller.process = per_access
+        simulator.feed(make_random_trace(200, seed=6))
+        assert simulator.finish().requests == 200
+
+    def test_engines_agree(self, tiny_geometry):
         trace = make_random_trace(400, seed=7)
-        reference = run_simulation(trace, "wg", tiny_geometry, engine="scalar")
-        result = run_simulation(trace, "wg", tiny_geometry, engine=engine)
-        assert result.events == reference.events
-        assert result.counts == reference.counts
-        assert result.cache_stats == reference.cache_stats
+        reference = ScalarSimulator("wg", tiny_geometry)
+        reference.feed(trace)
+        expected = reference.finish()
+        result = run_simulation(trace, "wg", tiny_geometry)
+        assert result.requests == expected.requests == len(trace)
+        assert result.events == expected.events
+        assert result.counts == expected.counts
+        assert result.cache_stats == expected.cache_stats
 
     def test_feed_batches(self, tiny_geometry):
         trace = make_random_trace(300, seed=8)

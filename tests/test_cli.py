@@ -470,17 +470,15 @@ class TestCheckSubcommand:
     def test_divergence_exits_three_and_saves_corpus(
         self, capsys, tmp_path, monkeypatch
     ):
-        from repro.core.write_grouping import WriteGroupingController
+        from repro.engine import columnar
 
-        original = WriteGroupingController._process_batch_fast
+        original = columnar._process_chunk_wg
 
-        def buggy(controller, batch):
-            original(controller, batch)
+        def buggy(controller, chunk, codes):
+            original(controller, chunk, codes)
             controller.counts.grouped_writes += 1
 
-        monkeypatch.setattr(
-            WriteGroupingController, "_process_batch_fast", buggy
-        )
+        monkeypatch.setattr(columnar, "_process_chunk_wg", buggy)
         corpus = tmp_path / "corpus"
         argv = [
             "check",
@@ -500,19 +498,17 @@ class TestCheckSubcommand:
         assert list(corpus.glob("*.json"))
 
     def test_replay_mode(self, capsys, tmp_path, monkeypatch):
-        from repro.core.write_grouping import WriteGroupingController
+        from repro.engine import columnar
 
-        original = WriteGroupingController._process_batch_fast
+        original = columnar._process_chunk_wg
 
-        def buggy(controller, batch):
-            original(controller, batch)
+        def buggy(controller, chunk, codes):
+            original(controller, chunk, codes)
             controller.counts.grouped_writes += 1
 
         corpus = tmp_path / "corpus"
         with monkeypatch.context() as patch:
-            patch.setattr(
-                WriteGroupingController, "_process_batch_fast", buggy
-            )
+            patch.setattr(columnar, "_process_chunk_wg", buggy)
             main(
                 [
                     "check",
@@ -552,7 +548,7 @@ class TestPerfObservatory:
         lines = ledger.read_text().strip().splitlines()
         assert len(lines) == 2
         record = json.loads(lines[0])
-        assert record["schema"] == 1
+        assert record["schema"] == 2
         assert record["benchmark"] == "bwaves"
         assert {"commit", "python", "hostname", "cpu_count"} <= set(
             record["env"]
@@ -609,10 +605,10 @@ class TestPerfObservatory:
                 )
                 == 0
             )
-        # Inject a synthetic regression: batched as slow as scalar.
+        # Inject a synthetic regression: columnar as slow as scalar.
         snapshot = json.loads(snap.read_text())
         for result in snapshot["results"]:
-            result["batched_seconds"] = result["scalar_seconds"]
+            result["columnar_seconds"] = result["scalar_seconds"]
             result["speedup"] = 1.0
         snap.write_text(json.dumps(snapshot))
         report = tmp_path / "gate.json"

@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from repro.cache.config import CacheGeometry
+from repro.engine.columnar import ColumnarChunk
 from repro.errors import TraceFormatError, ValidationError
 from repro.trace import colio
 from repro.trace.binio import read_binary_trace_batches, write_binary_trace
@@ -48,12 +49,22 @@ class TestRoundTrip:
         col_path = tmp_path / "t.rpcol"
         write_binary_trace(bin_path, trace, crc=True)
         write_columnar_trace(col_path, trace, GEOMETRY)
+        reference = [
+            ColumnarChunk.from_access_batch(batch)
+            for batch in read_binary_trace_batches(bin_path, GEOMETRY, 128)
+        ]
         with open_columnar_trace(col_path) as columnar:
-            batches = list(columnar.batches(128))
-        reference = list(read_binary_trace_batches(bin_path, GEOMETRY, 128))
-        assert len(batches) == len(reference)
-        for got, want in zip(batches, reference):
-            assert got == want
+            chunks = list(columnar.chunks(128))
+            assert len(chunks) == len(reference)
+            for got, want in zip(chunks, reference):
+                assert got.geometry == want.geometry
+                for column in (
+                    "icounts", "kinds", "addresses", "values",
+                    "set_indices", "tags", "word_offsets",
+                ):
+                    a, b = getattr(got, column), getattr(want, column)
+                    assert a.dtype == b.dtype, column
+                    assert colio.np.array_equal(a, b), column
 
     def test_accesses_round_trip(self, tmp_path):
         path, trace = write_sample(tmp_path)
@@ -167,9 +178,7 @@ def _replay_from_mapping(path_str):
     from repro.trace.colio import open_columnar_trace
 
     with open_columnar_trace(path_str) as columnar:
-        simulator = Simulator(
-            "conventional", columnar.geometry, engine="columnar"
-        )
+        simulator = Simulator("conventional", columnar.geometry)
         simulator.feed_chunks(columnar.chunks(128))
         result = simulator.finish()
     return {
