@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 from repro.analysis.estimators import resolve_estimator
 from repro.analysis.result import FigureResult
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
-from repro.perf.timing import TimingSimulator
+from repro.perf.timing import timed_replay
 from repro.power.estimator import EstimationQuery, EstimatorRegistry
 from repro.power.params import TECH_45NM, TechnologyParams
 from repro.power.voltage import DVFSController
@@ -67,11 +67,10 @@ def dvfs_energy_endgame(
         for label, technique, cell in _CONFIGS:
             level = floors[label]
             # One controller run gives the event log and the elapsed time.
-            simulator = TimingSimulator(technique, geometry)
-            perf = simulator.run(trace)
+            perf, result = timed_replay(trace, technique, geometry)
             dynamic_fj = registry.estimate(
                 EstimationQuery.dynamic_energy(
-                    simulator.result.events,
+                    result.events,
                     geometry,
                     cell_kind=cell,
                     node_nm=technology.node_nm,

@@ -17,7 +17,7 @@ from repro.analysis.estimators import resolve_estimator
 from repro.analysis.result import FigureResult
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
 from repro.errors import ValidationError
-from repro.perf.timing import TimingSimulator
+from repro.perf.timing import timed_replay
 from repro.power.estimator import EstimationQuery, EstimatorRegistry
 from repro.power.params import TECH_45NM, TechnologyParams
 from repro.trace.stream import materialize
@@ -59,9 +59,9 @@ def section55_power_performance(
         energy_fj = {}
         latency = {}
         for technique in _TECHNIQUES:
-            simulator = TimingSimulator(technique, geometry)
-            latency[technique] = simulator.run(trace).mean_read_latency
-            energy_fj[technique] = total_fj(simulator.result.events)
+            perf, result = timed_replay(trace, technique, geometry)
+            latency[technique] = perf.mean_read_latency
+            energy_fj[technique] = total_fj(result.events)
         baseline_fj = energy_fj["rmw"]
         if baseline_fj == 0:
             raise ValidationError(

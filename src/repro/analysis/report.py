@@ -20,6 +20,7 @@ from repro.analysis.result import FigureResult
 from repro.obs.spans import span
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.power.estimator import EstimatorRegistry
+from repro.utils.memo import memo_scope
 
 __all__ = ["generate_report", "write_report"]
 
@@ -43,24 +44,32 @@ def generate_report(
     spans).  ``estimator`` (a backend spec or a ready registry) is
     shared across every estimator-aware figure, so they draw on one
     estimation-record cache.
+
+    The figures run inside one memo scope
+    (:func:`repro.utils.memo.memo_scope`) that ends when the report
+    does: they share each distinct trace and each distinct timed replay
+    instead of recomputing them, with bit-identical results.
     """
     ids = list(figure_ids) if figure_ids else list(FIGURE_IDS)
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
     registry = resolve_estimator(estimator, telemetry=telemetry)
     results: Dict[str, FigureResult] = {}
     timings: Dict[str, float] = {}
-    for figure_id in ids:
-        kwargs: Dict[str, object] = {}
-        if figure_id in _SEED_ONLY:
-            kwargs["seed"] = seed
-        elif figure_id not in _PARAMETERLESS:
-            kwargs["accesses"] = accesses
-            kwargs["seed"] = seed
-        if figure_id in ESTIMATOR_AWARE_IDS:
-            kwargs["estimator"] = registry
-        with span(telem, f"figure.{figure_id}", category="figure") as timing:
-            results[figure_id] = reproduce_figure(figure_id, **kwargs)
-        timings[figure_id] = timing.elapsed
+    with memo_scope():
+        for figure_id in ids:
+            kwargs: Dict[str, object] = {}
+            if figure_id in _SEED_ONLY:
+                kwargs["seed"] = seed
+            elif figure_id not in _PARAMETERLESS:
+                kwargs["accesses"] = accesses
+                kwargs["seed"] = seed
+            if figure_id in ESTIMATOR_AWARE_IDS:
+                kwargs["estimator"] = registry
+            with span(
+                telem, f"figure.{figure_id}", category="figure"
+            ) as timing:
+                results[figure_id] = reproduce_figure(figure_id, **kwargs)
+            timings[figure_id] = timing.elapsed
     return _render(results, timings, accesses, seed)
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.result import FigureResult
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
-from repro.sim.simulator import run_simulation
+from repro.perf.timing import timed_replay
 from repro.trace.stream import materialize
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import benchmark_names, get_profile
@@ -36,7 +36,7 @@ def traffic_anatomy(
     bypass_sum = 0.0
     for name in names:
         trace = materialize(generate_trace(get_profile(name), accesses, seed=seed))
-        counts = run_simulation(trace, technique, geometry).counts
+        counts = timed_replay(trace, technique, geometry)[1].counts
         grouped_sum += counts.grouped_write_fraction
         silent_sum += counts.silent_write_fraction
         bypass_sum += counts.bypassed_read_fraction

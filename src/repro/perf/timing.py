@@ -47,6 +47,7 @@ an RMW's write phase starts when its read phase finishes.  Only
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,13 +72,19 @@ from repro.errors import (
 from repro.sim.simulator import SimulationResult
 from repro.sram.timing import PhaseTiming
 from repro.trace.record import MemoryAccess
+from repro.utils.memo import scope_memo
 
 # Bound as ``Any``: the schedule is pinned against the per-access
 # reference in ``repro.check.timing``, and NumPy's stubs would only
 # add casts.
 np: Any = numpy
 
-__all__ = ["PerfResult", "TimingSimulator", "evaluate_performance"]
+__all__ = [
+    "PerfResult",
+    "TimingSimulator",
+    "evaluate_performance",
+    "timed_replay",
+]
 
 _INT64_MAX = 2**63 - 1
 
@@ -283,6 +290,34 @@ def _fcfs_finish(ready: Any, duration: int) -> Tuple[Any, int]:
     return start + duration, int(np.count_nonzero(start > ready))
 
 
+def timed_replay(
+    trace: Sequence[MemoryAccess],
+    technique: str,
+    geometry: CacheGeometry,
+    timing: Optional[PhaseTiming] = None,
+) -> Tuple[PerfResult, SimulationResult]:
+    """One :class:`TimingSimulator` run of ``trace``: its two results.
+
+    Inside a memo scope (:func:`repro.utils.memo.memo_scope`, which a
+    report opens) each (trace, technique, geometry, timing) runs once,
+    so the trace must not change while the scope is open (a generated
+    trace shared there is read-only).  The entry keeps the trace,
+    matched by identity, and the results, never the simulator with its
+    cache and controller.
+    """
+    timing = PhaseTiming() if timing is None else timing
+    memo = scope_memo("perf.timed_replay")
+    key = (id(trace), technique, geometry, timing)
+    entry = memo.get(key) if memo is not None else None
+    if entry is not None and entry[0] is trace:
+        return entry[1], entry[2]
+    simulator = TimingSimulator(technique, geometry, timing)
+    perf = simulator.run(trace)
+    if memo is not None:
+        memo[key] = (trace, perf, simulator.result)
+    return perf, simulator.result
+
+
 def evaluate_performance(
     trace: Sequence[MemoryAccess],
     geometry: CacheGeometry,
@@ -290,9 +325,9 @@ def evaluate_performance(
     timing: Optional[PhaseTiming] = None,
 ) -> dict:
     """Run the timing model for several techniques on one trace."""
-    if iter(trace) is trace:
+    if isinstance(trace, Iterator):
         raise TypeContractError("trace must be a reusable sequence")
     return {
-        technique: TimingSimulator(technique, geometry, timing).run(trace)
+        technique: timed_replay(trace, technique, geometry, timing)[0]
         for technique in techniques
     }

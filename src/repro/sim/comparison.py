@@ -17,6 +17,7 @@ and the RMW-overhead claim of Section 1 is::
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -88,7 +89,7 @@ def compare_techniques(
     fingerprinted on (trace, geometry, techniques) and are not re-run
     on resume.  Both default from the ambient execution policy.
     """
-    if iter(trace) is trace:
+    if isinstance(trace, Iterator):
         raise TypeContractError(
             "trace must be a reusable sequence; call "
             "repro.trace.materialize() on generators first"

@@ -80,7 +80,7 @@ class FaultInjector:
         check_positive("strikes", strikes)
         corrected = 0
         columns = self.layout.columns
-        correctable = self.layout.burst_correctable
+        words = self.layout.words
         stop = geometric_stop(mean_burst_width(vdd_mv))
         draw = self._rng.draw
         draw_bits = self._rng.draw_bits
@@ -90,7 +90,9 @@ class FaultInjector:
             if stop is not None:
                 while draw() >= stop:
                     width += 1
-            if correctable(first_column, width):
+            # InterleavedRowLayout.burst_correctable, inlined (its
+            # width check holds here: every width is at least 1).
+            if min(width, columns - first_column) <= words:
                 corrected += 1
         uncorrectable = strikes - corrected
         return ReliabilityReport(

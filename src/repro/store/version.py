@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -75,7 +76,9 @@ VERSION_LENGTH = 16
 _cache: Dict[str, str] = {}
 
 
+@lru_cache(maxsize=None)
 def _package_root() -> Path:
+    """The installed ``repro`` package directory, resolved once per process."""
     import repro
 
     return Path(repro.__file__).resolve().parent

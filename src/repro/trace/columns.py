@@ -74,6 +74,17 @@ class TraceColumns(Sequence[MemoryAccess]):
             np.array(values, dtype=np.uint64),
         )
 
+    def make_read_only(self) -> "TraceColumns":
+        """Make the four columns read-only and return this trace.
+
+        For a trace that several consumers share: one that writes to a
+        column gets ``ValueError`` instead of changing what the others
+        see.
+        """
+        for name in _COLUMNS:
+            getattr(self, name).flags.writeable = False
+        return self
+
     def _built_records(self) -> List[MemoryAccess]:
         """The trace as validated records, built on first use and cached."""
         if self._records is None:

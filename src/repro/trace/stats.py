@@ -1,6 +1,6 @@
 """Trace statistics behind the paper's motivation figures.
 
-:class:`TraceStatistics` computes, in one pass over a trace:
+:class:`TraceStatistics` holds:
 
 * read/write access counts and their frequency per executed instruction
   (Figure 3);
@@ -13,22 +13,43 @@
   functional memory that starts zero-filled, exactly like the silent
   stores of Lepak & Lipasti that the paper cites.
 
-The set mapping is supplied as a callable so this module stays
-independent of the cache package; :mod:`repro.analysis` wires in the
-real :class:`repro.cache.AddressMapper`.
+:func:`collect_statistics` counts a :class:`TraceColumns` trace on its
+four columns with NumPy; :meth:`TraceStatistics.observe` folds in one
+record at a time.  The two give equal statistics: ``observe`` is the
+reference, and the path for record input and for set mappings the
+column path cannot see through.
+
+The set mapping is supplied as a callable, so any mapping works;
+:mod:`repro.analysis` wires in the real
+:class:`repro.cache.AddressMapper`.  The column path recognises a
+mapper's bound ``set_index`` and takes every set index at once from the
+shift-and-mask of its geometry's
+:attr:`~repro.cache.config.CacheGeometry.codec`, as the columnar
+engine's :func:`~repro.engine.columnar.split_addresses` does; for any
+other callable it falls back to ``observe``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
-from repro.trace.record import AccessType, MemoryAccess
+import numpy
+
+from repro.trace.columns import TraceColumns
+from repro.trace.record import WORD_BYTES, AccessType, MemoryAccess
 from repro.errors import ValidationError
+from repro.utils.bitops import log2_exact
+
+# Bound as ``Any``: the column path is checked against ``observe`` by
+# the trace tests, and NumPy's stubs would only add casts.
+np: Any = numpy
 
 __all__ = ["ScenarioBreakdown", "TraceStatistics", "collect_statistics"]
 
 SetIndexFn = Callable[[int], int]
+
+_WORD_SHIFT = log2_exact(WORD_BYTES)
 
 
 @dataclass
@@ -79,8 +100,9 @@ class ScenarioBreakdown:
 class TraceStatistics:
     """Aggregate statistics for one trace.
 
-    Build incrementally via :meth:`observe`, or in one shot with
-    :func:`collect_statistics`.
+    Build incrementally via :meth:`observe`, or for a whole trace with
+    :func:`collect_statistics`; either way the object ends in the same
+    state, so :meth:`observe` can carry on from a collected trace.
     """
 
     set_index_fn: Optional[SetIndexFn] = None
@@ -171,8 +193,101 @@ class TraceStatistics:
 def collect_statistics(
     trace: Iterable[MemoryAccess], set_index_fn: Optional[SetIndexFn] = None
 ) -> TraceStatistics:
-    """Run a whole trace through :class:`TraceStatistics`."""
+    """The :class:`TraceStatistics` of a whole trace.
+
+    A :class:`TraceColumns` trace is counted on its columns, without
+    building records, when ``set_index_fn`` is ``None`` or an
+    :class:`~repro.cache.AddressMapper`'s ``set_index``; anything else
+    runs through :meth:`TraceStatistics.observe` record by record.
+    """
+    if isinstance(trace, TraceColumns):
+        geometry = _mapper_geometry(set_index_fn)
+        if set_index_fn is None or geometry is not None:
+            return _column_statistics(trace, set_index_fn, geometry)
     stats = TraceStatistics(set_index_fn=set_index_fn)
     for access in trace:
         stats.observe(access)
+    return stats
+
+
+def _mapper_geometry(set_index_fn: Optional[SetIndexFn]) -> Any:
+    """The geometry behind an ``AddressMapper.set_index``, else ``None``."""
+    # Imported here: the cache package imports this one.
+    from repro.cache.address import AddressMapper
+
+    mapper = getattr(set_index_fn, "__self__", None)
+    if (
+        isinstance(mapper, AddressMapper)
+        and getattr(set_index_fn, "__func__", None) is AddressMapper.set_index
+    ):
+        return mapper.geometry
+    return None
+
+
+def _column_statistics(
+    trace: TraceColumns, set_index_fn: Optional[SetIndexFn], geometry: Any
+) -> TraceStatistics:
+    """:func:`collect_statistics` on the columns: the state ``observe``
+    would reach, from reductions, adjacent differences and one stable
+    argsort."""
+    stats = TraceStatistics(set_index_fn=set_index_fn)
+    n = len(trace)
+    if n == 0:
+        return stats
+    kinds, addresses, values = trace.kinds, trace.addresses, trace.values
+    stats.writes = int(np.count_nonzero(kinds))
+    stats.reads = n - stats.writes
+    stats.first_icount = int(trace.icounts[0])
+    stats.last_icount = int(trace.icounts[-1])
+    stats._previous = MemoryAccess(
+        stats.last_icount,
+        AccessType.WRITE if kinds[-1] else AccessType.READ,
+        int(addresses[-1]),
+        int(values[-1]),
+    )
+
+    scenarios = stats.scenarios
+    scenarios.total_pairs = n - 1
+    if geometry is not None:
+        codec = geometry.codec
+        sets = (addresses >> codec.index_shift) & codec.index_mask
+        same = sets[1:] == sets[:-1]
+        # Pair code 2 * earlier kind + later kind (kind 1 = write).
+        pairs = np.bincount(
+            2 * kinds[:-1][same] + kinds[1:][same], minlength=4
+        ).tolist()
+        (
+            scenarios.read_read,
+            scenarios.read_write,
+            scenarios.write_read,
+            scenarios.write_write,
+        ) = pairs
+
+    # A write is silent when it stores the value of the previous write
+    # to its word, or 0 if there is none: sort the writes by word, stably
+    # so each word's writes stay in trace order, and compare neighbours.
+    written = np.flatnonzero(kinds)
+    if not len(written):
+        return stats
+    words = addresses[written] >> _WORD_SHIFT
+    order = np.argsort(words, kind="stable")
+    words, stored = words[order], values[written][order]
+    first_of_word = np.ones(len(words), dtype=bool)
+    first_of_word[1:] = words[1:] != words[:-1]
+    previous = np.zeros_like(stored)
+    previous[1:] = stored[:-1]
+    previous[first_of_word] = 0
+    changed = stored != previous
+    stats.silent_writes = len(stored) - int(np.count_nonzero(changed))
+    # ``observe``'s memory: every word a write changed, holding the
+    # word's last value.
+    starts = np.flatnonzero(first_of_word)
+    last_of_word = np.append(starts[1:], len(words)) - 1
+    kept = np.logical_or.reduceat(changed, starts)
+    stats._memory = dict(
+        zip(
+            words[last_of_word[kept]].tolist(),
+            stored[last_of_word[kept]].tolist(),
+        )
+    )
     return stats

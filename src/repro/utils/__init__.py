@@ -12,6 +12,9 @@ The submodules are deliberately tiny and dependency-free:
     is repeatable from a single integer seed.
 ``tables``
     Plain-text table rendering used by the figure-reproduction reports.
+``memo``
+    Memo tables that live for one scope (one report), so a report
+    computes each distinct trace and timed replay once.
 """
 
 from repro.utils.bitops import (

@@ -32,6 +32,7 @@ from bisect import bisect_right
 from typing import List
 
 from repro.trace.columns import TraceColumns
+from repro.utils.memo import scope_memo
 from repro.utils.rng import (
     DeterministicRNG,
     cumulative_weights,
@@ -172,5 +173,18 @@ def generate_trace(
     The result is list-compatible (see :class:`TraceColumns`): it
     compares equal to the list of records it stands for and builds those
     records only when a consumer first asks for one.
+
+    Inside a memo scope (:func:`repro.utils.memo.memo_scope`, which a
+    report opens) every call with an equal ``(profile, num_accesses,
+    seed)`` returns one shared trace with read-only columns; the scope's
+    lifetime bounds what is kept.  Outside a scope every call returns a
+    fresh, writable trace.
     """
-    return SyntheticTraceGenerator(profile, seed=seed).generate(num_accesses)
+    memo = scope_memo("workload.traces")
+    key = (profile, num_accesses, seed)
+    if memo is not None and key in memo:
+        return memo[key]
+    trace = SyntheticTraceGenerator(profile, seed=seed).generate(num_accesses)
+    if memo is not None:
+        memo[key] = trace.make_read_only()
+    return trace

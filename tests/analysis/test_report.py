@@ -1,8 +1,13 @@
 """Unit tests for the one-shot reproduction report."""
 
+import re
+
 import pytest
 
+from repro.analysis.figures import reproduce_figure
 from repro.analysis.report import generate_report, write_report
+from repro.trace.columns import TraceColumns
+from repro.utils import memo
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +35,51 @@ class TestGenerateReport:
 
     def test_subset_respected(self, small_report):
         assert "### fig9" not in small_report
+
+
+#: The figures that share traces, statistics and timed replays.
+SHARING_FIGURES = ("fig3", "fig4", "fig5", "sec5.5", "dvfs_energy", "traffic")
+
+
+def figure_sections(report):
+    """``{figure id: rendered table}`` of a report's figure sections."""
+    return {
+        match.group(1): match.group(2)
+        for match in re.finditer(
+            r"^### (\S+)  \([0-9.]+s\)\n\n```\n(.*?)\n```$",
+            report,
+            re.MULTILINE | re.DOTALL,
+        )
+    }
+
+
+class TestSharedWork:
+    """A report computes each distinct trace and timed replay once; the
+    figures come out as if each ran alone."""
+
+    def test_each_figure_equals_its_run_alone(self):
+        sections = figure_sections(
+            generate_report(accesses=400, seed=7, figure_ids=SHARING_FIGURES)
+        )
+        assert list(sections) == list(SHARING_FIGURES)
+        for figure_id in SHARING_FIGURES:
+            alone = reproduce_figure(figure_id, accesses=400, seed=7)
+            assert sections[figure_id] == alone.render(), figure_id
+
+    def test_builds_no_records_and_ends_its_scope(self, monkeypatch):
+        built = []
+        original = TraceColumns._built_records
+
+        def counting(self):
+            built.append(len(self))
+            return original(self)
+
+        monkeypatch.setattr(TraceColumns, "_built_records", counting)
+        generate_report(
+            accesses=300, figure_ids=SHARING_FIGURES + ("overheads",)
+        )
+        assert built == []
+        assert memo.scope_memo("workload.traces") is None
 
 
 class TestWriteReport:

@@ -1,10 +1,19 @@
 """Unit tests for the port-contention timing model (Section 5.5)."""
 
+import gc
+import weakref
+from contextlib import nullcontext
+
 import pytest
 
-from repro.perf.timing import TimingSimulator, evaluate_performance
+from repro.cache.config import CacheGeometry
+from repro.perf import timing as timing_module
+from repro.perf.timing import TimingSimulator, evaluate_performance, timed_replay
 from repro.sram.timing import PhaseTiming
 from repro.trace.record import AccessType, MemoryAccess
+from repro.utils.memo import memo_scope, scope_memo
+from repro.workload.generator import generate_trace
+from repro.workload.spec2006 import get_profile
 
 from tests.conftest import make_random_trace
 
@@ -88,3 +97,83 @@ class TestRejectsIterator:
     def test_one_shot_iterator_rejected(self, tiny_geometry):
         with pytest.raises(TypeError, match="reusable"):
             evaluate_performance(iter([]), tiny_geometry)
+        with pytest.raises(TypeError, match="reusable"):
+            evaluate_performance((a for a in [R(0, 0)]), tiny_geometry)
+
+
+@pytest.fixture
+def simulators(monkeypatch):
+    """Weak references to every TimingSimulator that timed_replay builds."""
+    made = []
+
+    class Tracked(TimingSimulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(timing_module, "TimingSimulator", Tracked)
+    return made
+
+
+class TestTimedReplay:
+    TECHNIQUES = ("conventional", "rmw", "wg", "wg_rb")
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace(get_profile("bwaves"), 1500, seed=7)
+
+    @pytest.mark.parametrize("scoped", (False, True), ids=("fresh", "shared"))
+    def test_equals_a_fresh_simulator_field_by_field(
+        self, trace, small_geometry, scoped
+    ):
+        timing = PhaseTiming(array_read_cycles=3, array_write_cycles=4)
+        with memo_scope() if scoped else nullcontext():
+            for technique in self.TECHNIQUES:
+                for _ in range(2):
+                    perf, result = timed_replay(
+                        trace, technique, small_geometry, timing
+                    )
+                    simulator = TimingSimulator(technique, small_geometry, timing)
+                    assert perf == simulator.run(trace)
+                    expected = simulator.result
+                    assert result.technique == expected.technique
+                    assert result.geometry == expected.geometry
+                    assert result.requests == expected.requests
+                    assert result.events.to_dict() == expected.events.to_dict()
+                    assert result.counts == expected.counts
+                    assert result.cache_stats == expected.cache_stats
+
+    def test_one_run_per_key_and_no_simulator_kept(
+        self, trace, small_geometry, simulators
+    ):
+        with memo_scope():
+            first = timed_replay(trace, "wg_rb", small_geometry)
+            assert timed_replay(trace, "wg_rb", small_geometry, PhaseTiming()) == first
+            assert len(simulators) == 1
+            timed_replay(trace, "rmw", small_geometry)
+            timed_replay(trace, "wg_rb", small_geometry, PhaseTiming(set_buffer_cycles=2))
+            timed_replay(trace, "wg_rb", CacheGeometry(4 * 1024, 8, 32))
+            assert len(simulators) == 4
+            gc.collect()
+            assert all(ref() is None for ref in simulators)
+            kept = scope_memo("perf.timed_replay")
+            assert len(kept) == 4
+            for entry in kept.values():
+                assert entry[0] is trace
+                assert not any(isinstance(part, TimingSimulator) for part in entry)
+
+    def test_keyed_on_the_trace_object(self, small_geometry, simulators):
+        profile = get_profile("mcf")
+        first = generate_trace(profile, 600, seed=1)
+        equal = generate_trace(profile, 600, seed=1)
+        with memo_scope():
+            assert timed_replay(first, "wg", small_geometry) == timed_replay(
+                equal, "wg", small_geometry
+            )
+            assert len(simulators) == 2
+
+    def test_outside_a_scope_every_call_runs(self, trace, small_geometry, simulators):
+        timed_replay(trace, "wg", small_geometry)
+        timed_replay(trace, "wg", small_geometry)
+        assert len(simulators) == 2
+        assert scope_memo("perf.timed_replay") is None

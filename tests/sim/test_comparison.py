@@ -3,6 +3,9 @@
 import pytest
 
 from repro.sim.comparison import compare_techniques
+from repro.trace.columns import TraceColumns
+from repro.workload.generator import generate_trace
+from repro.workload.spec2006 import get_profile
 
 from tests.conftest import make_random_trace
 
@@ -50,6 +53,24 @@ class TestCompareTechniques:
     def test_one_shot_iterator_rejected(self, tiny_geometry):
         with pytest.raises(TypeError, match="reusable"):
             compare_techniques(iter([]), tiny_geometry)
+        with pytest.raises(TypeError, match="reusable"):
+            compare_techniques(
+                (access for access in make_random_trace(10)), tiny_geometry
+            )
+
+    def test_column_trace_builds_no_records(self, tiny_geometry, monkeypatch):
+        trace = generate_trace(get_profile("mcf"), 300, seed=2)
+        built = []
+        original = TraceColumns._built_records
+
+        def counting(self):
+            built.append(len(self))
+            return original(self)
+
+        monkeypatch.setattr(TraceColumns, "_built_records", counting)
+        comparison = compare_techniques(trace, tiny_geometry)
+        assert built == []
+        assert comparison.result("wg").requests == 300
 
     def test_subset_of_techniques(self, tiny_geometry):
         trace = make_random_trace(100, seed=11)

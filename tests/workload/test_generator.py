@@ -4,8 +4,10 @@ import hashlib
 
 import pytest
 
+from repro.trace.columns import TraceColumns
 from repro.trace.record import WORD_BYTES
 from repro.trace.stats import collect_statistics
+from repro.utils.memo import memo_scope
 from repro.workload.generator import SyntheticTraceGenerator, generate_trace
 from repro.workload.profile import StreamSpec, WorkloadProfile
 from repro.workload.spec2006 import benchmark_names, get_profile
@@ -307,3 +309,77 @@ class TestBitIdentity:
             model.total_writes,
             model.silent_writes,
         ) == SPLIT_RESULTS[name]
+
+
+COLUMNS = ("icounts", "kinds", "addresses", "values")
+
+
+class TestSharedTraces:
+    """Inside a memo scope, one shared read-only trace per key."""
+
+    def test_same_key_same_object(self):
+        profile = get_profile("mcf")
+        with memo_scope():
+            first = generate_trace(profile, 400, seed=3)
+            assert generate_trace(get_profile("mcf"), 400, seed=3) is first
+            assert generate_trace(profile, 400, 3) is first
+
+    def test_equal_profile_shares(self):
+        with memo_scope():
+            first = generate_trace(_profile(), 300, seed=1)
+            assert generate_trace(_profile(), 300, seed=1) is first
+            assert generate_trace(_profile(silent_fraction=0.5), 300, seed=1) is not first
+
+    def test_other_seed_or_length_is_another_trace(self):
+        profile = get_profile("mcf")
+        with memo_scope():
+            first = generate_trace(profile, 400, seed=3)
+            for other in (
+                generate_trace(profile, 400, seed=4),
+                generate_trace(profile, 401, seed=3),
+                generate_trace(get_profile("gcc"), 400, seed=3),
+            ):
+                assert other is not first
+                assert other != first
+
+    def test_shared_trace_equals_a_fresh_one(self):
+        profile = get_profile("bwaves")
+        with memo_scope():
+            shared = generate_trace(profile, 500, seed=2012)
+        assert shared == generate_trace(profile, 500, seed=2012)
+
+    def test_shared_columns_are_read_only(self):
+        with memo_scope():
+            trace = generate_trace(get_profile("gcc"), 200, seed=9)
+        for column in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(trace, column)[0] = 1
+            with pytest.raises(ValueError):
+                getattr(trace[10:20], column)[0] = 1
+
+    def test_outside_a_scope_every_call_is_fresh_and_writable(self):
+        profile = get_profile("gcc")
+        with memo_scope():
+            shared = generate_trace(profile, 200, seed=9)
+        first = generate_trace(profile, 200, seed=9)
+        second = generate_trace(profile, 200, seed=9)
+        assert first is not shared and second is not first
+        assert isinstance(first, TraceColumns)
+        for column in COLUMNS:
+            getattr(first, column)[0] = 1
+        assert second == shared
+
+    def test_a_nested_scope_starts_empty_and_ends_alone(self):
+        profile = get_profile("gcc")
+        with memo_scope():
+            outer = generate_trace(profile, 200, seed=9)
+            with memo_scope():
+                inner = generate_trace(profile, 200, seed=9)
+                assert inner is not outer
+                assert generate_trace(profile, 200, seed=9) is inner
+            assert generate_trace(profile, 200, seed=9) is outer
+
+    def test_invalid_length_still_raises(self):
+        with memo_scope():
+            with pytest.raises(ValueError):
+                generate_trace(get_profile("gcc"), 0)
