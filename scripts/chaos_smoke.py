@@ -36,8 +36,7 @@ from repro.faultinject import (  # noqa: E402
     skew_entry_code,
     tear_entry,
 )
-from repro.sim.campaign import run_campaign  # noqa: E402
-from repro.sim.checkpoint import serialize_row  # noqa: E402
+from repro.sim.campaign import run_campaign, serialize_row  # noqa: E402
 from repro.sim.experiment import ExperimentConfig  # noqa: E402
 from repro.sim.parallel import run_campaign_parallel  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402

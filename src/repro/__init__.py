@@ -27,7 +27,6 @@ from repro.core import (
     make_controller,
 )
 from repro.sim import (
-    CheckpointStore,
     ComparisonResult,
     ExecutionPolicy,
     ExperimentConfig,
@@ -89,7 +88,6 @@ __all__ = [
     "FailedRow",
     "ExecutionPolicy",
     "execution_policy",
-    "CheckpointStore",
     "Telemetry",
     "MetricsRegistry",
     "IntervalSampler",

@@ -36,15 +36,15 @@ per-N-request interval snapshots and ``--snapshots-out s.csv`` saves
 them.  With none of these set, the simulation runs fully
 uninstrumented.
 
-Resilience flags (``compare``, ``figure``, ``report``):
-``--checkpoint PATH`` journals completed work and resumes interrupted
-runs, ``--result-cache DIR`` serves previously computed rows from a
-durable content-addressed store, ``--retries N``/``--worker-timeout S``
-tune the retry policy, ``--breaker-threshold N`` skips rows that keep
-failing, ``--heartbeat S`` detects frozen workers early, ``--strict``
-restores fail-fast, and ``--processes N`` (``figure``, ``report``)
-runs campaigns on supervised worker processes.  See
-``docs/robustness.md``.
+Resilience flags: ``--retries N`` (``compare``, ``figure``,
+``report``) tunes the retry policy.  On ``figure`` and ``report``,
+``--result-cache DIR`` commits each finished row to a durable
+content-addressed store and serves rows already there, so re-running
+an interrupted command with the same store resumes it;
+``--worker-timeout S`` bounds each attempt, ``--breaker-threshold N``
+skips rows that keep failing, ``--heartbeat S`` detects frozen workers
+early, ``--strict`` restores fail-fast, and ``--processes N`` runs
+campaigns on supervised worker processes.  See ``docs/robustness.md``.
 
 Estimator flags (``figure``, ``report``, ``power``): ``--estimator
 {auto,analytical,library}`` selects the energy/area backend (auto
@@ -210,14 +210,6 @@ def _add_resilience_flags(sub: argparse.ArgumentParser, campaign: bool = True) -
     """The shared fault-tolerance flags (see docs/robustness.md)."""
     group = sub.add_argument_group("resilience")
     group.add_argument(
-        "--checkpoint",
-        help=(
-            "journal completed rows to this path and resume from it; "
-            "a .jsonl path holds one run, a directory holds one journal "
-            "per config fingerprint"
-        ),
-    )
-    group.add_argument(
         "--retries",
         type=int,
         help="attempts per benchmark before quarantine (default 3)",
@@ -249,7 +241,8 @@ def _add_resilience_flags(sub: argparse.ArgumentParser, campaign: bool = True) -
                 "durable content-addressed result store: rows already "
                 "computed for this exact config + workload + code "
                 "version are served from here instead of re-simulated, "
-                "and new rows are committed back (see 'repro-8t cache')"
+                "and each new row is committed as it finishes, so a "
+                "re-run resumes an interrupted one (see 'repro-8t cache')"
             ),
         )
         group.add_argument(
@@ -291,7 +284,6 @@ def _policy_from_args(args) -> ExecutionPolicy:
     return ExecutionPolicy(
         retry=retry,
         strict=getattr(args, "strict", False),
-        checkpoint=args.checkpoint,
         processes=getattr(args, "processes", None),
         result_cache=getattr(args, "result_cache", None),
         result_cache_max_bytes=getattr(args, "result_cache_max_bytes", None),
@@ -351,7 +343,6 @@ def _cmd_compare(args) -> int:
         techniques=tuple(args.techniques),
         telemetry=telemetry,
         retry=policy.retry,
-        checkpoint=policy.checkpoint,
     )
     rows = []
     for technique in args.techniques:

@@ -22,7 +22,6 @@ __all__ = [
     "WorkerTimeoutError",
     "WorkerCrashError",
     "BreakerOpenError",
-    "CheckpointError",
     "StoreError",
     "StoreIntegrityError",
     "CampaignFailedError",
@@ -123,16 +122,6 @@ class BreakerOpenError(SimulationError):
     exists to stop retries — although it derives from
     :class:`SimulationError` so the quarantine contract still catches
     it.
-    """
-
-
-class CheckpointError(ReproError):
-    """A campaign checkpoint file is unusable.
-
-    Raised by :mod:`repro.sim.checkpoint` when the journal header is
-    missing or malformed, or when its config fingerprint does not match
-    the campaign being resumed (a *stale* checkpoint — silently mixing
-    rows from different configs would corrupt results).
     """
 
 

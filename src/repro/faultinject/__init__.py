@@ -13,7 +13,7 @@ runners:
 
 ``corrupt``
     Byte-level file corruption helpers (truncation, bit flips) for
-    exercising the trace-format and checkpoint integrity checks, plus
+    exercising the trace-format integrity checks, plus
     result-store entry corruptors (torn entry, bad CRC, version skew)
     for the store's self-healing reads.
 

@@ -1,9 +1,8 @@
 """Deterministic byte-level file corruption.
 
 Used by the integrity tests to prove that a truncated or bit-flipped
-trace/checkpoint file is *detected* (``TraceFormatError`` naming the
-byte offset, checkpoint records skipped) rather than silently parsed
-into garbage.  Corruption is in-place and exact — no randomness, so a
+trace file is *detected* (``TraceFormatError`` naming the byte offset)
+rather than silently parsed into garbage.  Corruption is in-place and exact — no randomness, so a
 failing test reproduces byte-for-byte.
 
 The ``*_entry`` helpers target result-store entries specifically, one

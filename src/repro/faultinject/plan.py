@@ -1,8 +1,11 @@
 """Fault plans and the environment hook that delivers them.
 
 A :class:`FaultPlan` is a tuple of :class:`FaultSpec` rules.  Each rule
-names an injection *site* (today: ``"worker"``, consulted once per
-benchmark attempt inside the campaign worker), an optional benchmark
+names an injection *site* — ``"worker"``, consulted once per benchmark
+attempt inside the campaign worker, or ``"store.commit"``, consulted by
+every :func:`repro.store.durable.atomic_write` between its fsync and
+its rename (result-store entries carry their benchmark; index
+compaction and the lint cache carry none) — an optional benchmark
 filter, and the attempt range it fires on — so a *transient* fault can
 fail attempt 1 and let the retry succeed, while a *permanent* crash
 uses a large ``until_attempt`` to defeat every retry.
@@ -80,7 +83,8 @@ class FaultSpec:
     Attributes:
         kind: one of :data:`KINDS`.
         benchmark: only fire for this benchmark (None = all).
-        site: injection point; campaign workers consult ``"worker"``.
+        site: injection point; campaign workers consult ``"worker"``,
+            atomic durable writes ``"store.commit"``.
         until_attempt: fire while ``attempt <= until_attempt``.  The
             default 1 makes transient faults heal on the first retry;
             a large value makes the fault permanent.

@@ -19,9 +19,10 @@ described in :mod:`repro.lint.callgraph`:
    ride in the summaries so suppression scoping works on cache hits
    without re-parsing.
 
-The cache write is itself durability-disciplined (tempfile -> fsync ->
-``os.replace``): the linter practises what RPR202 preaches, and a
-crash mid-write leaves the previous cache intact.
+The cache write goes through :func:`repro.store.durable.atomic_write`
+(tempfile -> fsync -> ``os.replace``): the linter practises what
+RPR202 preaches, and a crash mid-write leaves the previous cache
+intact.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import ast
 import hashlib
 import json
 import os
-import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +43,7 @@ from repro.lint.callgraph import (
 from repro.lint.engine import Rule
 from repro.lint.finding import Finding
 from repro.lint.suppressions import SuppressionIndex
+from repro.store.durable import atomic_write
 from repro.store.version import code_version
 
 __all__ = ["DeepStats", "run_deep", "DEFAULT_CACHE_PATH", "LINT_CODE_PATHS"]
@@ -126,24 +127,9 @@ def _save_cache(
         "code_version": lint_version,
         "files": files,
     }
-    directory = os.path.dirname(path) or "."
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".summaries-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        atomic_write(path, json.dumps(payload, sort_keys=True))
     except OSError:
         # The cache is an accelerator, never a correctness input — a
         # read-only checkout just runs cold every time.

@@ -15,8 +15,8 @@ instantiates it.
 | RPR204 | open() handle escaping unmanaged in durability paths          |
 | RPR205 | degradation handler that neither re-raises nor emits          |
 
-RPR202/204 are scoped to the durability-critical paths named in the
-issue (the store, the checkpoint journal, the perf ledger, the
+RPR202/204 are scoped to the durability-critical paths (the store and
+its durable-write helpers in ``store/durable.py``, the perf ledger, the
 estimation-record cache); RPR203 to the lock-owning modules; RPR205 to
 the retry -> breaker -> quarantine ladder.  RPR201 covers every
 function reachable from the fenced packages and reports at the *fence
@@ -55,7 +55,6 @@ __all__ = [
 #: files: a missed fsync or leaked handle here can publish torn state.
 DURABILITY_PATHS = (
     "store/",
-    "sim/checkpoint.py",
     "obs/perf/ledger.py",
     "power/estimator/records.py",
 )

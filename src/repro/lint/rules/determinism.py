@@ -9,7 +9,7 @@ whose outputs are the paper's numbers:
 
 * ``repro.core``   — controllers (the techniques under test)
 * ``repro.engine`` — the columnar execution engine
-* ``repro.sim``    — simulator, campaigns, checkpoint/resume
+* ``repro.sim``    — simulator, campaigns, resume
 * ``repro.check``  — oracle, differential runner, fuzzer
 
 ``time.perf_counter``/``time.monotonic``/``time.sleep`` stay legal:

@@ -34,14 +34,6 @@ METRIC_NAMES: Dict[str, str] = {
         "benchmarks that exhausted their retry budget and were moved "
         "to CampaignResult.failed_rows instead of failing the run"
     ),
-    "checkpoint.resumed_rows": (
-        "completed benchmark rows loaded from a checkpoint journal "
-        "instead of being re-simulated"
-    ),
-    "checkpoint.skipped_records": (
-        "journal records dropped on resume (torn writes, CRC "
-        "mismatches); nonzero means the previous run died mid-append"
-    ),
     "parallel.workers": (
         "gauge: supervised worker processes backing the current "
         "campaign (0 = in-process sequential execution)"

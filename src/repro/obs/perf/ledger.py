@@ -9,25 +9,26 @@ ledger is the trajectory that the statistical gates
 (:mod:`repro.obs.perf.gates`) and the trend report
 (:mod:`repro.obs.perf.trend`) are built on.
 
-Robustness rules, in the spirit of the checkpoint journal
-(:mod:`repro.sim.checkpoint`): appends are single ``write()`` calls of
-one line, reads skip torn or malformed lines instead of failing (a
-half-written record from a killed run must not poison the history), and
-unknown future schema versions are skipped, not guessed at.  Records
-of an older schema still parse, but the gates and the trend report read
-only current-schema records (:attr:`LedgerEntry.current_schema`): a
-schema bump means a field changed meaning.
+Robustness rules: appends go through
+:func:`repro.store.durable.append_line` (one fsync'd ``write()`` of one
+line, starting on a fresh line after a torn tail), reads skip torn or
+malformed lines instead of failing (a half-written record from a killed
+run must not poison the history), and unknown future schema versions
+are skipped, not guessed at.  Records of an older schema still parse,
+but the gates and the trend report read only current-schema records
+(:attr:`LedgerEntry.current_schema`): a schema bump means a field
+changed meaning.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ValidationError
+from repro.store.durable import append_line
 
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
@@ -192,7 +193,8 @@ def append_run(
 
     The record is serialised first and written with one ``write()``
     call, so a crash mid-append leaves at most one torn final line —
-    which :func:`read_ledger` skips on the next read.
+    which :func:`read_ledger` skips on the next read, while the next
+    append still lands as a line of its own.
     """
     if "schema" not in record or "results" not in record:
         raise ValidationError(
@@ -201,11 +203,7 @@ def append_run(
         )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
+    append_line(path, json.dumps(record, sort_keys=True))
     return path
 
 

@@ -38,11 +38,8 @@ under the WG family and ``write_buffer`` (forced write-back, then
 read).  A run that would need both orders, or whose instruction counts
 leave no int64 headroom, raises instead of scheduling.  Controllers
 with per-sub-array ports (``rmw_local``) scan each sub-array on its
-own.
-
-``PhaseTiming.rmw_extra_cycles`` is validated but never charged here:
-an RMW's write phase starts when its read phase finishes.  Only
-:attr:`PhaseTiming.rmw_cycles` reads it.
+own.  An RMW's write phase starts when its read phase finishes; no
+extra serial delay is charged between them.
 """
 
 from __future__ import annotations

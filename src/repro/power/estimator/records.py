@@ -3,10 +3,11 @@
 The Accelergy CACTI plug-in memoizes ``self.records`` keyed on the
 query and persists them to disk ("enable data reuse"); this is the
 production version of that idea for the estimator layer.  Records live
-in one append-only JSONL file — every ``put`` writes a single line,
-flushes, and fsyncs, so a crash can tear at most the final line, and a
-torn line is skipped (and counted) on the next load rather than
-poisoning the cache.
+in one append-only JSONL file — every ``put`` appends a single fsync'd
+line through :func:`repro.store.durable.append_line`, so a crash can
+tear at most the final line, a torn line is skipped (and counted) on
+the next load rather than poisoning the cache, and the next record
+starts on a fresh line.
 
 Keys reuse the content-addressed canonicalisation from
 :mod:`repro.store.keys`: a record's identity is the digest of its meta
@@ -25,13 +26,13 @@ counters for ``stats`` and tests.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.power.estimator.protocol import Estimation
 from repro.power.estimator.query import EstimationQuery
+from repro.store.durable import append_line
 from repro.store.keys import canonical_json, digest
 from repro.store.version import ESTIMATOR_CODE_PATHS, code_version
 
@@ -139,10 +140,7 @@ class EstimationRecordCache:
         line = canonical_json(document)
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_line(self.path, line)
             return True
         except OSError as exc:
             self.counters["write_failures"] += 1

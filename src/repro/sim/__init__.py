@@ -12,9 +12,11 @@
 ``resilience``
     Retry policies, supervised worker processes, ambient execution
     policies — how long campaigns survive faults.
-``checkpoint``
-    JSONL journaling so interrupted campaigns resume instead of
-    restarting.
+``parallel``
+    Campaigns on supervised worker processes.
+
+Interrupted campaigns resume from the result store (:mod:`repro.store`):
+re-run with the same ``result_cache`` and only missing rows execute.
 """
 
 from repro.sim.simulator import SimulationResult, Simulator, run_simulation
@@ -25,11 +27,6 @@ from repro.sim.campaign import (
     CampaignResult,
     run_campaign,
     run_geometry_sweep,
-)
-from repro.sim.checkpoint import (
-    CheckpointJournal,
-    CheckpointStore,
-    config_fingerprint,
 )
 from repro.sim.parallel import run_campaign_parallel
 from repro.sim.resilience import (
@@ -60,7 +57,4 @@ __all__ = [
     "ExecutionPolicy",
     "execution_policy",
     "active_policy",
-    "CheckpointJournal",
-    "CheckpointStore",
-    "config_fingerprint",
 ]

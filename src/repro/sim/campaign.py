@@ -16,38 +16,42 @@ Campaigns are the long-running shape of this codebase, so they are
   ``CampaignResult.failed_rows`` instead of aborting the suite
   (``strict=True`` restores fail-fast via
   :class:`CampaignFailedError`).
-* With ``checkpoint=...`` every completed row is durably journaled as
-  it finishes; re-running the same config resumes from the journal and
-  only executes missing benchmarks (see :mod:`repro.sim.checkpoint`).
-* With ``result_cache=...`` (or ``--result-cache``) completed rows are
-  committed to a durable content-addressed store
+* With ``result_cache=...`` (or ``--result-cache``) every completed
+  row is committed to a durable content-addressed store
   (:class:`repro.store.ResultStore`) keyed on config + workload + code
-  version; a later campaign with any overlapping rows serves them from
-  the store without invoking the simulator, and corrupt or
-  version-skewed entries are quarantined and transparently recomputed.
+  version as it finishes.  Resuming an interrupted campaign means
+  re-running it against the same store: rows already there are served
+  without invoking the simulator, only the missing benchmarks execute,
+  and corrupt or version-skewed entries are quarantined and
+  transparently recomputed.
 * With ``RetryPolicy.breaker_threshold`` set, a benchmark that keeps
   failing trips its circuit breaker and is *skipped* (quarantined as
   ``FailedRow.breaker_skipped``) instead of soaking up retries.
 * All degradation events flow through ``repro.obs`` counters
   (``retry.attempt``, ``campaign.quarantined``, ``store.hit``,
-  ``breaker.open``, ``checkpoint.resumed_rows``, ...).
+  ``breaker.open``, ...).
 * Every row is accounted for in ``CampaignResult.health``:
   ``cached + recomputed + quarantined + breaker_skipped == total``.
 
 Per-benchmark *timeouts* need process isolation and therefore live in
 :func:`repro.sim.parallel.run_campaign_parallel`; the in-process runner
-here honours retries, quarantine and checkpointing with identical
+here honours retries, quarantine and the result store with identical
 semantics.
+
+:func:`serialize_row` / :func:`deserialize_row` are the exact
+all-integer JSON form of a row, the payload of a stored row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.config import CacheGeometry
+from repro.cache.stats import CacheStats
+from repro.core.outcomes import OperationCounts
 from repro.errors import (
     BreakerOpenError,
     CampaignFailedError,
@@ -79,9 +83,12 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "run_geometry_sweep",
+    "serialize_row",
+    "deserialize_row",
+    "serialize_result",
+    "deserialize_result",
 ]
 
-CheckpointArg = Union[str, Path, None]
 #: ``result_cache`` accepts a store root path or an opened
 #: :class:`repro.store.ResultStore` (tests share one across runs).
 ResultCacheArg = Union[str, Path, object, None]
@@ -119,10 +126,8 @@ class CampaignHealth:
 
         cached + recomputed + quarantined + breaker_skipped == total
 
-    ``cached`` counts rows served without re-simulation — from the
-    result store *or* a resumed checkpoint journal
-    (``checkpoint_resumed`` breaks out the journal share for
-    operators; it is a subset of ``cached``, not a fifth bucket).
+    ``cached`` counts rows served from the result store without
+    re-simulation (a resumed campaign's finished rows land here).
     ``healed`` counts store entries that failed validation and were
     quarantined + recomputed this run (those rows sit in
     ``recomputed``).
@@ -133,7 +138,6 @@ class CampaignHealth:
     recomputed: int
     quarantined: int
     breaker_skipped: int
-    checkpoint_resumed: int = 0
     healed: int = 0
 
     @property
@@ -154,12 +158,7 @@ class CampaignHealth:
             f"{self.quarantined} quarantined",
             f"{self.breaker_skipped} breaker-skipped",
         ]
-        extras = []
-        if self.checkpoint_resumed:
-            extras.append(f"{self.checkpoint_resumed} from checkpoint")
-        if self.healed:
-            extras.append(f"{self.healed} healed")
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        suffix = f" ({self.healed} healed)" if self.healed else ""
         return ", ".join(parts) + suffix
 
 
@@ -237,6 +236,62 @@ class CampaignResult:
         )
 
 
+# -- row serialisation (the stored row payload) -----------------------------------
+
+
+def _geometry_payload(geometry: CacheGeometry) -> Dict:
+    return {
+        "size_bytes": geometry.size_bytes,
+        "associativity": geometry.associativity,
+        "block_bytes": geometry.block_bytes,
+        "address_bits": geometry.address_bits,
+    }
+
+
+def serialize_result(result: SimulationResult) -> Dict:
+    """JSON payload for one (trace, technique) result — exact, all ints."""
+    return {
+        "technique": result.technique,
+        "geometry": _geometry_payload(result.geometry),
+        "requests": result.requests,
+        "events": result.events.to_dict(),
+        "counts": asdict(result.counts),
+        "cache_stats": asdict(result.cache_stats),
+    }
+
+
+def deserialize_result(payload: Dict) -> SimulationResult:
+    return SimulationResult(
+        technique=payload["technique"],
+        geometry=CacheGeometry(**payload["geometry"]),
+        requests=payload["requests"],
+        events=SRAMEventLog(**payload["events"]),
+        counts=OperationCounts(**payload["counts"]),
+        cache_stats=CacheStats(**payload["cache_stats"]),
+    )
+
+
+def serialize_row(row: BenchmarkRow) -> Dict:
+    """JSON payload for one :class:`BenchmarkRow`."""
+    return {
+        "benchmark": row.benchmark,
+        "results": {
+            technique: serialize_result(result)
+            for technique, result in row.results.items()
+        },
+    }
+
+
+def deserialize_row(payload: Dict) -> BenchmarkRow:
+    return BenchmarkRow(
+        benchmark=payload["benchmark"],
+        results={
+            technique: deserialize_result(result)
+            for technique, result in payload["results"].items()
+        },
+    )
+
+
 def _run_one(
     trace: Sequence[MemoryAccess],
     technique: str,
@@ -284,46 +339,6 @@ def execute_row(
         for technique in config.techniques
     }
     return BenchmarkRow(benchmark=benchmark, results=results)
-
-
-# -- checkpoint plumbing shared with the parallel runner ----------------------------
-
-
-def _open_campaign_journal(checkpoint: CheckpointArg, config: ExperimentConfig):
-    """(journal, resumed rows) for ``checkpoint`` (None -> (None, {}))."""
-    if checkpoint is None:
-        return None, {}
-    from repro.sim import checkpoint as ckpt
-
-    store = ckpt.as_store(checkpoint)
-    journal = store.open_campaign(config)
-    resumed: Dict[str, BenchmarkRow] = {}
-    for key, payload in journal.rows.items():
-        if key in config.benchmarks:
-            resumed[key] = ckpt.deserialize_row(payload)
-    return journal, resumed
-
-
-def _journal_row(journal, row: BenchmarkRow) -> None:
-    if journal is not None:
-        from repro.sim import checkpoint as ckpt
-
-        journal.append(row.benchmark, ckpt.serialize_row(row))
-
-
-def _report_resume(telem: Telemetry, journal, resumed_count: int) -> None:
-    if journal is None or not telem.enabled:
-        return
-    if resumed_count:
-        telem.registry.inc("checkpoint.resumed_rows", resumed_count)
-        telem.instant(
-            "checkpoint.resumed",
-            category="resilience",
-            rows=resumed_count,
-            path=str(journal.path),
-        )
-    if journal.skipped_records:
-        telem.registry.inc("checkpoint.skipped_records", journal.skipped_records)
 
 
 def emit_degradation(telem: Telemetry, name: str, **details) -> None:
@@ -375,8 +390,6 @@ def _store_load_row(
     store, config: ExperimentConfig, benchmark: str, telem: Telemetry
 ) -> Optional[BenchmarkRow]:
     """Validated store lookup -> row, or None on any miss/degradation."""
-    from repro.sim import checkpoint as ckpt
-
     try:
         payload = store.get_row(config, benchmark)
     except (ReproError, OSError) as exc:
@@ -389,7 +402,7 @@ def _store_load_row(
     if payload is None:
         return None
     try:
-        return ckpt.deserialize_row(payload)
+        return deserialize_row(payload)
     except (ReproError, KeyError, TypeError, ValueError) as exc:
         # The entry checksummed but does not decode as a row — a
         # serializer drift the CRC cannot see.  Treat as a miss.
@@ -405,10 +418,8 @@ def _store_save_row(
     store, config: ExperimentConfig, row: BenchmarkRow, telem: Telemetry
 ) -> None:
     """Commit a completed row; a failed cache write never fails the row."""
-    from repro.sim import checkpoint as ckpt
-
     try:
-        store.put_row(config, row.benchmark, ckpt.serialize_row(row))
+        store.put_row(config, row.benchmark, serialize_row(row))
     except (ReproError, OSError) as exc:
         telem.warn(
             "store.put_failed",
@@ -417,17 +428,70 @@ def _store_save_row(
         )
 
 
+def _serve_cached_rows(
+    store, config: ExperimentConfig, telem: Telemetry
+) -> Tuple[Dict[str, BenchmarkRow], List[str], int]:
+    """(rows served from ``store``, benchmarks still to run, healed).
+
+    ``healed`` counts entries found corrupt, quarantined and so left to
+    recompute.  Without a store every benchmark is pending.
+    """
+    cached: Dict[str, BenchmarkRow] = {}
+    if store is None:
+        return cached, list(config.benchmarks), 0
+    pending: List[str] = []
+    corrupt_before = store.counters["corrupt"]
+    for benchmark in config.benchmarks:
+        row = _store_load_row(store, config, benchmark, telem)
+        if row is not None:
+            cached[benchmark] = row
+        else:
+            pending.append(benchmark)
+    return cached, pending, store.counters["corrupt"] - corrupt_before
+
+
+def _campaign_result(
+    config: ExperimentConfig,
+    cached: Dict[str, BenchmarkRow],
+    executed: Dict[str, BenchmarkRow],
+    failed: List[FailedRow],
+    healed: int,
+) -> CampaignResult:
+    """Rows in ``config.benchmarks`` order plus their health ledger."""
+    completed = {**cached, **executed}
+    rows = [
+        completed[benchmark]
+        for benchmark in config.benchmarks
+        if benchmark in completed
+    ]
+    health = CampaignHealth(
+        total=len(config.benchmarks),
+        cached=len(cached),
+        recomputed=len(executed),
+        quarantined=sum(1 for f in failed if not f.breaker_skipped),
+        breaker_skipped=sum(1 for f in failed if f.breaker_skipped),
+        healed=healed,
+    )
+    return CampaignResult(
+        config=config, rows=rows, failed_rows=failed, health=health
+    )
+
+
+def _breaker_for(retry: RetryPolicy) -> Optional[CircuitBreaker]:
+    if retry.breaker_threshold is None:
+        return None
+    return CircuitBreaker(retry.breaker_threshold)
+
+
 def _resolve(
     retry: Optional[RetryPolicy],
     strict: Optional[bool],
-    checkpoint: CheckpointArg,
     result_cache: ResultCacheArg = None,
-) -> Tuple[RetryPolicy, bool, CheckpointArg, ResultCacheArg, ExecutionPolicy]:
+) -> Tuple[RetryPolicy, bool, ResultCacheArg, ExecutionPolicy]:
     policy = active_policy()
     return (
         retry if retry is not None else policy.retry,
         strict if strict is not None else policy.strict,
-        checkpoint if checkpoint is not None else policy.checkpoint,
         result_cache if result_cache is not None else policy.result_cache,
         policy,
     )
@@ -439,7 +503,6 @@ def run_campaign(
     *,
     retry: Optional[RetryPolicy] = None,
     strict: Optional[bool] = None,
-    checkpoint: CheckpointArg = None,
     result_cache: ResultCacheArg = None,
 ) -> CampaignResult:
     """Run every benchmark through every technique, in process.
@@ -451,16 +514,15 @@ def run_campaign(
 
     With ``result_cache``, rows whose exact (config, workload, code
     version) are already in the store are served from it — zero
-    simulator invocations — and newly computed rows are committed
-    back.  ``CampaignResult.health`` accounts for every row's
-    provenance either way.
+    simulator invocations — and each newly computed row is committed
+    as soon as it finishes, so an interrupted campaign resumes by
+    running again against the same store.  ``CampaignResult.health``
+    accounts for every row's provenance either way.
 
     With ``telemetry``, each campaign phase (trace-gen, warm-up,
     measure) runs under a span and the controllers are instrumented.
     """
-    retry, strict, checkpoint, result_cache, policy = _resolve(
-        retry, strict, checkpoint, result_cache
-    )
+    retry, strict, result_cache, policy = _resolve(retry, strict, result_cache)
     if policy.processes is not None and policy.processes > 1:
         from repro.sim.parallel import run_campaign_parallel
 
@@ -470,69 +532,22 @@ def run_campaign(
             telemetry=telemetry,
             retry=retry,
             strict=strict,
-            checkpoint=checkpoint,
             result_cache=result_cache,
         )
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
     store = _open_result_store(result_cache, policy, telem)
-    journal, resumed = _open_campaign_journal(checkpoint, config)
-    cached: Dict[str, BenchmarkRow] = {}
-    healed = 0
-    try:
-        _report_resume(telem, journal, len(resumed))
-        pending = [b for b in config.benchmarks if b not in resumed]
-        if store is not None:
-            still_pending = []
-            for benchmark in pending:
-                corrupt_before = store.counters["corrupt"]
-                row = _store_load_row(store, config, benchmark, telem)
-                healed += store.counters["corrupt"] - corrupt_before
-                if row is not None:
-                    cached[benchmark] = row
-                    _journal_row(journal, row)
-                else:
-                    still_pending.append(benchmark)
-            pending = still_pending
-        breaker = (
-            CircuitBreaker(retry.breaker_threshold)
-            if retry.breaker_threshold is not None
-            else None
-        )
-        executed, failed = _run_rows_resilient(
-            pending,
-            config,
-            telemetry,
-            retry,
-            strict,
-            journal,
-            telem,
-            breaker=breaker,
-            store=store,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    completed: Dict[str, BenchmarkRow] = {}
-    completed.update(resumed)
-    completed.update(cached)
-    completed.update(executed)
-    rows = [
-        completed[benchmark]
-        for benchmark in config.benchmarks
-        if benchmark in completed
-    ]
-    health = CampaignHealth(
-        total=len(config.benchmarks),
-        cached=len(resumed) + len(cached),
-        recomputed=len(executed),
-        quarantined=sum(1 for f in failed if not f.breaker_skipped),
-        breaker_skipped=sum(1 for f in failed if f.breaker_skipped),
-        checkpoint_resumed=len(resumed),
-        healed=healed,
+    cached, pending, healed = _serve_cached_rows(store, config, telem)
+    executed, failed = _run_rows_resilient(
+        pending,
+        config,
+        telemetry,
+        retry,
+        strict,
+        telem,
+        breaker=_breaker_for(retry),
+        store=store,
     )
-    return CampaignResult(
-        config=config, rows=rows, failed_rows=failed, health=health
-    )
+    return _campaign_result(config, cached, executed, failed, healed)
 
 
 def _run_rows_resilient(
@@ -541,13 +556,13 @@ def _run_rows_resilient(
     telemetry: Optional[Telemetry],
     retry: RetryPolicy,
     strict: bool,
-    journal,
     telem: Telemetry,
     breaker: Optional[CircuitBreaker] = None,
     store=None,
 ) -> Tuple[Dict[str, BenchmarkRow], List[FailedRow]]:
     """Sequential resilient execution of ``benchmarks`` (shared with
-    the parallel runner's ``processes=1`` path)."""
+    the parallel runner's ``processes=1`` path); each finished row is
+    committed to ``store`` before the next benchmark starts."""
     completed: Dict[str, BenchmarkRow] = {}
     failed: List[FailedRow] = []
 
@@ -598,7 +613,6 @@ def _run_rows_resilient(
                 )
             continue
         completed[benchmark] = row
-        _journal_row(journal, row)
         if store is not None:
             _store_save_row(store, config, row, telem)
     return completed, failed
@@ -610,8 +624,8 @@ def run_geometry_sweep(
     """Run the campaign once per geometry (Figures 10/11).
 
     Returns results keyed by ``geometry.describe()``.  Each geometry's
-    campaign is an independent config, so under a directory-mode
-    checkpoint every geometry journals (and resumes) separately.
+    campaign is an independent config, so its rows have their own
+    result-store keys and resume separately.
     """
     return {
         geometry.describe(): run_campaign(config.with_geometry(geometry))

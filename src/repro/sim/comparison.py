@@ -72,7 +72,6 @@ def compare_techniques(
     techniques: Sequence[str] = DEFAULT_TECHNIQUES,
     telemetry: Optional[Telemetry] = None,
     retry: Optional[RetryPolicy] = None,
-    checkpoint=None,
     **controller_kwargs,
 ) -> ComparisonResult:
     """Replay ``trace`` through each technique on a fresh cache.
@@ -82,64 +81,34 @@ def compare_techniques(
     controllers are instrumented and each technique's replay runs under
     a ``simulate.<technique>`` span.
 
-    Each technique replays under the active :class:`RetryPolicy`
-    (transient failures retry with backoff; a comparison missing its
-    baseline is useless, so exhaustion raises rather than quarantines).
-    With ``checkpoint=...``, finished techniques journal to a file
-    fingerprinted on (trace, geometry, techniques) and are not re-run
-    on resume.  Both default from the ambient execution policy.
+    Each technique replays under the :class:`RetryPolicy` (default: the
+    ambient execution policy's; transient failures retry with backoff;
+    a comparison missing its baseline is useless, so exhaustion raises
+    rather than quarantines).
     """
     if isinstance(trace, Iterator):
         raise TypeContractError(
             "trace must be a reusable sequence; call "
             "repro.trace.materialize() on generators first"
         )
-    policy = active_policy()
-    retry = retry if retry is not None else policy.retry
-    checkpoint = checkpoint if checkpoint is not None else policy.checkpoint
+    retry = retry if retry is not None else active_policy().retry
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    journal = None
-    results: Dict[str, SimulationResult] = {}
-    if checkpoint is not None:
-        from repro.sim import checkpoint as ckpt
-
-        journal = ckpt.as_store(checkpoint).open_comparison(
-            trace, geometry, techniques, controller_kwargs
-        )
-        for technique in techniques:
-            payload = journal.rows.get(technique)
-            if payload is not None:
-                results[technique] = ckpt.deserialize_result(payload)
-        if results and telem.enabled:
-            telem.registry.inc("checkpoint.resumed_rows", len(results))
 
     def on_event(name: str, **details) -> None:
         if telem.enabled:
             telem.registry.inc(name)
             telem.instant(name, category="resilience", **details)
 
-    try:
-        for technique in techniques:
-            if technique in results:
-                continue
-            with span(telem, f"simulate.{technique}", requests=len(trace)):
-                results[technique] = retry_call(
-                    lambda _attempt, _t=technique: run_simulation(
-                        trace, _t, geometry, telemetry=telemetry,
-                        **controller_kwargs,
-                    ),
-                    policy=retry,
-                    name=technique,
-                    on_event=on_event,
-                )
-            if journal is not None:
-                from repro.sim import checkpoint as ckpt
-
-                journal.append(
-                    technique, ckpt.serialize_result(results[technique])
-                )
-    finally:
-        if journal is not None:
-            journal.close()
+    results: Dict[str, SimulationResult] = {}
+    for technique in techniques:
+        with span(telem, f"simulate.{technique}", requests=len(trace)):
+            results[technique] = retry_call(
+                lambda _attempt, _t=technique: run_simulation(
+                    trace, _t, geometry, telemetry=telemetry,
+                    **controller_kwargs,
+                ),
+                policy=retry,
+                name=technique,
+                on_event=on_event,
+            )
     return ComparisonResult(geometry=geometry, results=results)

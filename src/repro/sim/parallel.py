@@ -26,9 +26,11 @@ hung benchmark costs one ``worker_timeout_s`` instead of the campaign:
   of the suite still completes unless ``strict=True``.
 
 Row order is pinned to ``config.benchmarks`` regardless of completion
-order, and with a ``checkpoint`` every finished row is journaled
-immediately, so an interrupted campaign resumes re-running only the
-missing benchmarks.
+order.  The coordinating thread folds each job's outcome in submission
+order as soon as its future resolves, and with a ``result_cache`` it
+commits the row to the store right then, before later jobs finish, so
+an interrupted campaign resumes re-running only the missing
+benchmarks.
 
 ``run_campaign_parallel`` returns exactly what
 :func:`repro.sim.campaign.run_campaign` returns; a sequential fallback
@@ -58,8 +60,8 @@ registry and ships its :meth:`MetricsRegistry.state_dict` back with the
 row.  Metrics-only telemetry rides the columnar kernels, so a worker
 collecting metrics stays on the fast path.  Supervisor threads never
 touch the caller's registry; each job's metrics state and degradation
-events are folded in by the main thread in benchmark order, so the
-merged output is deterministic (merge is associative and commutative
+events are folded in by the coordinating thread in benchmark order, so
+the merged output is deterministic (merge is associative and commutative
 anyway).  States are merged with a
 ``worker:<benchmark>`` label (:meth:`MetricsRegistry.merge_worker_state`),
 so ``--metrics-out`` reports the campaign aggregate *and* the
@@ -81,14 +83,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.campaign import (
     BenchmarkRow,
-    CampaignHealth,
     CampaignResult,
-    _open_campaign_journal,
+    _breaker_for,
+    _campaign_result,
     _open_result_store,
-    _journal_row,
-    _report_resume,
+    _resolve,
     _run_rows_resilient,
-    _store_load_row,
+    _serve_cached_rows,
     _store_save_row,
     emit_degradation,
     execute_row,
@@ -98,7 +99,6 @@ from repro.sim.resilience import (
     CircuitBreaker,
     FailedRow,
     RetryPolicy,
-    active_policy,
     retry_call,
     run_supervised,
 )
@@ -139,17 +139,15 @@ def _supervise_job(
     config: ExperimentConfig,
     collect_metrics: bool,
     retry: RetryPolicy,
-    journal,
     abort: Event,
     breaker: Optional[CircuitBreaker] = None,
 ) -> _JobOutcome:
     """Run one benchmark to completion/quarantine from a parent thread.
 
-    Touches no shared telemetry: degradation events are buffered on the
-    outcome and replayed by the main thread in deterministic order.
-    The journal *is* written from here (it locks internally) so a row
-    is durable the moment it exists.  The circuit breaker is shared
-    across supervisor threads (it locks internally too).
+    Touches no shared telemetry and no store: degradation events are
+    buffered on the outcome and replayed, and the row committed, by the
+    coordinating thread in deterministic order.  The circuit breaker is
+    shared across supervisor threads (it locks internally).
     """
     outcome = _JobOutcome(benchmark=benchmark)
 
@@ -209,7 +207,6 @@ def _supervise_job(
         return outcome
     outcome.row = row
     outcome.metrics_state = state
-    _journal_row(journal, row)
     return outcome
 
 
@@ -220,101 +217,50 @@ def run_campaign_parallel(
     *,
     retry: Optional[RetryPolicy] = None,
     strict: Optional[bool] = None,
-    checkpoint=None,
     result_cache=None,
 ) -> CampaignResult:
     """Run the campaign with up to ``processes`` supervised workers.
 
     ``processes=1`` is an explicit request for in-process execution
     with the caller's full telemetry (sink included); it still honours
-    retries, quarantine and checkpointing, but not worker timeouts.
+    retries, quarantine and the result store, but not worker timeouts.
     Parameters left as None fall back to the ambient
     :class:`ExecutionPolicy`.
 
     The result store is touched only from the coordinating thread:
-    lookups happen before any job is dispatched, commits after the
-    fold — supervisor threads and worker processes never see it.
+    lookups happen before any job is dispatched, and each row is
+    committed as its outcome is folded — supervisor threads and worker
+    processes never see it.
     """
     if processes is not None:
         check_positive("processes", processes)
-    policy = active_policy()
-    retry = retry if retry is not None else policy.retry
-    strict = strict if strict is not None else policy.strict
-    checkpoint = checkpoint if checkpoint is not None else policy.checkpoint
-    result_cache = (
-        result_cache if result_cache is not None else policy.result_cache
-    )
+    retry, strict, result_cache, policy = _resolve(retry, strict, result_cache)
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
     collect_metrics = telem.enabled
 
     store = _open_result_store(result_cache, policy, telem)
-    journal, resumed = _open_campaign_journal(checkpoint, config)
-    cached: Dict[str, BenchmarkRow] = {}
-    healed = 0
-    try:
-        _report_resume(telem, journal, len(resumed))
-        pending = [b for b in config.benchmarks if b not in resumed]
-        if store is not None:
-            still_pending = []
-            for benchmark in pending:
-                corrupt_before = store.counters["corrupt"]
-                row = _store_load_row(store, config, benchmark, telem)
-                healed += store.counters["corrupt"] - corrupt_before
-                if row is not None:
-                    cached[benchmark] = row
-                    _journal_row(journal, row)
-                else:
-                    still_pending.append(benchmark)
-            pending = still_pending
-        breaker = (
-            CircuitBreaker(retry.breaker_threshold)
-            if retry.breaker_threshold is not None
-            else None
+    cached, pending, healed = _serve_cached_rows(store, config, telem)
+    breaker = _breaker_for(retry)
+    if processes == 1:
+        executed, failed = _run_rows_resilient(
+            pending, config, telemetry, retry, strict, telem,
+            breaker=breaker, store=store,
         )
-        if processes == 1:
-            executed, failed = _run_rows_resilient(
-                pending, config, telemetry, retry, strict, journal, telem,
-                breaker=breaker, store=store,
-            )
-        else:
-            executed, failed = _run_pool(
-                pending,
-                config,
-                collect_metrics,
-                retry,
-                strict,
-                journal,
-                telem,
-                processes,
-                breaker=breaker,
-                store=store,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
-    completed: Dict[str, BenchmarkRow] = {}
-    completed.update(resumed)
-    completed.update(cached)
-    completed.update(executed)
-    rows = [
-        completed[benchmark]
-        for benchmark in config.benchmarks
-        if benchmark in completed
-    ]
+    else:
+        executed, failed = _run_pool(
+            pending,
+            config,
+            collect_metrics,
+            retry,
+            strict,
+            telem,
+            processes,
+            breaker=breaker,
+            store=store,
+        )
     if collect_metrics and processes != 1:
         telem.registry.set_gauge("parallel.workers", processes or 0)
-    health = CampaignHealth(
-        total=len(config.benchmarks),
-        cached=len(resumed) + len(cached),
-        recomputed=len(executed),
-        quarantined=sum(1 for f in failed if not f.breaker_skipped),
-        breaker_skipped=sum(1 for f in failed if f.breaker_skipped),
-        checkpoint_resumed=len(resumed),
-        healed=healed,
-    )
-    return CampaignResult(
-        config=config, rows=rows, failed_rows=failed, health=health
-    )
+    return _campaign_result(config, cached, executed, failed, healed)
 
 
 def _run_pool(
@@ -323,72 +269,70 @@ def _run_pool(
     collect_metrics: bool,
     retry: RetryPolicy,
     strict: bool,
-    journal,
     telem: Telemetry,
     processes: Optional[int],
     breaker: Optional[CircuitBreaker] = None,
     store=None,
 ) -> Tuple[Dict[str, BenchmarkRow], List[FailedRow]]:
-    """Fan ``pending`` out over supervisor threads; fold results back
-    in deterministic (submission) order."""
+    """Fan ``pending`` out over supervisor threads; fold each outcome
+    in deterministic (submission) order as soon as it resolves."""
     completed: Dict[str, BenchmarkRow] = {}
     failed: List[FailedRow] = []
     if not pending:
         return completed, failed
     workers = min(processes or os.cpu_count() or 1, len(pending))
     abort = Event()
+    pool_fallback_errors: List[str] = []
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         futures = [
             pool.submit(
                 _supervise_job, benchmark, config, collect_metrics, retry,
-                journal, abort, breaker,
+                abort, breaker,
             )
             for benchmark in pending
         ]
-        if strict:
-            # Fail fast: stop launching new jobs once any benchmark is
-            # lost for good.  Jobs already running finish their attempt.
-            for future in futures:
-                if future.result().failure is not None:
-                    abort.set()
-                    break
-        outcomes = [future.result() for future in futures]
-
-    pool_fallback_errors = []
-    for outcome in outcomes:  # deterministic: submission order
-        if outcome.skipped:
-            continue
-        for name, details in outcome.events:
-            if name == "parallel.pool_fallback":
-                pool_fallback_errors.append(details.get("error", ""))
+        for future in futures:  # deterministic: submission order
+            outcome = future.result()
+            if strict and outcome.failure is not None:
+                # Fail fast: stop launching new jobs once any benchmark
+                # is lost for good.  Jobs already running finish their
+                # attempt and are still folded.
+                abort.set()
+            if outcome.skipped:
                 continue
-            emit_degradation(telem, name, **details)
-        if outcome.failure is not None:
-            failed.append(outcome.failure)
-            if outcome.failure.breaker_skipped:
-                emit_degradation(
-                    telem, "breaker.skip", benchmark=outcome.benchmark
+            for name, details in outcome.events:
+                if name == "parallel.pool_fallback":
+                    pool_fallback_errors.append(details.get("error", ""))
+                    continue
+                emit_degradation(telem, name, **details)
+            if outcome.failure is not None:
+                failed.append(outcome.failure)
+                if outcome.failure.breaker_skipped:
+                    emit_degradation(
+                        telem, "breaker.skip", benchmark=outcome.benchmark
+                    )
+                else:
+                    emit_degradation(
+                        telem,
+                        "campaign.quarantined",
+                        benchmark=outcome.benchmark,
+                        error=outcome.failure.error_type,
+                    )
+                continue
+            completed[outcome.benchmark] = outcome.row
+            if store is not None:
+                _store_save_row(store, config, outcome.row, telem)
+            if outcome.metrics_state is not None and collect_metrics:
+                # Labelled merge: the aggregate gets the worker's
+                # counters and the state is also filed under its worker
+                # id, so --metrics-out carries the per-worker breakdown.
+                # The id is the benchmark name — workers are
+                # per-benchmark processes, and pids would break
+                # run-to-run determinism.
+                telem.registry.merge_worker_state(
+                    outcome.metrics_state,
+                    worker_id=f"worker:{outcome.benchmark}",
                 )
-            else:
-                emit_degradation(
-                    telem,
-                    "campaign.quarantined",
-                    benchmark=outcome.benchmark,
-                    error=outcome.failure.error_type,
-                )
-            continue
-        completed[outcome.benchmark] = outcome.row
-        if store is not None:
-            _store_save_row(store, config, outcome.row, telem)
-        if outcome.metrics_state is not None and collect_metrics:
-            # Labelled merge: the aggregate gets the worker's counters
-            # and the state is also filed under its worker id, so
-            # --metrics-out carries the per-worker breakdown.  The id is
-            # the benchmark name — workers are per-benchmark processes,
-            # and pids would break run-to-run determinism.
-            telem.registry.merge_worker_state(
-                outcome.metrics_state, worker_id=f"worker:{outcome.benchmark}"
-            )
     if pool_fallback_errors:
         telem.warn(
             "parallel.pool_fallback",

@@ -42,7 +42,7 @@ campaign runners compose:
 :class:`ExecutionPolicy` / :func:`execution_policy`
     An ambient policy stack so the CLI can switch a whole command —
     including campaigns started deep inside figure producers — to a
-    given retry/timeout/checkpoint configuration without threading
+    given retry/timeout/store configuration without threading
     arguments through every layer.
 
 Degradation events (``retry.attempt``, ``worker.timeout``,
@@ -259,12 +259,12 @@ class ExecutionPolicy:
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     strict: bool = False
-    checkpoint: Optional[Union[str, Path]] = None
     processes: Optional[int] = None
     #: Root directory of the content-addressed result store (None =
     #: no caching).  The campaign runners open a
-    #: :class:`repro.store.ResultStore` here and serve cached rows
-    #: without invoking the simulator.
+    #: :class:`repro.store.ResultStore` here, serve cached rows
+    #: without invoking the simulator and commit each new row as it
+    #: finishes — re-running against it is how a campaign resumes.
     result_cache: Optional[Union[str, Path]] = None
     #: LRU size bound for the result store (None = unbounded).
     result_cache_max_bytes: Optional[int] = None

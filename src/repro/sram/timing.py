@@ -2,8 +2,9 @@
 
 Default cycle counts reflect the relative costs the paper relies on:
 a Set-Buffer access is faster than an array access (Section 5.5 — this
-is why WG+RB *improves* read latency), and an RMW occupies both ports
-because its read phase feeds its write phase.
+is why WG+RB *improves* read latency).  An RMW occupies both ports
+because its read phase feeds its write phase; the timing model starts
+the write phase when the read phase finishes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ class PhaseTiming:
     Attributes:
         array_read_cycles: precharge + RWL + sense + mux.
         array_write_cycles: write-driver load + WWL pulse.
-        rmw_extra_cycles: serial dependency between the RMW read and
-            write phases beyond their individual latencies.
         set_buffer_cycles: read or write of the Set-Buffer (a small
             latch array next to the write drivers — faster than the
             full array).
@@ -32,27 +31,14 @@ class PhaseTiming:
 
     array_read_cycles: int = 2
     array_write_cycles: int = 2
-    rmw_extra_cycles: int = 1
     set_buffer_cycles: int = 1
 
     def __post_init__(self) -> None:
         check_positive("array_read_cycles", self.array_read_cycles)
         check_positive("array_write_cycles", self.array_write_cycles)
         check_positive("set_buffer_cycles", self.set_buffer_cycles)
-        if self.rmw_extra_cycles < 0:
-            raise ValidationError(
-                f"rmw_extra_cycles must be non-negative, "
-                f"got {self.rmw_extra_cycles}"
-            )
         if self.set_buffer_cycles > self.array_read_cycles:
             raise ValidationError(
                 "the Set-Buffer must not be slower than the array "
                 "(Section 5.5 premise)"
             )
-
-    @property
-    def rmw_cycles(self) -> int:
-        """End-to-end latency of one Read-Modify-Write."""
-        return (
-            self.array_read_cycles + self.array_write_cycles + self.rmw_extra_cycles
-        )

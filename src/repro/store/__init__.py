@@ -21,6 +21,10 @@ Modules:
     :class:`StoreIndex` — the replayable LRU journal.
 ``store``
     :class:`ResultStore` — the store itself.
+``durable``
+    ``atomic_write`` / ``append_line`` — the two fsync'd writes every
+    durable file in the package (and the ledger, estimation records and
+    lint cache) goes through.
 """
 
 from repro.store.entry import (

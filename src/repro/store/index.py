@@ -14,26 +14,29 @@ Ops::
     {"op": "evict", "key": "<hex>"}
     {"op": "remove", "key": "<hex>"}
 
-Every append is flushed and fsync'd before the caller proceeds, same
-discipline as :class:`repro.sim.checkpoint.CheckpointJournal`: a crash
-leaves at most one torn trailing line, and replay simply skips lines
-that do not parse (counted in :attr:`StoreIndex.skipped_lines`).  The
-index is a *cache of the object tree*, not the source of truth —
-:meth:`reconcile` repairs it against the objects actually on disk, so
-even deleting ``index.jsonl`` outright loses nothing but LRU order.
+Every append goes through :func:`repro.store.durable.append_line`
+(one fsync'd line) before the caller proceeds: a crash leaves at most
+one torn trailing line, and replay simply skips lines that do not parse
+(counted in :attr:`StoreIndex.skipped_lines`).  The index is a *cache
+of the object tree*, not the source of truth — :meth:`reconcile`
+repairs it against the objects actually on disk, so even deleting
+``index.jsonl`` outright (or losing another process's appends to a
+compaction) loses nothing but LRU order.
 
 When the journal grows past ~4x the live entry count it is compacted:
-rewritten as header + one ``put`` per live entry via the same
-tempfile-then-rename commit the store uses for entries.
+rewritten as header + one ``put`` per live entry via
+:func:`repro.store.durable.atomic_write`, the same commit the store
+uses for entries, with a per-process tempfile.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
+
+from repro.store.durable import append_line, atomic_write
 
 __all__ = ["INDEX_FORMAT", "INDEX_VERSION", "StoreIndex"]
 
@@ -120,37 +123,24 @@ class StoreIndex:
             self.skipped_lines += 1
 
     def _append(self, record: Dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(self.path, "a") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_line(self.path, json.dumps(record, sort_keys=True))
         self._op_lines += 1
         if self._op_lines > len(self._entries) * _COMPACT_FACTOR + _COMPACT_SLACK:
             self._rewrite()
 
     def _rewrite(self) -> None:
         """Compact: header + one ``put`` per live entry, atomically."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as handle:
-            handle.write(
-                json.dumps(
-                    {"format": INDEX_FORMAT, "version": INDEX_VERSION},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            for key, size in self._entries.items():
-                handle.write(
-                    json.dumps(
-                        {"op": "put", "key": key, "size": size},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        records = [{"format": INDEX_FORMAT, "version": INDEX_VERSION}]
+        records.extend(
+            {"op": "put", "key": key, "size": size}
+            for key, size in self._entries.items()
+        )
+        atomic_write(
+            self.path,
+            "".join(
+                json.dumps(record, sort_keys=True) + "\n" for record in records
+            ),
+        )
         self._op_lines = len(self._entries)
 
     # -- mutation -------------------------------------------------------

@@ -61,10 +61,9 @@ def digest(payload: Dict) -> str:
 def row_config_fingerprint(config) -> str:
     """Identity of one row's config inputs, benchmark-list independent.
 
-    Unlike :func:`repro.sim.checkpoint.config_fingerprint` (which scopes
-    a *journal* to a whole campaign), this excludes ``benchmarks``: each
-    row is keyed by its own benchmark name, so campaigns that share
-    geometry/techniques/seed share cached rows.
+    This excludes ``benchmarks``: each row is keyed by its own benchmark
+    name, so campaigns that share geometry/techniques/seed share cached
+    rows.  Technique order is excluded too (the list is sorted).
     """
     geometry = config.geometry
     return digest(

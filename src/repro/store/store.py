@@ -8,11 +8,13 @@ Layout under the store root::
 
 Guarantees:
 
-* **Atomic commits.**  ``put`` writes a tempfile *in the objects
-  directory*, flushes, fsyncs, then ``os.replace``-renames it over the
+* **Atomic commits.**  ``put`` commits through
+  :func:`repro.store.durable.atomic_write`: a tempfile *in the objects
+  directory*, flushed, fsynced, then ``os.replace``-renamed over the
   final name.  A crash at any point leaves either the old state or the
-  new state, never a half-written entry; stray ``*.tmp`` files from
-  interrupted commits are deleted on open.
+  new state, never a half-written entry.  Opening a store deletes
+  tempfiles whose writer process is dead and leaves a live writer's
+  alone.
 * **Validated reads.**  Every ``get`` re-checks format, schema version,
   key/meta identity (including the recorded code version) and payload
   CRC.  An entry that fails any check is *quarantined* — moved into
@@ -30,9 +32,12 @@ Telemetry: the ``on_event`` callback receives ``store.hit`` /
 :mod:`repro.obs.names`); the same counts accumulate in
 :attr:`ResultStore.counters` for ``cache stats``.
 
-Thread-safety: one internal lock serialises all operations; the
-campaign runners additionally confine store access to the coordinating
-thread (lookups before dispatch, commits after fold).
+Concurrency: one internal lock serialises a store object's operations;
+the campaign runners additionally confine store access to the
+coordinating thread (lookups before dispatch, commits as rows fold).
+Several processes may share one root without a lock: every entry
+commit is atomic, and an index that misses another process's entries
+is repaired against the object tree on the next open.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import StoreError, StoreIntegrityError
-from repro.faultinject.plan import maybe_inject
+from repro.store.durable import atomic_write, sweep_stale_tempfiles
 from repro.store.entry import decode_entry, encode_entry, entry_header
 from repro.store.index import StoreIndex
 from repro.store.keys import row_key, verdict_key
@@ -87,7 +92,7 @@ class ResultStore:
         self.quarantine_dir = self.root / "quarantine"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        self._sweep_stray_tmp()
+        sweep_stale_tempfiles(self.root)
         self.index = StoreIndex(self.root / "index.jsonl")
         self.index.reconcile(self._scan_objects())
 
@@ -95,14 +100,6 @@ class ResultStore:
 
     def _object_path(self, key: str) -> Path:
         return self.objects_dir / key[:2] / f"{key}.json"
-
-    def _sweep_stray_tmp(self) -> None:
-        """Delete tempfiles left by commits that never renamed."""
-        for stray in self.objects_dir.rglob("*.tmp"):
-            try:
-                stray.unlink()
-            except OSError:
-                pass
 
     def _scan_objects(self) -> Dict[str, int]:
         found: Dict[str, int] = {}
@@ -176,23 +173,7 @@ class ResultStore:
             text = encode_entry(key, meta, payload)
             path = self._object_path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / f"{key}.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "w") as handle:
-                    handle.write(text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                # Crash-during-commit injection point: after the bytes
-                # are durable in the tempfile, before the rename makes
-                # them visible.  A crash here must leave no entry.
-                maybe_inject("store.commit", benchmark=benchmark)
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():
-                    try:
-                        tmp.unlink()
-                    except OSError:
-                        pass
+            atomic_write(path, text, benchmark=benchmark)
             self.index.put(key, len(text.encode()))
             self.counters["puts"] += 1
             self._enforce_bound(protect=key, benchmark=benchmark)

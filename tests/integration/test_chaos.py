@@ -18,8 +18,7 @@ from repro.faultinject import (
     tear_entry,
 )
 from repro.sim import campaign as campaign_mod
-from repro.sim.campaign import run_campaign
-from repro.sim.checkpoint import serialize_row
+from repro.sim.campaign import run_campaign, serialize_row
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import run_campaign_parallel
 from repro.sim.resilience import RetryPolicy
@@ -171,22 +170,3 @@ def test_mid_campaign_death_leaves_partial_reusable_store(
     assert healed.health.cached == len(BENCHMARKS) - 1
     assert healed.health.recomputed == 1
     assert healed.health.consistent
-
-
-def test_checkpoint_and_store_compose(config, clean, tmp_path):
-    """Checkpoint resume + store cache account without double-counting."""
-    cache = tmp_path / "cache"
-    journal = tmp_path / "run.jsonl"
-    first = run_campaign(
-        config, retry=FAST_RETRY, checkpoint=journal, result_cache=cache
-    )
-    assert first.health.consistent
-    resumed = run_campaign(
-        config, retry=FAST_RETRY, checkpoint=journal, result_cache=cache
-    )
-    assert payloads(resumed) == payloads(clean)
-    health = resumed.health
-    assert health.consistent
-    assert health.cached == health.total
-    assert health.checkpoint_resumed == health.total
-    assert health.recomputed == 0

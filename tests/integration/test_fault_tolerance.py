@@ -1,25 +1,27 @@
 """End-to-end fault-tolerance tests: crash, hang, transient and resume.
 
 Every test asserts the *strong* property: a campaign that survived
-injected faults (or was interrupted and resumed) produces results
-bit-identical to an undisturbed run.  The serialisation layer is exact
+injected faults (or was interrupted and resumed from its result store)
+produces results bit-identical to an undisturbed run.  The serialisation layer is exact
 (all-integer payloads), so equality of serialised rows is equality of
 results.
 """
 
 import signal
 import sys
+import time
 
 import pytest
 
 from repro.errors import CampaignFailedError
 from repro.faultinject import FaultSpec, inject
 from repro.obs import Telemetry
-from repro.sim.campaign import run_campaign
-from repro.sim.checkpoint import serialize_row
+from repro.sim import parallel
+from repro.sim.campaign import run_campaign, serialize_row
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.parallel import run_campaign_parallel
 from repro.sim.resilience import RetryPolicy
+from repro.store import ResultStore, row_key
 
 BENCHMARKS = ("bwaves", "mcf", "gcc")
 
@@ -152,34 +154,37 @@ class TestProcessDeath:
         }
 
 
-class TestCheckpointResume:
+class TestResumeFromStore:
+    """Resume means re-running against the same result store."""
+
     def test_interrupted_then_resumed_is_bit_identical(
         self, config, clean, tmp_path
     ):
-        checkpoint = tmp_path / "campaign.jsonl"
+        store = tmp_path / "store"
         # First run: gcc permanently failing stands in for an interrupt —
-        # bwaves and mcf land in the journal, gcc does not.
+        # bwaves and mcf land in the store, gcc does not.
         with inject(
             FaultSpec(kind="transient", benchmark="gcc", until_attempt=99)
         ):
             partial = run_campaign(
                 config,
                 retry=RetryPolicy.none(),
-                checkpoint=checkpoint,
+                result_cache=store,
             )
         assert not partial.complete
         assert {row.benchmark for row in partial.rows} == {"bwaves", "mcf"}
 
-        # Second run: fault gone.  Only gcc re-runs; the journalled rows
+        # Second run: fault gone.  Only gcc re-runs; the stored rows
         # come back verbatim and the whole result matches a clean run.
         telemetry = Telemetry()
-        resumed = run_campaign(config, telemetry, checkpoint=checkpoint)
+        resumed = run_campaign(config, telemetry, result_cache=store)
         assert resumed.complete
         assert payloads(resumed) == payloads(clean)
-        assert telemetry.registry.value("checkpoint.resumed_rows") == 2
+        assert telemetry.registry.value("store.hit") == 2
+        assert (resumed.health.cached, resumed.health.recomputed) == (2, 1)
 
     def test_parallel_resume_is_bit_identical(self, config, clean, tmp_path):
-        checkpoint = tmp_path / "campaign.jsonl"
+        store = tmp_path / "store"
         with inject(
             FaultSpec(kind="transient", benchmark="mcf", until_attempt=99)
         ):
@@ -187,26 +192,53 @@ class TestCheckpointResume:
                 config,
                 processes=2,
                 retry=RetryPolicy.none(),
-                checkpoint=checkpoint,
+                result_cache=store,
             )
         telemetry = Telemetry()
         resumed = run_campaign_parallel(
-            config, processes=2, telemetry=telemetry, checkpoint=checkpoint
+            config, processes=2, telemetry=telemetry, result_cache=store
         )
         assert resumed.complete
         assert payloads(resumed) == payloads(clean)
-        assert telemetry.registry.value("checkpoint.resumed_rows") == 2
+        assert telemetry.registry.value("store.hit") == 2
 
-    def test_completed_checkpoint_reruns_nothing(self, config, clean, tmp_path):
-        checkpoint = tmp_path / "campaign.jsonl"
-        run_campaign(config, checkpoint=checkpoint)
+    def test_completed_store_reruns_nothing(self, config, clean, tmp_path):
+        store = tmp_path / "store"
+        run_campaign(config, result_cache=store)
         # A permanent wildcard fault proves no benchmark actually re-runs.
         with inject(FaultSpec(kind="transient", until_attempt=99)):
             resumed = run_campaign(
-                config, retry=RetryPolicy.none(), checkpoint=checkpoint
+                config, retry=RetryPolicy.none(), result_cache=store
             )
         assert resumed.complete
         assert payloads(resumed) == payloads(clean)
+
+    def test_parallel_rows_are_stored_before_the_last_job_ends(
+        self, config, clean, tmp_path, monkeypatch
+    ):
+        """A killed ``--processes N`` run keeps every row folded so far."""
+        store = ResultStore(tmp_path / "store")
+        earlier = [
+            store._object_path(row_key(config, benchmark)[0])
+            for benchmark in BENCHMARKS[:-1]
+        ]
+        seen = []
+        supervise = parallel._supervise_job
+
+        def last_job_waits(benchmark, *args, **kwargs):
+            if benchmark == BENCHMARKS[-1]:
+                deadline = time.monotonic() + 30.0
+                while not all(path.exists() for path in earlier):
+                    if time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
+                seen.append(all(path.exists() for path in earlier))
+            return supervise(benchmark, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_supervise_job", last_job_waits)
+        result = run_campaign_parallel(config, processes=2, result_cache=store)
+        assert seen == [True]
+        assert payloads(result) == payloads(clean)
 
 
 class TestDeterministicOrdering:

@@ -102,6 +102,28 @@ class TestAppendRead:
         assert len(entries) == 1
         assert skipped and skipped[0][0] == 2
 
+    def test_append_after_a_torn_tail_is_kept(self, ledger_path):
+        for hour in (10, 11):
+            append_run(
+                ledger_path,
+                make_record({"wg": 4.0}, timestamp=f"2026-08-08T{hour}:00:00"),
+            )
+        # A crash tore run 2: cut its line 25 bytes short.
+        ledger_path.write_bytes(ledger_path.read_bytes()[:-25])
+        append_run(
+            ledger_path, make_record({"wg": 5.0}, timestamp="2026-08-08T12:00:00")
+        )
+        skipped = []
+        entries = read_ledger(
+            ledger_path, on_skip=lambda n, why: skipped.append(n)
+        )
+        assert [entry.timestamp_utc for entry in entries] == [
+            "2026-08-08T10:00:00",
+            "2026-08-08T12:00:00",
+        ]
+        assert skipped == [2]
+        assert ledger_path.read_text().count("\n") == 3  # no blank line
+
     def test_future_schema_is_skipped_not_guessed(self, ledger_path):
         append_run(ledger_path, make_record({"wg": 4.0}))
         future = make_record({"wg": 9.9})

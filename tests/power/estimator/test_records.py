@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cache.config import BASELINE_GEOMETRY
+from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
 from repro.obs.telemetry import Telemetry
 from repro.power.estimator import (
     Estimation,
@@ -101,6 +101,28 @@ class TestDamage:
         assert len(reloaded) == 1
         assert reloaded.counters["skipped_lines"] == 1
         assert reloaded.get(key) is not None
+
+    def test_put_after_a_torn_tail_is_kept(self, tmp_path):
+        keys = [
+            record_key("library", EstimationQuery.area(geometry))
+            for geometry in (
+                BASELINE_GEOMETRY,
+                CacheGeometry(32 * 1024, 4, 32),
+                CacheGeometry(16 * 1024, 2, 32),
+            )
+        ]
+        cache = EstimationRecordCache(tmp_path)
+        for number, (key, meta) in enumerate(keys[:2], start=1):
+            cache.put(key, meta, _estimation(float(number)))
+        # A crash tore record 2: cut its line 25 bytes short.
+        cache.path.write_bytes(cache.path.read_bytes()[:-25])
+        key, meta = keys[2]
+        EstimationRecordCache(tmp_path).put(key, meta, _estimation(3.0))
+        reloaded = EstimationRecordCache(tmp_path)
+        assert reloaded.counters["skipped_lines"] == 1
+        assert reloaded.get(keys[0][0])["total_fj"] == 1.0
+        assert reloaded.get(keys[1][0]) is None
+        assert reloaded.get(keys[2][0])["total_fj"] == 3.0
 
     def test_tampered_meta_fails_digest_check(self, tmp_path):
         key, meta = record_key("library", _query())

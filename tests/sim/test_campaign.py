@@ -1,9 +1,18 @@
 """Unit tests for the campaign runner (kept small and fast)."""
 
+import dataclasses
+import json
+
 import pytest
 
-from repro.cache.config import CacheGeometry
-from repro.sim.campaign import run_campaign, run_geometry_sweep
+from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
+from repro.sim.campaign import (
+    deserialize_row,
+    execute_row,
+    run_campaign,
+    run_geometry_sweep,
+    serialize_row,
+)
 from repro.sim.experiment import ExperimentConfig
 
 BENCHMARKS = ("bwaves", "mcf", "gcc")
@@ -56,6 +65,34 @@ class TestCampaign:
         for row in campaign.rows:
             for result in row.results.values():
                 assert result.requests == expected
+
+
+class TestRowSerialisation:
+    def test_roundtrip_is_exact(self):
+        config = ExperimentConfig(
+            geometry=BASELINE_GEOMETRY,
+            benchmarks=("bwaves", "mcf"),
+            techniques=("rmw", "wg"),
+            accesses_per_benchmark=1500,
+            seed=11,
+        )
+        row = execute_row("bwaves", config)
+        payload = serialize_row(row)
+        # Must survive an actual JSON encode/decode, as the store does.
+        restored = deserialize_row(json.loads(json.dumps(payload)))
+        assert restored.benchmark == row.benchmark
+        assert set(restored.results) == set(row.results)
+        for technique, result in row.results.items():
+            other = restored.results[technique]
+            assert dataclasses.asdict(other.counts) == dataclasses.asdict(
+                result.counts
+            )
+            assert other.events.to_dict() == result.events.to_dict()
+            assert dataclasses.asdict(other.cache_stats) == dataclasses.asdict(
+                result.cache_stats
+            )
+            assert other.geometry == result.geometry
+            assert other.requests == result.requests
 
 
 class TestGeometrySweep:

@@ -140,7 +140,6 @@ class TestExecutionPolicy:
     def test_default_policy(self):
         policy = active_policy()
         assert policy.strict is False
-        assert policy.checkpoint is None
 
     def test_stacking(self):
         inner = ExecutionPolicy(strict=True, processes=4)

@@ -6,18 +6,9 @@ from repro.sram.timing import PhaseTiming
 
 
 class TestDefaults:
-    def test_rmw_is_serial_read_plus_write(self):
-        timing = PhaseTiming()
-        assert timing.rmw_cycles == (
-            timing.array_read_cycles
-            + timing.array_write_cycles
-            + timing.rmw_extra_cycles
-        )
-
     def test_buffer_faster_than_array(self):
         """Section 5.5 premise: Set-Buffer access beats array access."""
         timing = PhaseTiming()
-        assert timing.set_buffer_cycles < timing.rmw_cycles
         assert timing.set_buffer_cycles <= timing.array_read_cycles
 
 
@@ -25,10 +16,6 @@ class TestValidation:
     def test_zero_read_rejected(self):
         with pytest.raises(ValueError):
             PhaseTiming(array_read_cycles=0)
-
-    def test_negative_rmw_extra_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseTiming(rmw_extra_cycles=-1)
 
     def test_slow_buffer_rejected(self):
         with pytest.raises(ValueError, match="Set-Buffer"):
@@ -38,7 +25,10 @@ class TestValidation:
         timing = PhaseTiming(
             array_read_cycles=3,
             array_write_cycles=4,
-            rmw_extra_cycles=2,
             set_buffer_cycles=1,
         )
-        assert timing.rmw_cycles == 9
+        assert (
+            timing.array_read_cycles,
+            timing.array_write_cycles,
+            timing.set_buffer_cycles,
+        ) == (3, 4, 1)

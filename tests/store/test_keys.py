@@ -4,12 +4,13 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.cache.config import BASELINE_GEOMETRY
+from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
 from repro.sim.experiment import ExperimentConfig
 from repro.store.keys import (
     FINGERPRINT_LENGTH,
     digest,
     profile_fingerprint,
+    row_config_fingerprint,
     row_key,
     workload_fingerprint,
 )
@@ -80,3 +81,51 @@ class TestRowKey:
         assert key == self.PINNED[name]
         expected = digest(asdict(get_profile(name)))[:FINGERPRINT_LENGTH]
         assert meta["workload"] == expected
+
+
+def small_config(**overrides):
+    defaults = dict(
+        geometry=BASELINE_GEOMETRY,
+        benchmarks=("bwaves", "mcf"),
+        techniques=("rmw", "wg"),
+        accesses_per_benchmark=1500,
+        seed=11,
+    )
+    defaults.update(overrides)
+    return ExperimentConfig(**defaults)
+
+
+class TestRowConfigFingerprint:
+    """A resumed campaign finds its rows only if the key is stable."""
+
+    def test_stable_across_calls(self):
+        assert row_config_fingerprint(small_config()) == row_config_fingerprint(
+            small_config()
+        )
+
+    def test_order_insensitive(self):
+        one = small_config(benchmarks=("bwaves", "mcf"), techniques=("rmw", "wg"))
+        two = small_config(benchmarks=("mcf", "bwaves"), techniques=("wg", "rmw"))
+        assert row_config_fingerprint(one) == row_config_fingerprint(two)
+
+    def test_benchmark_list_excluded(self):
+        subset = small_config(benchmarks=("bwaves",))
+        assert row_key(small_config(), "bwaves") == row_key(subset, "bwaves")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": 12},
+            {"accesses_per_benchmark": 2000},
+            {"techniques": ("rmw",)},
+            {
+                "geometry": CacheGeometry(
+                    size_bytes=16 * 1024, associativity=4, block_bytes=64
+                )
+            },
+        ],
+    )
+    def test_sensitive_to_config(self, overrides):
+        assert row_config_fingerprint(small_config()) != row_config_fingerprint(
+            small_config(**overrides)
+        )

@@ -336,76 +336,25 @@ class TestErrorHandling:
                 ]
             )
 
-    def test_stale_checkpoint_exits_3(self, capsys, tmp_path):
-        checkpoint = tmp_path / "run.jsonl"
-        base = [
-            "compare",
-            "mcf",
-            "--accesses",
-            "1000",
-            "--techniques",
-            "rmw",
-            "wg",
-            "--checkpoint",
-            str(checkpoint),
-        ]
-        assert main(base) == 0
-        # Same journal file, different config: stale.
-        code = main(
-            [
-                "compare",
-                "mcf",
-                "--accesses",
-                "2000",
-                "--techniques",
-                "rmw",
-                "wg",
-                "--checkpoint",
-                str(checkpoint),
-            ]
-        )
-        assert code == 3
-        assert "stale checkpoint" in capsys.readouterr().err
-
 
 class TestResilienceFlags:
-    def test_compare_checkpoint_resume_identical_output(self, capsys, tmp_path):
-        checkpoint = tmp_path / "cmp.jsonl"
-        argv = [
-            "compare",
-            "bwaves",
-            "--accesses",
-            "2000",
-            "--techniques",
-            "rmw",
-            "wg",
-            "--checkpoint",
-            str(checkpoint),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert checkpoint.exists()
-
-    def test_figure_with_retries_and_checkpoint_dir(self, capsys, tmp_path):
-        checkpoint_dir = tmp_path / "ckpts"
+    def test_figure_with_retries_and_result_cache_dir(self, capsys, tmp_path):
+        store_dir = tmp_path / "store"
         argv = [
             "figure",
-            "fig9",  # campaign-backed, so the checkpoint journals rows
+            "fig9",  # campaign-backed, so the store receives rows
             "--accesses",
             "1500",
             "--benchmarks",
             "bwaves",
             "--retries",
             "2",
-            "--checkpoint",
-            str(checkpoint_dir),
+            "--result-cache",
+            str(store_dir),
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert list(checkpoint_dir.glob("*.jsonl"))
+        assert list((store_dir / "objects").rglob("*.json"))
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 

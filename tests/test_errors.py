@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import (
     CampaignFailedError,
-    CheckpointError,
     ConfigurationError,
     PortConflictError,
     ReproError,
@@ -29,7 +28,6 @@ class TestHierarchy:
             PortConflictError,
             WorkerTimeoutError,
             WorkerCrashError,
-            CheckpointError,
             CampaignFailedError,
         ):
             assert issubclass(exc_type, ReproError)
@@ -54,11 +52,6 @@ class TestHierarchy:
         from repro.faultinject import InjectedFaultError
 
         assert issubclass(InjectedFaultError, SimulationError)
-
-    def test_checkpoint_error_not_retryable(self):
-        # A stale checkpoint is an operator problem; retrying cannot fix
-        # it, so it must not look like a simulation failure.
-        assert not issubclass(CheckpointError, SimulationError)
 
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):
@@ -130,14 +123,6 @@ class TestRaisedFromDocumentedSite:
 
         with pytest.raises(WorkerCrashError):
             run_supervised(os._exit, 7)
-
-    def test_checkpoint_error_from_stale_journal(self, tmp_path):
-        from repro.sim.checkpoint import CheckpointJournal
-
-        path = tmp_path / "run.jsonl"
-        CheckpointJournal.open(path, "campaign", "a" * 64).close()
-        with pytest.raises(CheckpointError, match="stale"):
-            CheckpointJournal.open(path, "campaign", "b" * 64)
 
     def test_campaign_failed_error_from_strict_campaign(self, monkeypatch):
         from repro.faultinject import FaultSpec, inject
