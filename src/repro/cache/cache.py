@@ -29,7 +29,8 @@ columnar engine's kernels require stamp-LRU and check
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import repeat
+from typing import Any, List, Optional
 
 from repro.cache.address import AddressMapper
 from repro.cache.config import CacheGeometry
@@ -45,6 +46,11 @@ __all__ = ["SetAssociativeCache", "AccessResult"]
 #: Invalid-way sentinel in the tag slots.  Tags are masked to
 #: ``tag_bits`` bits and therefore never negative.
 _NO_TAG = -1
+
+
+def _copies(row: List[Any], count: int) -> List[List[Any]]:
+    """``count`` independent copies of ``row`` (one slot array per set)."""
+    return list(map(list, repeat(row, count)))
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,10 @@ class SetAssociativeCache:
         self._ways = ways
         self._wpb = wpb
         self._codec = geometry.codec
-        self._tags: List[List[int]] = [[_NO_TAG] * ways for _ in range(num_sets)]
-        self._dirty: List[List[bool]] = [[False] * ways for _ in range(num_sets)]
-        self._data: List[List[int]] = [[0] * (ways * wpb) for _ in range(num_sets)]
-        self._stamps: List[List[int]] = [[0] * ways for _ in range(num_sets)]
+        self._tags: List[List[int]] = _copies([_NO_TAG] * ways, num_sets)
+        self._dirty: List[List[bool]] = _copies([False] * ways, num_sets)
+        self._data: List[List[int]] = _copies([0] * (ways * wpb), num_sets)
+        self._stamps: List[List[int]] = _copies([0] * ways, num_sets)
         self._tick = 1
 
         self._policies: Optional[List[ReplacementPolicy]]
@@ -272,6 +278,10 @@ class SetAssociativeCache:
         return [
             tag if tag != _NO_TAG else None for tag in self._tags[set_index]
         ]
+
+    def tag_slots(self) -> List[List[int]]:
+        """Copy of every set's tag slots, ``-1`` for an invalid way."""
+        return [list(tags) for tags in self._tags]
 
     def flush_all_dirty(self) -> int:
         """Write every dirty block to memory (end-of-run drain for oracles).

@@ -17,7 +17,12 @@ columnar run does too, and the two must agree on :func:`observed_state`
 So does the timing leg: :class:`repro.perf.timing.TimingSimulator`, at
 the case's batch size, must match every :class:`PerfResult` field of
 :func:`repro.check.timing.reference_timing`, the per-access schedule
-over the scalar run's outcomes.
+over the scalar run's outcomes.  For RMW, WG and WG+RB at default knobs
+(no miss-traffic accounting; for the WG family silent-write detection
+on and one Set-Buffer entry) the leg also derives the technique from a
+conventional replay (:mod:`repro.perf.derive`) and holds the derived
+:class:`PerfResult` to the same reference, and its events, counts and
+statistics to the scalar run's, never to conventional's.
 The return value is a flat list of human-readable divergence strings —
 empty means the models agree on everything.
 """
@@ -35,6 +40,7 @@ from repro.check.timing import reference_timing
 from repro.core.registry import make_controller
 from repro.obs.sampler import IntervalSampler, IntervalSnapshot
 from repro.obs.telemetry import Telemetry
+from repro.perf.derive import DERIVED_TECHNIQUES
 from repro.perf.timing import TimingSimulator
 from repro.sim.simulator import Simulator
 from repro.trace.record import MemoryAccess
@@ -189,15 +195,37 @@ def run_differential(
     )
 
     # -- per-access timing reference vs the vectorised schedule -------------
+    reference = _as_dict(reference_timing(trace, outcomes, controller))
     divergences += _diff_mapping(
         "reference-vs-timing",
-        _as_dict(reference_timing(trace, outcomes, controller)),
+        reference,
         _as_dict(
             TimingSimulator(
                 technique, geometry, batch_size=batch_size, **kwargs
             ).run(trace)
         ),
     )
+    at_default_knobs = kwargs == _controller_kwargs(technique, False, True, 1)
+    if technique in DERIVED_TECHNIQUES and at_default_knobs:
+        traversal = TimingSimulator("conventional", geometry, batch_size=batch_size)
+        traversal.run(trace, (technique,))
+        perf, derived = traversal.replays[technique]
+        divergences += _diff_mapping("reference-vs-derived", reference, _as_dict(perf))
+        divergences += _diff_mapping(
+            "scalar-vs-derived events",
+            controller.events.to_dict(),
+            derived.events.to_dict(),
+        )
+        divergences += _diff_mapping(
+            "scalar-vs-derived counts",
+            _as_dict(controller.counts),
+            _as_dict(derived.counts),
+        )
+        divergences += _diff_mapping(
+            "scalar-vs-derived stats",
+            _as_dict(cache.stats),
+            _as_dict(derived.cache_stats),
+        )
 
     # -- oracle vs scalar ---------------------------------------------------
     if technique in ORACLE_TECHNIQUES:

@@ -71,6 +71,17 @@ in the scalar outcomes.  A chunk no kernel handles runs per access
 through ``process()`` and reads each code off the outcome.  Campaign
 rows pass no array, so the kernels only test one local flag at those
 sites.
+
+Miss trail
+----------
+The timing model's conventional replay also passes a ``misses`` array,
+set at each request that missed the cache; RMW, WG and WG+RB are then
+derived from that one replay (:mod:`repro.perf.derive`).  The plain
+kernel notes a miss by its run's final position, the one position its
+loop sees, and maps each back to the run's first record after the
+loop; no other path keeps a trail.  The closing arithmetic of both kernels is one function per
+technique family (:func:`credit_plain`, :func:`credit_set_buffer`,
+:func:`credit_miss_traffic`), which the derivation calls too.
 """
 
 from __future__ import annotations
@@ -105,6 +116,8 @@ from repro.trace.record import AccessType, MemoryAccess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.controller import CacheController
+    from repro.core.outcomes import OperationCounts
+    from repro.sram.events import SRAMEventLog
 
 # Bound as ``Any``: the array code here is pinned by the differential
 # suite, and NumPy's stubs would only add casts.
@@ -112,7 +125,11 @@ np: Any = numpy
 
 __all__ = [
     "ColumnarChunk",
+    "credit_miss_traffic",
+    "credit_plain",
+    "credit_set_buffer",
     "iter_chunks",
+    "plain_port_codes",
     "process_chunk",
     "split_addresses",
 ]
@@ -120,7 +137,9 @@ __all__ = [
 _NO_TAG = -1
 _WRITE = AccessType.WRITE
 
-_Kernel = Callable[[Any, "ColumnarChunk", Optional[Any]], None]
+#: ``kernel(controller, chunk, codes[, misses])``: ``misses`` is passed
+#: only when a caller asks for the miss trail.
+_Kernel = Callable[..., None]
 
 
 def split_addresses(
@@ -241,12 +260,14 @@ def _grouped_projection(chunk: ColumnarChunk) -> Any:
     reads drop out entirely.
 
     Returns ``(set_l, pos_l, flag_l, tag_l, word_l, val_l, fword_l,
-    writes)``: plain-int lists over the kept records (run-firsts plus
-    writes), where ``pos_l`` is the run-final chunk position (the
+    runs, writes)``: plain-int lists over the kept records (run-firsts
+    plus writes), where ``pos_l`` is the run-final chunk position (the
     kernel adds its tick base), ``flag_l`` packs the record's kind in
     bit 0 and "run contains a write" in bit 1, ``fword_l`` is the first
     word-store index of the record's block (the fill path's memory
-    address, ``WORD_BYTES == 8``), and ``writes`` counts writes in the
+    address, ``WORD_BYTES == 8``), ``runs`` is ``(order, run_starts,
+    run_end)`` — the sort and each run's first and last sorted index,
+    kept for the miss trail — and ``writes`` counts writes in the
     whole chunk.  Everything here depends only on the trace data and
     the chunk's geometry — never on cache or controller state — so the
     result is cached on the chunk and shared by every technique that
@@ -286,6 +307,7 @@ def _grouped_projection(chunk: ColumnarChunk) -> Any:
         chunk.values.take(sel).tolist(),
         ((chunk.addresses.take(sel) >> 3).astype(np.int64) & ~(wpb - 1))
         .tolist(),
+        (order, run_starts, run_end),
         int(np.count_nonzero(k_sorted)),
     )
 
@@ -337,6 +359,7 @@ def process_chunk(
     controller: "CacheController",
     chunk: ColumnarChunk,
     codes: Optional[Any] = None,
+    misses: Optional[Any] = None,
 ) -> int:
     """Run one chunk through the columnar kernels; returns records consumed.
 
@@ -349,6 +372,9 @@ def process_chunk(
     port-operation code (:meth:`AccessOutcome.port_code`, the timing
     model's input).  The kernels write it from the access kind and their
     event sites; a chunk run per access takes each code from the outcome.
+    ``misses``, a zeroed bool array of ``len(chunk)``, is set at each
+    request that missed the cache (the miss trail); only the plain
+    kernel keeps one.
     """
     if controller._finalized:  # noqa: SLF001 - engine contract
         raise StateError("controller already finalized")
@@ -361,6 +387,11 @@ def process_chunk(
     if n == 0:
         return 0
     kernel = _kernel_for(controller)
+    if misses is not None and kernel is not _process_chunk_plain:
+        raise ValidationError(
+            f"{controller.name}: only the conventional and RMW kernel "
+            "keeps a miss trail"
+        )
     if kernel is None:
         records = TraceColumns(
             chunk.icounts, chunk.kinds, chunk.addresses, chunk.values
@@ -373,8 +404,11 @@ def process_chunk(
             for i, access in enumerate(records):
                 codes[i] = process(access).port_code(access.is_read)
         return n
+    # The trail rides as a fourth argument only when asked for: the WG
+    # kernel (which the check campaign patches) takes three.
+    trail = () if misses is None else (misses,)
     if not controller._obs:  # noqa: SLF001
-        kernel(controller, chunk, codes)
+        kernel(controller, chunk, codes, *trail)
         return n
     # Metrics-only telemetry: credit the registry after each kernel
     # call, and end each call at the sampler's next window boundary so
@@ -387,12 +421,13 @@ def process_chunk(
             stop = min(n, start + sampler.remaining(controller.name))
         marks = controller._telemetry_marks()  # noqa: SLF001
         if stop - start == n:
-            kernel(controller, chunk, codes)
+            kernel(controller, chunk, codes, *trail)
         else:
             kernel(
                 controller,
                 chunk[start:stop],
                 None if codes is None else codes[start:stop],
+                *(part[start:stop] for part in trail),
             )
         controller._add_telemetry_deltas(marks)  # noqa: SLF001
         if sampler is not None:
@@ -426,7 +461,10 @@ def _kernel_for(controller: "CacheController") -> Optional[_Kernel]:
 
 
 def _process_chunk_plain(
-    controller: "CacheController", chunk: ColumnarChunk, codes: Optional[Any]
+    controller: "CacheController",
+    chunk: ColumnarChunk,
+    codes: Optional[Any],
+    misses: Optional[Any] = None,
 ) -> None:
     """Columnar kernel shared by the conventional and RMW controllers.
 
@@ -456,10 +494,12 @@ def _process_chunk_plain(
     word_range = range(wpb)
     n = len(chunk)
 
-    set_l, pos_l, flag_l, tag_l, word_l, val_l, fword_l, writes = (
+    set_l, pos_l, flag_l, tag_l, word_l, val_l, fword_l, runs, writes = (
         chunk.grouped()
     )
     mem_get = mem_words.get
+    record_misses = misses is not None
+    miss_finals = []  # run-final position of each miss, when recorded
 
     # Hits need no counting in the loop: they are derived at flush time
     # from the vectorized totals minus the (rare) miss counters.
@@ -504,6 +544,8 @@ def _process_chunk_plain(
                 write_misses += 1
             else:
                 read_misses += 1
+            if record_misses:
+                miss_finals.append(pos)
             if _NO_TAG in tags:
                 way = tags.index(_NO_TAG)
                 base = way * wpb
@@ -534,35 +576,63 @@ def _process_chunk_plain(
                 data[last_base + w] = v
 
     if codes is not None:
-        # A read takes the read port; a write the write port, behind
-        # its read phase under RMW.
-        codes[:] = np.where(
-            chunk.kinds, PORT_READ | PORT_WRITE if is_rmw else PORT_WRITE, PORT_READ
-        )
+        codes[:] = plain_port_codes(chunk.kinds, is_rmw)
+    if misses is not None and miss_finals:
+        order, run_starts, run_end = runs
+        run_first = np.empty(n, dtype=np.int64)
+        run_first[order[run_end]] = order[run_starts]
+        misses[run_first[miss_finals]] = True
     reads = n - writes
-    read_hits = reads - read_misses
-    write_hits = writes - write_misses
     block_reads = read_misses + write_misses
-    block_writes = dirty_evictions
-    mt_fills = block_reads if count_mt else 0
-    mt_dirty = dirty_evictions
     cache._tick = tick0 + n  # noqa: SLF001
     controller._current_icount = int(chunk.icounts[-1])  # noqa: SLF001
     memory.block_reads += block_reads
-    memory.block_writes += block_writes
-    counts = controller.counts
-    counts.read_requests += reads
-    counts.write_requests += writes
+    memory.block_writes += dirty_evictions
     stats = cache.stats
-    stats.read_hits += read_hits
-    stats.write_hits += write_hits
+    stats.read_hits += reads - read_misses
+    stats.write_hits += writes - write_misses
     stats.read_misses += read_misses
     stats.write_misses += write_misses
     stats.evictions += evictions
     stats.dirty_evictions += dirty_evictions
     events = controller.events
+    counts = controller.counts
     row_words = controller._row_words  # noqa: SLF001
-    if is_rmw:
+    credit_plain(events, counts, reads, writes, is_rmw, row_words)
+    if count_mt:
+        credit_miss_traffic(
+            events, counts, block_reads, dirty_evictions, row_words, wpb
+        )
+
+
+def plain_port_codes(kinds: Any, rmw: bool) -> Any:
+    """Port-operation codes of the conventional or RMW controller.
+
+    A read takes the read port; a write the write port, behind its read
+    phase under RMW.
+    """
+    return np.where(kinds, PORT_READ | PORT_WRITE if rmw else PORT_WRITE, PORT_READ)
+
+
+def credit_plain(
+    events: "SRAMEventLog",
+    counts: "OperationCounts",
+    reads: int,
+    writes: int,
+    rmw: bool,
+    row_words: int,
+) -> None:
+    """Credit ``reads`` and ``writes`` requests of the conventional or
+    RMW controller.
+
+    A read is one row read routing one word.  A conventional write is
+    one row write driving one word.  An RMW write reads its whole row
+    into the write-back latches and writes it back (paper Section 2):
+    one more row read per write, and every column driven.
+    """
+    counts.read_requests += reads
+    counts.write_requests += writes
+    if rmw:
         counts.rmw_operations += writes
         events.rmw_operations += writes
         events.precharges += reads + writes
@@ -580,16 +650,27 @@ def _process_chunk_plain(
         events.wwl_pulses += writes
         events.row_writes += writes
         events.words_driven += writes
-    if count_mt and mt_fills:
-        events.rmw_operations += mt_fills
-        events.precharges += mt_dirty + mt_fills
-        events.rwl_pulses += mt_dirty + mt_fills
-        events.row_reads += mt_dirty + mt_fills
-        events.words_routed += mt_dirty * wpb + mt_fills * row_words
-        events.wwl_pulses += mt_fills
-        events.row_writes += mt_fills
-        events.words_driven += mt_fills * row_words
-        counts.rmw_operations += mt_fills
+
+
+def credit_miss_traffic(
+    events: "SRAMEventLog",
+    counts: "OperationCounts",
+    fills: int,
+    dirty_evictions: int,
+    row_words: int,
+    block_words: int,
+) -> None:
+    """Charge miss traffic under ``count_miss_traffic``: each block fill
+    as an RMW, each dirty eviction as a row read of the victim block."""
+    events.rmw_operations += fills
+    events.precharges += dirty_evictions + fills
+    events.rwl_pulses += dirty_evictions + fills
+    events.row_reads += dirty_evictions + fills
+    events.words_routed += dirty_evictions * block_words + fills * row_words
+    events.wwl_pulses += fills
+    events.row_writes += fills
+    events.words_driven += fills * row_words
+    counts.rmw_operations += fills
 
 
 def _process_chunk_wg(
@@ -673,7 +754,6 @@ def _process_chunk_wg(
 
     reads = 0  # read requests
     read_hits = 0  # of which cache hits
-    row_reads = 0  # reads served by an array row read (1 word routed)
     bypassed = 0  # reads served from the Set-Buffer (WG+RB only)
     writes = 0  # write requests
     write_hits = 0  # of which cache hits
@@ -692,7 +772,6 @@ def _process_chunk_wg(
         if not kind_l[i]:
             # Read request.
             reads += 1
-            row_reads += 1
             if t in tags:
                 read_hits += 1
                 way = tags.index(t)
@@ -701,7 +780,6 @@ def _process_chunk_wg(
                     # Tag-Buffer hit (implied: buffered tags equal the
                     # cache tags while the set stays buffered).
                     if bypass_reads:
-                        row_reads -= 1
                         bypassed += 1
                         if record:
                             code_l[i] = PORT_BYPASS
@@ -919,22 +997,6 @@ def _process_chunk_wg(
     block_reads = read_misses + write_misses
     memory.block_reads += block_reads
     memory.block_writes += dirty_evictions
-    mt_fills = block_reads if count_mt else 0
-    mt_dirty = dirty_evictions
-    counts = controller.counts
-    counts.read_requests += reads
-    counts.write_requests += writes
-    counts.grouped_writes += grouped
-    counts.silent_writes_detected += silent
-    counts.bypassed_reads += bypassed
-    counts.set_buffer_fills += buffer_fills
-    counts.premature_writebacks += premature_wb
-    counts.eviction_writebacks += eviction_wb
-    counts.fill_flush_writebacks += fill_flush_wb
-    counts.dirty_residency_total += residency_total
-    if residency_max > counts.dirty_residency_max:
-        counts.dirty_residency_max = residency_max
-    counts.dirty_windows += windows
     stats = cache.stats
     stats.read_hits += read_hits
     stats.write_hits += write_hits
@@ -943,23 +1005,80 @@ def _process_chunk_wg(
     stats.evictions += evictions
     stats.dirty_evictions += dirty_evictions
     events = controller.events
-    wb_row_writes = premature_wb + eviction_wb + fill_flush_wb
-    events.precharges += row_reads + buffer_fills
-    events.rwl_pulses += row_reads + buffer_fills
-    events.row_reads += row_reads + buffer_fills
-    events.words_routed += row_reads + buffer_fills * row_words
-    events.wwl_pulses += wb_row_writes
-    events.row_writes += wb_row_writes
-    events.words_driven += wb_row_writes * row_words
+    counts = controller.counts
+    credit_set_buffer(
+        events,
+        counts,
+        row_words,
+        reads=reads,
+        bypassed=bypassed,
+        writes=writes,
+        grouped=grouped,
+        silent=silent,
+        fills=buffer_fills,
+        premature=premature_wb,
+        eviction=eviction_wb,
+        fill_flush=fill_flush_wb,
+        residency_total=residency_total,
+        residency_max=residency_max,
+        windows=windows,
+    )
+    if count_mt:
+        credit_miss_traffic(
+            events, counts, block_reads, dirty_evictions, row_words, wpb
+        )
+
+
+def credit_set_buffer(
+    events: "SRAMEventLog",
+    counts: "OperationCounts",
+    row_words: int,
+    *,
+    reads: int,
+    bypassed: int,
+    writes: int,
+    grouped: int,
+    silent: int,
+    fills: int,
+    premature: int,
+    eviction: int,
+    fill_flush: int,
+    residency_total: int,
+    residency_max: int,
+    windows: int,
+    final: int = 0,
+) -> None:
+    """Credit the requests and Set-Buffer traffic of a WG-family run.
+
+    A read the Set-Buffer did not serve (``bypassed``) is one row read
+    routing one word; a buffer fill reads a whole row; each write-back
+    (``premature``, ``eviction``, ``fill_flush`` and the end-of-run
+    ``final``) is a full-row write; every write merges into the
+    buffer.  The residency arguments are the dirty windows those
+    write-backs closed.
+    """
+    counts.read_requests += reads
+    counts.write_requests += writes
+    counts.grouped_writes += grouped
+    counts.silent_writes_detected += silent
+    counts.bypassed_reads += bypassed
+    counts.set_buffer_fills += fills
+    counts.premature_writebacks += premature
+    counts.eviction_writebacks += eviction
+    counts.fill_flush_writebacks += fill_flush
+    counts.final_writebacks += final
+    counts.dirty_residency_total += residency_total
+    if residency_max > counts.dirty_residency_max:
+        counts.dirty_residency_max = residency_max
+    counts.dirty_windows += windows
+    row_reads = reads - bypassed + fills
+    row_writes = premature + eviction + fill_flush + final
+    events.precharges += row_reads
+    events.rwl_pulses += row_reads
+    events.row_reads += row_reads
+    events.words_routed += reads - bypassed + fills * row_words
+    events.wwl_pulses += row_writes
+    events.row_writes += row_writes
+    events.words_driven += row_writes * row_words
     events.set_buffer_reads += bypassed
     events.set_buffer_writes += writes
-    if count_mt and mt_fills:
-        events.rmw_operations += mt_fills
-        events.precharges += mt_dirty + mt_fills
-        events.rwl_pulses += mt_dirty + mt_fills
-        events.row_reads += mt_dirty + mt_fills
-        events.words_routed += mt_dirty * wpb + mt_fills * row_words
-        events.wwl_pulses += mt_fills
-        events.row_writes += mt_fills
-        events.words_driven += mt_fills * row_words
-        counts.rmw_operations += mt_fills

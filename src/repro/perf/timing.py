@@ -40,13 +40,18 @@ leave no int64 headroom, raises instead of scheduling.  Controllers
 with per-sub-array ports (``rmw_local``) scan each sub-array on its
 own.  An RMW's write phase starts when its read phase finishes; no
 extra serial delay is charged between them.
+
+A conventional run can also derive RMW, WG and WG+RB from its own
+cache traversal (``run(trace, derive)``, :mod:`repro.perf.derive`);
+:func:`timed_replay` serves the paper's four techniques that way, one
+traversal per (trace, geometry, timing).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy
 
@@ -66,6 +71,7 @@ from repro.errors import (
     TypeContractError,
     ValidationError,
 )
+from repro.perf.derive import DERIVED_TECHNIQUES, Traversal, derive_replays
 from repro.sim.simulator import SimulationResult
 from repro.sram.timing import PhaseTiming
 from repro.trace.record import MemoryAccess
@@ -77,6 +83,7 @@ from repro.utils.memo import scope_memo
 np: Any = numpy
 
 __all__ = [
+    "PAPER_TECHNIQUES",
     "PerfResult",
     "TimingSimulator",
     "evaluate_performance",
@@ -84,6 +91,9 @@ __all__ = [
 ]
 
 _INT64_MAX = 2**63 - 1
+
+#: The paper's techniques: one conventional replay yields all four.
+PAPER_TECHNIQUES = ("conventional",) + DERIVED_TECHNIQUES
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,9 @@ class TimingSimulator:
             self.controller, "write_cycle_factor", 1
         )
         self._result: Optional[SimulationResult] = None
+        #: Technique -> ``(PerfResult, SimulationResult)`` of the last
+        #: :meth:`run`: this controller's and each derived technique's.
+        self.replays: Dict[str, Tuple[PerfResult, SimulationResult]] = {}
 
     @property
     def result(self) -> SimulationResult:
@@ -154,52 +167,112 @@ class TimingSimulator:
             raise StateError("TimingSimulator.run() has not run yet")
         return self._result
 
-    def run(self, trace: Iterable[MemoryAccess]) -> PerfResult:
+    def run(
+        self, trace: Iterable[MemoryAccess], derive: Sequence[str] = ()
+    ) -> PerfResult:
+        """Replay ``trace`` and schedule it; returns the :class:`PerfResult`.
+
+        ``derive`` names techniques of
+        :data:`repro.perf.derive.DERIVED_TECHNIQUES` to derive from this
+        replay instead of replaying the trace again; only a
+        ``conventional`` controller without miss-traffic accounting
+        derives.  Afterwards :attr:`replays` maps this controller's
+        technique and each derived one to its ``(PerfResult,
+        SimulationResult)``.
+        """
         controller = self.controller
+        if derive and (
+            controller.name != "conventional" or controller.count_miss_traffic
+        ):
+            raise ValidationError(
+                "only a conventional replay without miss traffic derives "
+                f"other techniques, not {controller.name!r}"
+                f"{' with miss traffic' if controller.count_miss_traffic else ''}"
+            )
         geometry = self.cache.geometry
         icounts: List[Any] = []
         kinds: List[Any] = []
         codes: List[Any] = []
         sets: List[Any] = []
+        tags: List[Any] = []
+        addresses: List[Any] = []
+        values: List[Any] = []
+        misses: List[Any] = []
         for chunk in iter_chunks(trace, geometry, self.batch_size):
             chunk_codes = np.empty(len(chunk), dtype=np.uint8)
-            process_chunk(controller, chunk, chunk_codes)
+            chunk_misses = np.zeros(len(chunk), dtype=bool) if derive else None
+            process_chunk(controller, chunk, chunk_codes, chunk_misses)
             icounts.append(chunk.icounts)
             kinds.append(chunk.kinds)
             codes.append(chunk_codes)
             sets.append(chunk.set_indices)
+            if derive:
+                tags.append(chunk.tags)
+                addresses.append(chunk.addresses)
+                values.append(chunk.values)
+                misses.append(chunk_misses)
         controller.finalize()
-        requests = sum(len(part) for part in kinds)
+        icount_column = _joined(icounts, np.uint64)
+        kind_column = _joined(kinds, np.uint8)
+        set_column = _joined(sets, np.int64)
+        is_read = kind_column == 0
         self._result = SimulationResult(
             technique=controller.name,
             geometry=geometry,
-            requests=requests,
+            requests=len(kind_column),
             events=controller.events.copy(),
             counts=controller.counts,
             cache_stats=self.cache.stats,
         )
-        if not requests:
-            return PerfResult(controller.name, *(0,) * 9)
         banks = None
         if self._subarrays > 1:
-            banks = controller.subarray_of(  # type: ignore[attr-defined]
-                np.concatenate(sets)
-            )
-        return self._schedule(
-            np.concatenate(icounts),
-            np.concatenate(kinds) == 0,
-            np.concatenate(codes),
+            banks = controller.subarray_of(set_column)  # type: ignore[attr-defined]
+        perf = self._schedule(
+            controller.name,
+            icount_column,
+            is_read,
+            _joined(codes, np.uint8),
             banks,
         )
+        self.replays = {controller.name: (perf, self._result)}
+        if derive:
+            traversal = Traversal(
+                result=self._result,
+                icounts=icount_column,
+                kinds=kind_column,
+                sets=set_column,
+                tags=_joined(tags, np.int64),
+                addresses=_joined(addresses, np.uint64),
+                values=_joined(values, np.uint64),
+                missed=_joined(misses, bool),
+                final_tags=np.array(self.cache.tag_slots(), dtype=np.int64),
+            )
+            for name, (derived_codes, result) in derive_replays(
+                traversal, derive
+            ).items():
+                self.replays[name] = (
+                    self._schedule(
+                        name, icount_column, is_read, derived_codes, None
+                    ),
+                    result,
+                )
+        return perf
 
     def _schedule(
-        self, icounts: Any, is_read: Any, codes: Any, banks: Optional[Any]
+        self,
+        technique: str,
+        icounts: Any,
+        is_read: Any,
+        codes: Any,
+        banks: Optional[Any],
     ) -> PerfResult:
         """Schedule every request's port operations at once."""
+        n = len(codes)
+        if not n:
+            return PerfResult(technique, *(0,) * 9)
         timing = self.timing
         read_cycles = timing.array_read_cycles
         write_cycles = self._write_cycles
-        n = len(codes)
         latest = int(icounts.max())
         if latest + n * (read_cycles + write_cycles) > _INT64_MAX:
             raise ValidationError(
@@ -214,7 +287,7 @@ class TimingSimulator:
         writes_lead = bool(write_first.any())
         if writes_lead and not np.array_equal(write_first, both):
             raise SimulationError(
-                f"{self.controller.name}: some requests read before they "
+                f"{technique}: some requests read before they "
                 "write and others write before they read; the port "
                 "schedule needs one dependency direction per run"
             )
@@ -259,7 +332,7 @@ class TimingSimulator:
         )
         reads = int(np.count_nonzero(is_read))
         return PerfResult(
-            technique=self.controller.name,
+            technique=technique,
             reads=reads,
             writes=n - reads,
             total_read_latency=total_read_latency,
@@ -272,6 +345,11 @@ class TimingSimulator:
             ),
             bypassed_reads=bypassed,
         )
+
+
+def _joined(parts: List[Any], dtype: Any) -> Any:
+    """One column from its chunk parts (empty for an empty trace)."""
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
 
 def _fcfs_finish(ready: Any, duration: int) -> Tuple[Any, int]:
@@ -293,14 +371,20 @@ def timed_replay(
     geometry: CacheGeometry,
     timing: Optional[PhaseTiming] = None,
 ) -> Tuple[PerfResult, SimulationResult]:
-    """One :class:`TimingSimulator` run of ``trace``: its two results.
+    """``technique``'s :class:`TimingSimulator` results for ``trace``.
+
+    The paper's four techniques share one conventional replay: RMW, WG
+    and WG+RB are derived from it (:mod:`repro.perf.derive`), equal
+    field by field to a run of their own.  Any other technique runs its
+    own :class:`TimingSimulator`.
 
     Inside a memo scope (:func:`repro.utils.memo.memo_scope`, which a
-    report opens) each (trace, technique, geometry, timing) runs once,
-    so the trace must not change while the scope is open (a generated
-    trace shared there is read-only).  The entry keeps the trace,
-    matched by identity, and the results, never the simulator with its
-    cache and controller.
+    report opens) each (trace, geometry, timing) is replayed once and
+    yields all four paper techniques, so the trace must not change
+    while the scope is open (a generated trace shared there is
+    read-only).  The entries keep the trace, matched by identity, and
+    the results, never the simulator with its cache and controller.
+    Outside a scope only ``technique`` is derived.
     """
     timing = PhaseTiming() if timing is None else timing
     memo = scope_memo("perf.timed_replay")
@@ -308,17 +392,25 @@ def timed_replay(
     entry = memo.get(key) if memo is not None else None
     if entry is not None and entry[0] is trace:
         return entry[1], entry[2]
-    simulator = TimingSimulator(technique, geometry, timing)
-    perf = simulator.run(trace)
+    derive: Sequence[str] = ()
+    if memo is not None and technique in PAPER_TECHNIQUES:
+        derive = DERIVED_TECHNIQUES
+    elif technique in DERIVED_TECHNIQUES:
+        derive = (technique,)
+    simulator = TimingSimulator(
+        "conventional" if derive else technique, geometry, timing
+    )
+    simulator.run(trace, derive)
     if memo is not None:
-        memo[key] = (trace, perf, simulator.result)
-    return perf, simulator.result
+        for name, (perf, result) in simulator.replays.items():
+            memo[(id(trace), name, geometry, timing)] = (trace, perf, result)
+    return simulator.replays[technique]
 
 
 def evaluate_performance(
     trace: Sequence[MemoryAccess],
     geometry: CacheGeometry,
-    techniques: Sequence[str] = ("conventional", "rmw", "wg", "wg_rb"),
+    techniques: Sequence[str] = PAPER_TECHNIQUES,
     timing: Optional[PhaseTiming] = None,
 ) -> dict:
     """Run the timing model for several techniques on one trace."""

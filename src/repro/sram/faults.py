@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sram.ecc import InterleavedRowLayout
-from repro.utils.rng import DeterministicRNG, below, geometric_stop
+from repro.utils.rng import DeterministicRNG, geometric_stop
 from repro.utils.validation import check_in_range, check_positive
 
 __all__ = ["ReliabilityReport", "FaultInjector", "mean_burst_width"]
@@ -84,15 +84,21 @@ class FaultInjector:
         stop = geometric_stop(mean_burst_width(vdd_mv))
         draw = self._rng.draw
         draw_bits = self._rng.draw_bits
+        # ``below(draw_bits, columns)``'s rejection loop, inlined with
+        # its bit count hoisted: the same draws (a layout has at least
+        # one column, so the range is never empty).
+        bits = columns.bit_length()
         for _ in range(strikes):
-            first_column = below(draw_bits, columns)
+            first_column = draw_bits(bits)
+            while first_column >= columns:
+                first_column = draw_bits(bits)
             width = 1
             if stop is not None:
                 while draw() >= stop:
                     width += 1
             # InterleavedRowLayout.burst_correctable, inlined (its
             # width check holds here: every width is at least 1).
-            if min(width, columns - first_column) <= words:
+            if width <= words or columns - first_column <= words:
                 corrected += 1
         uncorrectable = strikes - corrected
         return ReliabilityReport(

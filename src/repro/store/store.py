@@ -25,7 +25,9 @@ Guarantees:
   evicts least-recently-used entries until the store fits.  Recency is
   journal order (see :class:`repro.store.index.StoreIndex`), not wall
   clock, so eviction decisions are deterministic.  The newest entry is
-  never evicted by its own commit.
+  never evicted by its own commit.  Each bounded commit first
+  reconciles the index with the object tree, so entries other writers
+  committed count against the bound too.
 
 Telemetry: the ``on_event`` callback receives ``store.hit`` /
 ``store.miss`` / ``store.corrupt`` / ``store.evict`` (all registered in
@@ -183,6 +185,9 @@ class ResultStore:
     ) -> None:
         if self.max_bytes is None:
             return
+        # Other writers on this root commit and evict behind this
+        # index's back: bound the entries actually on disk.
+        self.index.reconcile(self._scan_objects())
         while self.index.total_bytes() > self.max_bytes:
             victim = None
             for key in self.index.lru_order():

@@ -32,7 +32,7 @@ other callable it falls back to ``observe``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
 import numpy
 
@@ -45,7 +45,13 @@ from repro.utils.bitops import log2_exact
 # the trace tests, and NumPy's stubs would only add casts.
 np: Any = numpy
 
-__all__ = ["ScenarioBreakdown", "TraceStatistics", "collect_statistics"]
+__all__ = [
+    "ScenarioBreakdown",
+    "TraceStatistics",
+    "WordWrites",
+    "collect_statistics",
+    "word_writes",
+]
 
 SetIndexFn = Callable[[int], int]
 
@@ -263,12 +269,53 @@ def _column_statistics(
             scenarios.write_write,
         ) = pairs
 
-    # A write is silent when it stores the value of the previous write
-    # to its word, or 0 if there is none: sort the writes by word, stably
-    # so each word's writes stay in trace order, and compare neighbours.
-    written = np.flatnonzero(kinds)
-    if not len(written):
+    writes = word_writes(kinds, addresses, values)
+    if not len(writes.positions):
         return stats
+    stats.silent_writes = len(writes.positions) - int(
+        np.count_nonzero(writes.changed)
+    )
+    # ``observe``'s memory: every word a write changed, holding the
+    # word's last value.
+    starts = np.flatnonzero(writes.first_of_word)
+    last_of_word = np.append(starts[1:], len(writes.words)) - 1
+    kept = np.logical_or.reduceat(writes.changed, starts)
+    stats._memory = dict(
+        zip(
+            writes.words[last_of_word[kept]].tolist(),
+            writes.stored[last_of_word[kept]].tolist(),
+        )
+    )
+    return stats
+
+
+class WordWrites(NamedTuple):
+    """A trace's writes in word order (see :func:`word_writes`)."""
+
+    #: Trace position of each write.
+    positions: Any
+    #: Its word address (``address >> 3``).
+    words: Any
+    #: The value it stores.
+    stored: Any
+    #: True on the first write to each word.
+    first_of_word: Any
+    #: True when it stores a value other than its word's previous write
+    #: (0 for the first), i.e. the write is not silent.
+    changed: Any
+
+
+def word_writes(kinds: Any, addresses: Any, values: Any) -> WordWrites:
+    """The writes of a trace's columns, sorted by word, stably.
+
+    A write is silent when it stores the value of the previous write to
+    its word, or 0 if there is none, as against a zero-filled memory:
+    one stable argsort keeps each word's writes in trace order, so every
+    write's previous write is its left neighbour.  Figure 5's silent
+    count (:func:`collect_statistics`) and the timing model's derived
+    Write-Grouping replays (:mod:`repro.perf.derive`) both read it here.
+    """
+    written = np.flatnonzero(kinds)
     words = addresses[written] >> _WORD_SHIFT
     order = np.argsort(words, kind="stable")
     words, stored = words[order], values[written][order]
@@ -277,17 +324,6 @@ def _column_statistics(
     previous = np.zeros_like(stored)
     previous[1:] = stored[:-1]
     previous[first_of_word] = 0
-    changed = stored != previous
-    stats.silent_writes = len(stored) - int(np.count_nonzero(changed))
-    # ``observe``'s memory: every word a write changed, holding the
-    # word's last value.
-    starts = np.flatnonzero(first_of_word)
-    last_of_word = np.append(starts[1:], len(words)) - 1
-    kept = np.logical_or.reduceat(changed, starts)
-    stats._memory = dict(
-        zip(
-            words[last_of_word[kept]].tolist(),
-            stored[last_of_word[kept]].tolist(),
-        )
+    return WordWrites(
+        written[order], words, stored, first_of_word, stored != previous
     )
-    return stats

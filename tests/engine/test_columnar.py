@@ -183,6 +183,34 @@ class TestFallbacks:
         assert results[0] == results[1]
 
 
+class TestMissTrail:
+    """``process_chunk(..., misses=)`` marks exactly the requests whose
+    scalar outcome missed the cache."""
+
+    @pytest.mark.parametrize("technique", ("conventional", "rmw"))
+    @pytest.mark.parametrize("batch_size", (7, 4096))
+    def test_trail_matches_scalar_outcomes(self, technique, batch_size, tiny_geometry):
+        trace = make_random_trace(1_500, seed=44, word_span=300, write_share=0.5)
+        reference = make_controller(technique, SetAssociativeCache(tiny_geometry))
+        expected = [not reference.process(access).cache_hit for access in trace]
+        controller = make_controller(technique, SetAssociativeCache(tiny_geometry))
+        forbid_per_access(controller)
+        parts = []
+        for chunk in iter_chunks(trace, tiny_geometry, batch_size):
+            missed = np.zeros(len(chunk), dtype=bool)
+            process_chunk(controller, chunk, misses=missed)
+            parts.append(missed)
+        assert np.concatenate(parts).tolist() == expected
+        assert any(expected) and not all(expected)
+
+    @pytest.mark.parametrize("technique", ("wg", "write_buffer"))
+    def test_other_paths_refuse_a_trail(self, technique, tiny_geometry):
+        controller = make_controller(technique, SetAssociativeCache(tiny_geometry))
+        chunk = next(iter_chunks(make_random_trace(20, seed=45), tiny_geometry))
+        with pytest.raises(ValidationError, match="miss trail"):
+            process_chunk(controller, chunk, misses=np.zeros(20, dtype=bool))
+
+
 def forbid_per_access(controller):
     """Make any per-access replay of ``controller`` fail the test."""
 

@@ -8,7 +8,13 @@ import pytest
 
 from repro.cache.config import CacheGeometry
 from repro.perf import timing as timing_module
-from repro.perf.timing import TimingSimulator, evaluate_performance, timed_replay
+from repro.perf.timing import (
+    PerfResult,
+    TimingSimulator,
+    evaluate_performance,
+    timed_replay,
+)
+from repro.sim.simulator import SimulationResult
 from repro.sram.timing import PhaseTiming
 from repro.trace.record import AccessType, MemoryAccess
 from repro.utils.memo import memo_scope, scope_memo
@@ -146,21 +152,28 @@ class TestTimedReplay:
     def test_one_run_per_key_and_no_simulator_kept(
         self, trace, small_geometry, simulators
     ):
+        """One conventional traversal per (trace, geometry, timing)
+        yields all four paper techniques; the memo keeps only results."""
         with memo_scope():
             first = timed_replay(trace, "wg_rb", small_geometry)
             assert timed_replay(trace, "wg_rb", small_geometry, PhaseTiming()) == first
             assert len(simulators) == 1
-            timed_replay(trace, "rmw", small_geometry)
-            timed_replay(trace, "wg_rb", small_geometry, PhaseTiming(set_buffer_cycles=2))
+            for technique in self.TECHNIQUES:
+                timed_replay(trace, technique, small_geometry)
+            assert len(simulators) == 1
+            timed_replay(trace, "rmw", small_geometry, PhaseTiming(set_buffer_cycles=2))
             timed_replay(trace, "wg_rb", CacheGeometry(4 * 1024, 8, 32))
-            assert len(simulators) == 4
+            assert len(simulators) == 3
             gc.collect()
             assert all(ref() is None for ref in simulators)
             kept = scope_memo("perf.timed_replay")
-            assert len(kept) == 4
+            assert len(kept) == 3 * len(self.TECHNIQUES)
             for entry in kept.values():
                 assert entry[0] is trace
-                assert not any(isinstance(part, TimingSimulator) for part in entry)
+                assert [type(part) for part in entry[1:]] == [
+                    PerfResult,
+                    SimulationResult,
+                ]
 
     def test_keyed_on_the_trace_object(self, small_geometry, simulators):
         profile = get_profile("mcf")

@@ -45,6 +45,23 @@ def payloads(result):
     return {row.benchmark: serialize_row(row) for row in result.rows}
 
 
+def _bytes_on_disk(store):
+    return sum(path.stat().st_size for path in store.objects_dir.rglob("*.json"))
+
+
+def test_two_bounded_writers_stay_within_the_bound(tmp_path):
+    bound = 2000
+    writers = [ResultStore(tmp_path / "cache", max_bytes=bound) for _ in range(2)]
+    sizes = set()
+    for i in range(20):
+        meta = dict(META, benchmark=f"b{i:02d}")
+        writers[i % 2].put(digest(meta), meta, PAYLOAD)
+        sizes.add(writers[i % 2].index.size_of(digest(meta)))
+        assert _bytes_on_disk(writers[0]) <= bound
+    # Unbounded, the twenty entries would fill twice the bound.
+    assert 20 * min(sizes) > 1.5 * bound
+
+
 def test_opening_a_store_keeps_a_live_writers_tempfile(tmp_path):
     root = tmp_path / "cache"
     writer = ResultStore(root)
