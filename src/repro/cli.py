@@ -75,6 +75,7 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.comparison import compare_techniques
 from repro.sim.resilience import ExecutionPolicy, RetryPolicy, execution_policy
 from repro.trace.binio import read_binary_trace, write_binary_trace
+from repro.trace.columns import TraceColumns
 from repro.trace.stats import collect_statistics
 from repro.trace.textio import read_text_trace, write_text_trace
 from repro.utils.tables import format_table
@@ -112,7 +113,7 @@ def parse_geometry(spec: str) -> CacheGeometry:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _read_trace(path: str):
+def _read_trace(path: str) -> TraceColumns:
     if path.endswith(".bin") or path.endswith(".rpt"):
         return read_binary_trace(path)
     return read_text_trace(path)
@@ -429,11 +430,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from repro.trace.stream import materialize
     from repro.workload.fitting import fit_profile
 
-    trace = materialize(_read_trace(args.trace))
-    profile = fit_profile(trace, name=args.name)
+    profile = fit_profile(_read_trace(args.trace), name=args.name)
     rows = [
         ("read frequency", f"{100 * profile.read_frequency:.2f}%"),
         ("write frequency", f"{100 * profile.write_frequency:.2f}%"),

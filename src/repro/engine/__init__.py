@@ -2,15 +2,16 @@
 
 The throughput layer of the simulator.  The columnar engine
 (:mod:`repro.engine.columnar`) turns trace chunks into NumPy arrays —
-zero-copy views when read from ``RPCOL1`` mmap traces
-(:mod:`repro.trace.colio`) or taken from a
-:class:`repro.trace.TraceColumns` — and runs per-technique kernels that
-are bit-identical to the scalar ``process()`` loop, the semantics of
-record and the only fallback (see ``docs/performance.md`` and the
-differential suite in ``tests/engine/``).  :mod:`repro.engine.batch`
-holds the list-based :class:`AccessBatch` the binary and text trace
-readers decode to; :mod:`repro.engine.bench` measures columnar against
-scalar.
+views over the columns of a :class:`repro.trace.TraceColumns`, which
+the generator and both trace file readers return — and runs
+per-technique kernels that are bit-identical to the scalar
+``process()`` loop, the semantics of record and the only fallback (see
+``docs/performance.md`` and the differential suite in
+``tests/engine/``).  :mod:`repro.engine.batch` holds the list-based
+:class:`AccessBatch`; no reader decodes to it any more, and it stays
+only while the repo benchmark's tracer (``perfbench/tracer.py``) wraps
+:func:`iter_batches` by name.  :mod:`repro.engine.bench` measures
+columnar against scalar.
 """
 
 from repro.engine.batch import AccessBatch, DEFAULT_BATCH_SIZE, iter_batches

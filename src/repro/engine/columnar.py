@@ -5,13 +5,12 @@ record) pays Python's per-record tax on every access: a record object,
 container lookups for the set's slot arrays, method calls into
 ``cache._fill``, ``memory.read_block`` and the Set-Buffer, attribute
 traffic on shared counters.  This engine removes that tax.  A
-:class:`ColumnarChunk` holds a trace chunk as NumPy arrays (zero-copy
-views when it comes from an ``RPCOL1`` mmap, see
-:mod:`repro.trace.colio`); the kernels below use vectorized
-decode/regrouping to set the loops up, then replay records through
-loops whose *entire* working state lives in local variables — the fill
-path, next-level memory transfers, buffer write-backs and all
-statistics inlined, flushed once per chunk.
+:class:`ColumnarChunk` holds a trace chunk as NumPy arrays (views over
+the columns when it comes from a :class:`TraceColumns`); the kernels
+below use vectorized decode/regrouping to set the loops up, then
+replay records through loops whose *entire* working state lives in
+local variables — the fill path, next-level memory transfers, buffer
+write-backs and all statistics inlined, flushed once per chunk.
 
 Why this is bit-identical
 -------------------------
@@ -163,9 +162,9 @@ class ColumnarChunk:
     ``addresses``/``values`` are u64, ``kinds`` u8, and the pre-split
     ``set_indices``/``tags``/``word_offsets`` are i64 (signed, so they
     compare directly against the cache's slot-array tags, whose invalid
-    sentinel is ``-1``).  Slices of
-    :class:`repro.trace.colio.ColumnarTrace` columns arrive here as
-    zero-copy views.
+    sentinel is ``-1``).  :func:`iter_chunks` cuts a
+    :class:`TraceColumns` into chunks whose four trace columns are
+    views.
     """
 
     geometry: CacheGeometry

@@ -44,16 +44,6 @@ Workers execute rows through the Simulator's columnar engine (see
 :mod:`repro.engine`); results are bit-identical to scalar execution, so
 parallelism and the engine compose without affecting determinism.
 
-For trace-file campaigns the ``RPCOL1`` columnar format
-(:mod:`repro.trace.colio`) composes with this fan-out: every worker
-memory-maps the same file read-only and feeds zero-copy chunks to the
-columnar engine (``Simulator(...).feed_chunks(...)``),
-so the OS page cache backs all workers with one physical copy of the
-trace and no per-worker deserialization.  The chunk's grouped
-projection (:meth:`repro.engine.columnar.ColumnarChunk.grouped`) is a
-pure trace transform, so a worker sweeping several techniques over the
-same chunks computes it once, not once per technique.
-
 Telemetry across the pool: trace sinks do not cross process
 boundaries, so each worker collects into a private metrics-only
 registry and ships its :meth:`MetricsRegistry.state_dict` back with the

@@ -3,13 +3,13 @@
 ``Simulator`` feeds its controller through the columnar engine
 (:mod:`repro.engine.columnar`): each chunk becomes NumPy arrays
 (:class:`repro.engine.columnar.ColumnarChunk`: views over the columns
-of a :class:`repro.trace.columns.TraceColumns`, zero-copy when read
-from an ``RPCOL1`` mmap via :mod:`repro.trace.colio`) and runs through
-the technique's kernel, metrics-only telemetry included.  Whenever no
-kernel reproduces the exact semantics, each record of the chunk runs
-through :meth:`CacheController.process`, the scalar path and semantics
-of record.  Both are bit-identical (``tests/engine/`` and
-``repro.check`` prove it).
+of a :class:`repro.trace.columns.TraceColumns`, what the generator and
+the trace file readers return) and runs through the technique's
+kernel, metrics-only telemetry included.  Whenever no kernel
+reproduces the exact semantics, each record of the chunk runs through
+:meth:`CacheController.process`, the scalar path and semantics of
+record.  Both are bit-identical (``tests/engine/`` and ``repro.check``
+prove it).
 """
 
 from __future__ import annotations
@@ -86,16 +86,22 @@ class Simulator:
             self._requests += process_chunk(self.controller, chunk)
 
     def feed_batches(self, batches: Iterable[AccessBatch]) -> None:
-        """Process pre-decoded batches (e.g. from
-        :func:`repro.trace.read_binary_trace_batches`)."""
+        """Process pre-decoded :class:`AccessBatch` chunks.
+
+        No reader produces batches any more; this stays only while the
+        repo benchmark's tracer (``perfbench/tracer.py``) wraps it by
+        name, and goes with :mod:`repro.engine.batch`."""
         for batch in batches:
             self._requests += process_chunk(
                 self.controller, ColumnarChunk.from_access_batch(batch)
             )
 
     def feed_chunks(self, chunks: Iterable[ColumnarChunk]) -> None:
-        """Process pre-built columnar chunks (e.g. zero-copy views from
-        :meth:`repro.trace.colio.ColumnarTrace.chunks`)."""
+        """Process pre-built columnar chunks.
+
+        :meth:`feed` chunks any trace itself, so no caller in the
+        package needs this; it stays while the repo benchmark's tracer
+        (``perfbench/tracer.py``) wraps it by name."""
         for chunk in chunks:
             self._requests += process_chunk(self.controller, chunk)
 

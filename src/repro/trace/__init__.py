@@ -8,15 +8,14 @@ tool over SPEC CPU2006.  This package provides the trace plumbing:
 ``columns``
     :class:`TraceColumns` — an in-memory trace held as four columns
     that behaves like a list of records and builds them only on first
-    per-record use (what the synthetic generator returns).
+    per-record use.  The synthetic generator and both trace file
+    readers return one.
 ``stream``
-    Lazy stream transformers — warm-up skipping (the paper fast-forwards
-    1 B instructions), length limits and sampling.
+    :func:`materialize` — a reusable sequence from any trace stream.
 ``textio`` / ``binio``
-    Human-readable and packed binary trace file formats.
-``colio``
-    Columnar ``RPCOL1`` trace format — mmap-backed, zero-copy column
-    views for the columnar engine; workers share one mapping.
+    Human-readable and packed binary trace file formats.  Each reader
+    decodes a whole file into a :class:`TraceColumns` and checks all of
+    it before returning.
 ``stats``
     :class:`TraceStatistics` — computes exactly the quantities behind the
     paper's Figures 3 (read/write frequency), 4 (consecutive same-set
@@ -25,29 +24,10 @@ tool over SPEC CPU2006.  This package provides the trace plumbing:
 
 from repro.trace.record import AccessType, MemoryAccess, WORD_BYTES, word_address
 from repro.trace.columns import TraceColumns
-from repro.trace.stream import (
-    limit_accesses,
-    materialize,
-    sample_accesses,
-    skip_warmup,
-)
+from repro.trace.stream import materialize
 from repro.trace.stats import ScenarioBreakdown, TraceStatistics, collect_statistics
-from repro.trace.textio import (
-    read_text_trace,
-    read_text_trace_batches,
-    write_text_trace,
-)
-from repro.trace.binio import (
-    read_binary_trace,
-    read_binary_trace_batches,
-    write_binary_trace,
-)
-from repro.trace.colio import (
-    ColumnarTrace,
-    convert_trace_to_columnar,
-    open_columnar_trace,
-    write_columnar_trace,
-)
+from repro.trace.textio import read_text_trace, write_text_trace
+from repro.trace.binio import read_binary_trace, write_binary_trace
 
 __all__ = [
     "AccessType",
@@ -55,21 +35,12 @@ __all__ = [
     "WORD_BYTES",
     "word_address",
     "TraceColumns",
-    "skip_warmup",
-    "limit_accesses",
-    "sample_accesses",
     "materialize",
     "TraceStatistics",
     "ScenarioBreakdown",
     "collect_statistics",
     "read_text_trace",
-    "read_text_trace_batches",
     "write_text_trace",
     "read_binary_trace",
-    "read_binary_trace_batches",
     "write_binary_trace",
-    "ColumnarTrace",
-    "convert_trace_to_columnar",
-    "open_columnar_trace",
-    "write_columnar_trace",
 ]

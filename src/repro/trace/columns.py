@@ -1,11 +1,13 @@
 """Column-backed traces: a trace held as four arrays, used as a list.
 
-:func:`repro.workload.generator.generate_trace` returns a
-:class:`TraceColumns`.  It stores a trace as four parallel NumPy
-columns — ``icounts``, ``addresses`` and ``values`` as u64, ``kinds`` as
-u8 with 1 for a write — and behaves like the list of
-:class:`MemoryAccess` records it stands for: ``len``, truth value, int
-and negative indexing, iteration, slicing, and ``==`` against lists.
+:func:`repro.workload.generator.generate_trace` and the trace file
+readers (:func:`repro.trace.read_binary_trace`,
+:func:`repro.trace.read_text_trace`) return a :class:`TraceColumns`.
+It stores a trace as four parallel NumPy columns — ``icounts``,
+``addresses`` and ``values`` as u64, ``kinds`` as u8 with 1 for a
+write — and behaves like the list of :class:`MemoryAccess` records it
+stands for: ``len``, truth value, int and negative indexing,
+iteration, slicing, and ``==`` against lists.
 
 Records are built only when a consumer asks for one: the first
 iteration or int index builds every record once, through the validating

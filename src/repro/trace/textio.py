@@ -5,24 +5,26 @@ One record per line::
     <icount> <R|W> <hex address> [<hex value>]
 
 Lines starting with ``#`` and blank lines are ignored.  The value column
-is mandatory for writes and optional (defaulting to 0) for reads.
+is mandatory for writes and optional (defaulting to 0) for reads.  The
+file is ASCII, and every number must fit in 64 unsigned bits, the width
+of the :class:`~repro.trace.columns.TraceColumns` columns the reader
+fills.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import Iterable, List, Tuple, Union
 
 from repro.errors import TraceFormatError
-from repro.trace.record import AccessType, MemoryAccess
+from repro.trace.columns import TraceColumns
+from repro.trace.record import WORD_BYTES, AccessType, MemoryAccess
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.config import CacheGeometry
-    from repro.engine.batch import AccessBatch
-
-__all__ = ["read_text_trace", "read_text_trace_batches", "write_text_trace"]
+__all__ = ["read_text_trace", "write_text_trace"]
 
 PathLike = Union[str, Path]
+
+_FIELD_LIMIT = 1 << 64
 
 
 def write_text_trace(path: PathLike, trace: Iterable[MemoryAccess]) -> int:
@@ -39,7 +41,8 @@ def write_text_trace(path: PathLike, trace: Iterable[MemoryAccess]) -> int:
     return count
 
 
-def _parse_line(line: str, line_number: int) -> MemoryAccess:
+def _parse_line(line: str, line_number: int) -> Tuple[int, int, int, int]:
+    """``(icount, kind, address, value)`` of one record, kind 1 for a write."""
     fields = line.split()
     if len(fields) not in (3, 4):
         raise TraceFormatError(
@@ -56,35 +59,45 @@ def _parse_line(line: str, line_number: int) -> MemoryAccess:
         raise TraceFormatError(
             f"line {line_number}: write record is missing its value field"
         )
-    try:
-        return MemoryAccess(icount=icount, kind=kind, address=address, value=value)
-    except ValueError as exc:
-        raise TraceFormatError(f"line {line_number}: {exc}") from exc
+    for name, number in (("icount", icount), ("address", address), ("value", value)):
+        if not 0 <= number < _FIELD_LIMIT:
+            raise TraceFormatError(
+                f"line {line_number}: {name} {number} does not fit in "
+                f"64 unsigned bits"
+            )
+    if address % WORD_BYTES:
+        raise TraceFormatError(
+            f"line {line_number}: address must be {WORD_BYTES}-byte "
+            f"aligned, got {address:#x}"
+        )
+    return icount, int(kind.is_write), address, value
 
 
-def read_text_trace(path: PathLike) -> Iterator[MemoryAccess]:
-    """Lazily parse a text trace file."""
-    with open(path, "r", encoding="ascii") as handle:
+def read_text_trace(path: PathLike) -> TraceColumns:
+    """Parse a text trace file into columns.
+
+    Raises :class:`TraceFormatError` naming the line for bytes that are
+    not ASCII and for a malformed record: a wrong field count, an
+    unknown kind letter, a write without its value, a field that is not
+    a number or does not fit in 64 unsigned bits, or an address that is
+    not word aligned.
+    """
+    icounts: List[int] = []
+    kinds: List[int] = []
+    addresses: List[int] = []
+    values: List[int] = []
+    # Undecodable bytes become lone surrogates, so the line that holds
+    # one can be named instead of failing somewhere inside a read.
+    with open(path, encoding="ascii", errors="surrogateescape") as handle:
         for line_number, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                raise TraceFormatError(f"line {line_number}: not ASCII text")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            yield _parse_line(line, line_number)
-
-
-def read_text_trace_batches(
-    path: PathLike,
-    geometry: "CacheGeometry",
-    batch_size: Optional[int] = None,
-) -> Iterator["AccessBatch"]:
-    """Parse a text trace into struct-of-arrays batches.
-
-    The text format is validation-heavy, so this simply chunks
-    :func:`read_text_trace` through
-    :func:`repro.engine.batch.iter_batches`; the speedup comes from the
-    columnar engine downstream (for fast decode too, convert to the
-    binary format and use :func:`repro.trace.read_binary_trace_batches`).
-    """
-    from repro.engine.batch import iter_batches
-
-    return iter_batches(read_text_trace(path), geometry, batch_size)
+            icount, kind, address, value = _parse_line(line, line_number)
+            icounts.append(icount)
+            kinds.append(kind)
+            addresses.append(address)
+            values.append(value)
+    return TraceColumns.from_lists(icounts, kinds, addresses, values)

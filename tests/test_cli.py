@@ -320,6 +320,89 @@ class TestErrorHandling:
         assert main(["stats", str(trace_path)]) == 3
         assert "byte offset" in capsys.readouterr().err
 
+    @staticmethod
+    def _one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("repro-8t: error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "flags, size", [([], 25), (["--crc"], 29)], ids=("RPTRACE1", "RPTRACE2")
+    )
+    def test_misaligned_binary_trace_exits_3_naming_record(
+        self, capsys, tmp_path, flags, size
+    ):
+        import struct
+        import zlib
+
+        trace_path = tmp_path / "t.bin"
+        assert (
+            main(
+                ["trace", "mcf", str(trace_path), "--accesses", "5"]
+                + ["--format", "binary"]
+                + flags
+            )
+            == 0
+        )
+        data = bytearray(trace_path.read_bytes())
+        body = struct.pack("<QBQQ", 9, 0, 0xD, 0)
+        if flags:
+            body += struct.pack("<I", zlib.crc32(body))
+        data[8 + 3 * size : 8 + 4 * size] = body
+        trace_path.write_bytes(bytes(data))
+        assert main(["stats", str(trace_path)]) == 3
+        err = self._one_line_error(capsys)
+        assert f"record #3 at byte offset {8 + 3 * size}" in err
+        assert "8-byte aligned, got 0xd" in err
+
+    def test_binary_trace_read_as_text_exits_3(self, capsys, tmp_path):
+        # Any name but *.bin / *.rpt goes to the text reader.
+        trace_path = tmp_path / "t.dat"
+        assert (
+            main(
+                ["trace", "mcf", str(trace_path), "--accesses", "100"]
+                + ["--format", "binary"]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        assert main(["stats", str(trace_path)]) == 3
+        assert "line 1" in self._one_line_error(capsys)
+
+    def test_truncated_binary_trace_exits_3_naming_record(self, capsys, tmp_path):
+        from repro.faultinject import truncate_file
+
+        trace_path = tmp_path / "t.bin"
+        argv = ["trace", "mcf", str(trace_path), "--accesses", "5"]
+        assert main(argv + ["--format", "binary"]) == 0
+        truncate_file(trace_path, keep_bytes=8 + 3 * 25 + 4)
+        capsys.readouterr()
+        assert main(["stats", str(trace_path)]) == 3
+        err = self._one_line_error(capsys)
+        assert "truncated record #3 at byte offset 83 (4 of 25 bytes)" in err
+
+    def test_fit_on_corrupt_crc_trace_exits_3_naming_record(
+        self, capsys, tmp_path
+    ):
+        from repro.faultinject import flip_bit
+
+        trace_path = tmp_path / "t.rpt"
+        argv = ["trace", "mcf", str(trace_path), "--accesses", "50"]
+        assert main(argv + ["--format", "binary", "--crc"]) == 0
+        flip_bit(trace_path, byte_offset=8 + 7 * 29 + 3, bit=2)
+        capsys.readouterr()
+        assert main(["fit", str(trace_path)]) == 3
+        err = self._one_line_error(capsys)
+        assert "CRC mismatch in record #7 at byte offset 211" in err
+
+    def test_text_field_beyond_64_bits_exits_3(self, capsys, tmp_path):
+        trace_path = tmp_path / "t.trc"
+        trace_path.write_text(f"0 R 0x8\n1 W 0x10 {2**64:#x}\n")
+        assert main(["stats", str(trace_path)]) == 3
+        err = self._one_line_error(capsys)
+        assert "line 2: value" in err and "does not fit in 64" in err
+
     def test_debug_restores_traceback(self, tmp_path):
         from repro.errors import ConfigurationError
 
@@ -335,6 +418,57 @@ class TestErrorHandling:
                     "--crc",
                 ]
             )
+
+
+class TestTraceFileFormats:
+    """One generated trace, written as text, RPTRACE1 and RPTRACE2."""
+
+    # Equal-length names, so the tables' titles differ only in the path.
+    FILES = {
+        "t.txt": ["--format", "text"],
+        "t.bin": ["--format", "binary"],
+        "t.rpt": ["--format", "binary", "--crc"],
+    }
+
+    def test_stats_and_fit_print_the_same_tables(self, capsys, tmp_path):
+        import re
+
+        from repro.cache.address import AddressMapper
+        from repro.cache.config import BASELINE_GEOMETRY
+        from repro.trace.stats import collect_statistics
+        from repro.workload.generator import generate_trace
+        from repro.workload.spec2006 import get_profile
+
+        outputs = []
+        for name, flags in self.FILES.items():
+            path = tmp_path / name
+            argv = ["trace", "gcc", str(path), "--accesses", "3000", "--seed", "5"]
+            assert main(argv + flags) == 0
+            capsys.readouterr()
+            assert main(["stats", str(path)]) == 0
+            assert main(["fit", str(path)]) == 0
+            outputs.append(capsys.readouterr().out.replace(str(path), "<trace>"))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+        stats = collect_statistics(
+            generate_trace(get_profile("gcc"), 3000, seed=5),
+            AddressMapper(BASELINE_GEOMETRY).set_index,
+        )
+        scenarios = stats.scenarios
+        expected = [
+            ("accesses", stats.accesses),
+            ("instructions", stats.instructions),
+            ("read frequency", f"{100 * stats.read_frequency:.2f}%"),
+            ("write frequency", f"{100 * stats.write_frequency:.2f}%"),
+            ("silent writes", f"{100 * stats.silent_write_fraction:.2f}%"),
+            ("same-set pairs", f"{100 * scenarios.same_set_share:.2f}%"),
+        ] + [
+            (f"{pair} share", f"{100 * scenarios.share(pair):.2f}%")
+            for pair in ("RR", "RW", "WW", "WR")
+        ]
+        for label, value in expected:
+            row = rf"^{label} +{re.escape(str(value))}$"
+            assert re.search(row, outputs[0], re.MULTILINE), label
 
 
 class TestResilienceFlags:

@@ -260,3 +260,32 @@ class TestColumnsMatchObserve:
             stats = collect_statistics(trace, set_index_fn)
             assert stats.scenarios == ScenarioBreakdown(1, 0, 1, 0, 3)
         assert built_records
+
+
+class TestDecodedTraceFiles:
+    """Statistics of a trace read back from a file, on the column path."""
+
+    @pytest.mark.parametrize("fmt", ("text", "RPTRACE1", "RPTRACE2"))
+    def test_match_observe_without_building_records(
+        self, tmp_path, built_records, fmt
+    ):
+        from repro.trace.binio import read_binary_trace, write_binary_trace
+        from repro.trace.textio import read_text_trace, write_text_trace
+
+        trace = generate_trace(get_profile("bwaves"), 1200, seed=4)
+        records = list(trace)
+        path = tmp_path / "t.trace"
+        if fmt == "text":
+            write_text_trace(path, trace)
+            read = read_text_trace
+        else:
+            write_binary_trace(path, trace, crc=fmt == "RPTRACE2")
+            read = read_binary_trace
+        built_records.clear()
+        decoded = read(path)
+        for geometry in MAPPINGS.values():
+            set_index_fn = AddressMapper(geometry).set_index if geometry else None
+            assert collect_statistics(decoded, set_index_fn) == reference(
+                records, set_index_fn
+            )
+        assert built_records == []

@@ -1,15 +1,10 @@
-"""Unit tests for trace stream transformers."""
+"""Unit tests for :func:`materialize` and the slices that cut a trace."""
 
 import pytest
 
 from repro.trace.columns import TraceColumns
 from repro.trace.record import AccessType, MemoryAccess
-from repro.trace.stream import (
-    limit_accesses,
-    materialize,
-    sample_accesses,
-    skip_warmup,
-)
+from repro.trace.stream import materialize
 
 
 def _trace(n):
@@ -17,77 +12,6 @@ def _trace(n):
         MemoryAccess(icount=i, kind=AccessType.READ, address=8 * i)
         for i in range(n)
     ]
-
-
-class TestSkipWarmup:
-    def test_skips_exactly(self):
-        result = list(skip_warmup(_trace(10), 4))
-        assert len(result) == 6
-        assert result[0].icount == 4
-
-    def test_skip_zero(self):
-        assert len(list(skip_warmup(_trace(5), 0))) == 5
-
-    def test_skip_more_than_length(self):
-        assert list(skip_warmup(_trace(3), 10)) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            list(skip_warmup(_trace(3), -1))
-
-    def test_lazy(self):
-        # Works on a generator without materialising it.
-        def infinite():
-            i = 0
-            while True:
-                yield MemoryAccess(icount=i, kind=AccessType.READ, address=0)
-                i += 1
-
-        stream = skip_warmup(infinite(), 3)
-        assert next(stream).icount == 3
-
-
-class TestLimitAccesses:
-    def test_truncates(self):
-        assert len(list(limit_accesses(_trace(10), 4))) == 4
-
-    def test_limit_zero(self):
-        assert list(limit_accesses(_trace(10), 0)) == []
-
-    def test_limit_beyond_length(self):
-        assert len(list(limit_accesses(_trace(3), 10))) == 3
-
-    def test_shared_iterator_keeps_next_element(self):
-        # Regression: the limiter used to pull one record *beyond* the
-        # limit off the underlying iterator before returning, silently
-        # consuming an element that a later consumer expected to see.
-        shared = iter(_trace(10))
-        taken = list(limit_accesses(shared, 4))
-        assert [a.icount for a in taken] == [0, 1, 2, 3]
-        assert next(shared).icount == 4
-
-    def test_limit_zero_consumes_nothing(self):
-        shared = iter(_trace(3))
-        assert list(limit_accesses(shared, 0)) == []
-        assert next(shared).icount == 0
-
-    def test_exact_length_exhausts_cleanly(self):
-        shared = iter(_trace(3))
-        assert len(list(limit_accesses(shared, 3))) == 3
-        assert next(shared, None) is None
-
-
-class TestSampleAccesses:
-    def test_period_one_keeps_all(self):
-        assert len(list(sample_accesses(_trace(7), 1))) == 7
-
-    def test_period_three(self):
-        result = list(sample_accesses(_trace(9), 3))
-        assert [a.icount for a in result] == [0, 3, 6]
-
-    def test_period_zero_rejected(self):
-        with pytest.raises(ValueError):
-            list(sample_accesses(_trace(3), 0))
 
 
 class TestMaterialize:
@@ -107,7 +31,54 @@ class TestMaterialize:
         assert materialize(columns) is columns
 
     def test_composition(self):
-        result = materialize(
-            limit_accesses(skip_warmup(_trace(20), 5), 10)
+        # A warm-up cut and a length limit are slices of the columns.
+        columns = TraceColumns.from_lists(
+            range(20), [0] * 20, range(0, 160, 8), [0] * 20
         )
+        result = materialize(columns[5:][:10])
+        assert isinstance(result, TraceColumns)
         assert [a.icount for a in result] == list(range(5, 15))
+
+
+def _columns(n):
+    return TraceColumns.from_lists(
+        range(n), [0] * n, range(0, 8 * n, 8), [0] * n
+    )
+
+
+class TestSlicesCutTraces:
+    """A warm-up cut, a length limit and a sample are slices of the columns."""
+
+    def test_warmup_cut(self):
+        result = _columns(10)[4:]
+        assert isinstance(result, TraceColumns)
+        assert result.icounts.tolist() == [4, 5, 6, 7, 8, 9]
+        assert _columns(5)[0:] == _columns(5)
+        assert list(_columns(3)[10:]) == []
+
+    def test_length_limit(self):
+        assert _columns(10)[:4].icounts.tolist() == [0, 1, 2, 3]
+        assert list(_columns(10)[:0]) == []
+        assert len(_columns(3)[:10]) == 3
+
+    def test_sample(self):
+        assert _columns(9)[::3].icounts.tolist() == [0, 3, 6]
+        assert _columns(7)[::1] == _columns(7)
+
+    def test_zero_period_rejected(self):
+        with pytest.raises(ValueError):
+            _columns(3)[::0]
+
+    def test_cuts_build_no_records(self, monkeypatch):
+        built = []
+        original = MemoryAccess.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(MemoryAccess, "__post_init__", counting)
+        result = _columns(40)[5:][:20][::2]
+        assert len(result) == 10
+        assert built == []
+        assert [a.icount for a in result] == list(range(5, 25, 2))
