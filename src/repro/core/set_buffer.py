@@ -72,10 +72,11 @@ class SetBuffer:
     def engine_views(self) -> Tuple[List[List[int]], Set[Tuple[int, int]]]:
         """``(data, modified)`` internals for the columnar engine.
 
-        The WG kernel in :mod:`repro.engine.columnar` lifts these into
-        locals at chunk start and mutates them in place, replicating
-        :meth:`write` without the per-word method call.  The views go
-        stale when the buffer is refilled or drained (:meth:`fill`/
+        The WG kernel in :mod:`repro.engine.columnar` copies these into
+        its flat form (one list in the cache's ``way * wpb + word``
+        layout, flat modified indices) at chunk start and assigns both
+        attributes anew in this per-way form at chunk end.  The views
+        go stale when the buffer is refilled or drained (:meth:`fill`/
         :meth:`take_modified` rebind the set), so callers must re-fetch
         them after any per-access :meth:`write`.
         """

@@ -3,11 +3,14 @@
 An :class:`AccessBatch` is a chunk of N records decoded once into
 parallel lists, with the set/tag/word address fields pre-split using
 the shift/mask constants cached on
-:class:`repro.cache.config.CacheGeometry` (``geometry.codec``).  The
-binary and text trace readers (``repro.trace.binio``/``textio``) decode
-to batches; :meth:`repro.sim.simulator.Simulator.feed_batches` lifts
-each one into a :class:`repro.engine.columnar.ColumnarChunk` for the
-columnar engine.
+:class:`repro.cache.config.CacheGeometry` (``geometry.codec``).  No
+trace reader decodes to batches any more: both return a
+:class:`repro.trace.TraceColumns`, which the columnar engine chunks
+directly.  The module stays only while the repo benchmark's tracer
+(``perfbench/tracer.py``) wraps :func:`iter_batches` by name;
+:meth:`repro.sim.simulator.Simulator.feed_batches` lifts each batch
+into a :class:`repro.engine.columnar.ColumnarChunk`.
+:data:`DEFAULT_BATCH_SIZE` is also the columnar engine's chunk length.
 
 Invariants
 ----------

@@ -30,12 +30,33 @@ Why this is bit-identical
 * **WG runs in trace order.**  The Write-Grouping buffer is global
   state, so that kernel keeps trace order; with the paper's single
   buffer entry its whole control plane reduces to four locals
-  (buffered set, dirty bit, data rows, modified-word set) plus one
+  (buffered set, dirty bit, buffered data, modified words) plus one
   invariant — while a set is buffered the cache never refills it
   (``fill_flush`` drains the buffer first), hence the Tag-Buffer's
   tags always equal the cache's and every probe outcome is implied by
   the cache probe.  Consecutive same-set write runs are pre-grouped
   vectorized (``np.flatnonzero(np.diff(...))``).
+
+Fills without per-word work
+---------------------------
+Both kernels refill a missed block from the functional memory's word
+store, which holds only words that were written back (or stored with
+:meth:`FunctionalMemory.write_word`).  A block none of whose words is
+stored reads as zeros, so the kernels assign one shared zero row
+instead of looking each word up; the test covers every word of the
+block, because ``write_word`` can store a lone word that is not the
+block's first.  Any other block is read word by word, as
+:meth:`FunctionalMemory.read_block` does.  In a cold run almost every
+fill is of a block memory never held.
+
+The WG kernel keeps the buffered set as one flat copy of the set's
+data list, indexed ``way * wpb + word`` like the cache's own slot
+array, and its modified words as flat indices: a Set-Buffer fill is one
+slice copy and a write-back stores each modified index and dirties its
+way (``index // wpb``).  :class:`~repro.core.set_buffer.SetBuffer`
+keeps its per-way rows and ``(way, word)`` pairs; the kernel converts
+them at chunk start and rebuilds them at chunk end, so the scalar path
+between kernel calls sees the buffer it always did.
 
 Gating
 ------
@@ -78,9 +99,10 @@ set at each request that missed the cache; RMW, WG and WG+RB are then
 derived from that one replay (:mod:`repro.perf.derive`).  The plain
 kernel notes a miss by its run's final position, the one position its
 loop sees, and maps each back to the run's first record after the
-loop; no other path keeps a trail.  The closing arithmetic of both kernels is one function per
-technique family (:func:`credit_plain`, :func:`credit_set_buffer`,
-:func:`credit_miss_traffic`), which the derivation calls too.
+loop; no other path keeps a trail.  The closing arithmetic of both
+kernels is one function per technique family (:func:`credit_plain`,
+:func:`credit_set_buffer`, :func:`credit_miss_traffic`), which the
+derivation calls too.
 """
 
 from __future__ import annotations
@@ -316,14 +338,15 @@ def iter_chunks(
     geometry: CacheGeometry,
     batch_size: Optional[int] = None,
 ) -> Iterator[ColumnarChunk]:
-    """Chunk a scalar trace into :class:`ColumnarChunk` arrays.
+    """Chunk a trace into :class:`ColumnarChunk` arrays.
 
-    Streaming like :func:`repro.engine.batch.iter_batches` — at most
-    one chunk of records is held at a time — but each chunk is decoded
-    straight into arrays (:meth:`ColumnarChunk.from_records`).  A
-    :class:`TraceColumns` trace is not decoded at all: each chunk is a
-    view over its columns, at the same boundaries, plus the address
-    split, so no record is ever built.
+    A :class:`TraceColumns` trace (what the generator and both trace
+    file readers return) is not decoded at all: each chunk is a view
+    over its columns plus the address split, so no record is ever
+    built.  Any other iterable of records streams — at most one chunk
+    of records is held at a time — and each chunk is decoded straight
+    into arrays (:meth:`ColumnarChunk.from_records`), at the same
+    boundaries.
     """
     size = batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
     if size <= 0:
@@ -472,7 +495,8 @@ def _process_chunk_plain(
     stamps are positional); each group replays with the set's slot
     arrays hoisted into locals and the miss path — way choice, dirty
     eviction, next-level block transfer, refill — inlined down to plain
-    list and dict operations on the functional memory's word store.
+    list and dict operations on the functional memory's word store (a
+    block memory holds no word of refills as one shared zero row).
     All statistics accumulate in locals and flush once.
     """
     cache = controller.cache
@@ -497,6 +521,8 @@ def _process_chunk_plain(
         chunk.grouped()
     )
     mem_get = mem_words.get
+    mem_disjoint = mem_words.keys().isdisjoint
+    zero_row = [0] * wpb
     record_misses = misses is not None
     miss_finals = []  # run-final position of each miss, when recorded
 
@@ -557,9 +583,14 @@ def _process_chunk_plain(
                     victim_word = (tags[way] << tag_word_shift) | set_word_base
                     for o in word_range:
                         mem_words[victim_word + o] = data[base + o]
-            data[base : base + wpb] = [
-                mem_get(o, 0) for o in range(first_word, first_word + wpb)
-            ]
+            # Refill: one shared zero row when memory holds no word of
+            # the block (see "Fills without per-word work").
+            if not mem_words or mem_disjoint(range(first_word, first_word + wpb)):
+                data[base : base + wpb] = zero_row
+            else:
+                data[base : base + wpb] = [
+                    mem_get(o, 0) for o in range(first_word, first_word + wpb)
+                ]
             tags[way] = t
             dirty[way] = False
         # LRU stamps are positional, so the run-final stamp is known up
@@ -681,14 +712,16 @@ def _process_chunk_wg(
 
     Runs in trace order (the buffer is global state), but the whole
     buffer reduces to locals: buffered set (``-1`` when invalid), dirty
-    bit, ``dirty_since``, the Set-Buffer's data rows and modified-word
-    set.  Write-backs, buffer fills and cache fills are inlined; the
-    Tag-Buffer needs no tag probes because while a set is buffered its
-    cache tags cannot change (a miss drains the buffer first), so a
-    cache-hit read of the buffered set *is* a Tag-Buffer hit.  The
-    buffer objects are rematerialized once at chunk end.  Consecutive
-    same-(kind, set) runs are pre-grouped vectorized so the inner write
-    loop consumes whole runs without rescanning.
+    bit, ``dirty_since``, the Set-Buffer's data as one flat list in the
+    cache's ``way * wpb + word`` layout, and its modified words as flat
+    indices.  Write-backs, buffer fills (one slice copy of the set) and
+    cache fills are inlined; the Tag-Buffer needs no tag probes because
+    while a set is buffered its cache tags cannot change (a miss drains
+    the buffer first), so a cache-hit read of the buffered set *is* a
+    Tag-Buffer hit.  The buffer objects are converted from their
+    per-way form at chunk start and rebuilt in it at chunk end.
+    Consecutive same-(kind, set) runs are pre-grouped vectorized so the
+    inner write loop consumes whole runs without rescanning.
     """
     cache = controller.cache
     tags_by_set = cache._tags  # noqa: SLF001 - engine contract
@@ -713,16 +746,21 @@ def _process_chunk_wg(
     set_buffer = entry.set_buffer
 
     # Buffer state, lifted into locals for the duration of the chunk.
+    # The buffered set is one flat copy of the set's data list (the
+    # cache's own ``way * wpb + word`` layout) and ``modified`` holds
+    # flat indices, so a fill is one slice copy.
     if tag_buffer.valid:
         buffered_set = tag_buffer.set_index
         buffer_dirty = tag_buffer.dirty
         dirty_since = entry.dirty_since
-        buffer_rows, modified = set_buffer.engine_views()
+        rows, pairs = set_buffer.engine_views()
+        buffer = [word for row in rows for word in row]
+        modified = {way * wpb + word for way, word in pairs}
     else:
         buffered_set = -1
         buffer_dirty = False
         dirty_since = None
-        buffer_rows = modified = None  # type: ignore[assignment]
+        buffer = modified = None  # type: ignore[assignment]
 
     kinds = chunk.kinds
     set_arr = chunk.set_indices
@@ -735,6 +773,8 @@ def _process_chunk_wg(
     ic_l = chunk.icounts.tolist()
     fword_l = ((chunk.addresses >> 3).astype(np.int64) & ~(wpb - 1)).tolist()
     mem_get = mem_words.get
+    mem_disjoint = mem_words.keys().isdisjoint
+    zero_row = [0] * wpb
     # Vectorized run-length grouping: run_end_l[i] is the end
     # (exclusive) of the maximal run of records sharing position i's
     # (kind, set) pair.
@@ -786,9 +826,9 @@ def _process_chunk_wg(
                         # WG: premature write-back, inlined.
                         target = data_by_set[s]
                         target_dirty = dirty_by_set[s]
-                        for bway, bword in modified:
-                            target[bway * wpb + bword] = buffer_rows[bway][bword]
-                            target_dirty[bway] = True
+                        for b in modified:
+                            target[b] = buffer[b]
+                            target_dirty[b // wpb] = True
                         modified.clear()
                         buffer_dirty = False
                         premature_wb += 1
@@ -810,9 +850,9 @@ def _process_chunk_wg(
                     if buffer_dirty:
                         target = data_by_set[s]
                         target_dirty = dirty_by_set[s]
-                        for bway, bword in modified:
-                            target[bway * wpb + bword] = buffer_rows[bway][bword]
-                            target_dirty[bway] = True
+                        for b in modified:
+                            target[b] = buffer[b]
+                            target_dirty[b // wpb] = True
                         modified.clear()
                         buffer_dirty = False
                         fill_flush_wb += 1
@@ -826,7 +866,7 @@ def _process_chunk_wg(
                             windows += 1
                             dirty_since = None
                     buffered_set = -1
-                    buffer_rows = modified = None  # type: ignore[assignment]
+                    buffer = modified = None  # type: ignore[assignment]
                 read_misses += 1
                 stamps = stamps_by_set[s]
                 data = data_by_set[s]
@@ -846,9 +886,12 @@ def _process_chunk_wg(
                         for o in word_range:
                             mem_words[victim_word + o] = data[base + o]
                 first_word = fword_l[i]
-                data[base : base + wpb] = [
-                    mem_get(o, 0) for o in range(first_word, first_word + wpb)
-                ]
+                if not mem_words or mem_disjoint(range(first_word, first_word + wpb)):
+                    data[base : base + wpb] = zero_row
+                else:
+                    data[base : base + wpb] = [
+                        mem_get(o, 0) for o in range(first_word, first_word + wpb)
+                    ]
                 tags[way] = t
                 set_dirty[way] = False
                 stamps[way] = tick0 + i
@@ -873,9 +916,9 @@ def _process_chunk_wg(
                     if buffer_dirty:
                         target = data_by_set[s]
                         target_dirty = dirty_by_set[s]
-                        for bway, bword in modified:
-                            target[bway * wpb + bword] = buffer_rows[bway][bword]
-                            target_dirty[bway] = True
+                        for b in modified:
+                            target[b] = buffer[b]
+                            target_dirty[b // wpb] = True
                         modified.clear()
                         buffer_dirty = False
                         fill_flush_wb += 1
@@ -889,7 +932,7 @@ def _process_chunk_wg(
                             windows += 1
                             dirty_since = None
                     buffered_set = -1
-                    buffer_rows = modified = None  # type: ignore[assignment]
+                    buffer = modified = None  # type: ignore[assignment]
                 write_misses += 1
                 data = data_by_set[s]
                 set_dirty = dirty_by_set[s]
@@ -908,9 +951,12 @@ def _process_chunk_wg(
                         for o in word_range:
                             mem_words[victim_word + o] = data[base + o]
                 first_word = fword_l[k]
-                data[base : base + wpb] = [
-                    mem_get(o, 0) for o in range(first_word, first_word + wpb)
-                ]
+                if not mem_words or mem_disjoint(range(first_word, first_word + wpb)):
+                    data[base : base + wpb] = zero_row
+                else:
+                    data[base : base + wpb] = [
+                        mem_get(o, 0) for o in range(first_word, first_word + wpb)
+                    ]
                 tags[way] = t
                 set_dirty[way] = False
                 stamps[way] = tick0 + k
@@ -924,9 +970,9 @@ def _process_chunk_wg(
                 if buffer_dirty:
                     target = data_by_set[buffered_set]
                     target_dirty = dirty_by_set[buffered_set]
-                    for bway, bword in modified:
-                        target[bway * wpb + bword] = buffer_rows[bway][bword]
-                        target_dirty[bway] = True
+                    for b in modified:
+                        target[b] = buffer[b]
+                        target_dirty[b // wpb] = True
                     buffer_dirty = False
                     eviction_wb += 1
                     if record:
@@ -940,20 +986,15 @@ def _process_chunk_wg(
                             residency_max = residency
                         windows += 1
                         dirty_since = None
-                data = data_by_set[s]
-                buffer_rows = [
-                    data[way_base : way_base + wpb]
-                    for way_base in range(0, row_words, wpb)
-                ]
+                buffer = data_by_set[s][:]
                 modified = set()
                 buffered_set = s
                 buffer_fills += 1
                 if record:
                     code_l[k] |= PORT_READ
-            row = buffer_rows[way]
-            w = word_l[k]
+            b = way * wpb + word_l[k]
             v = val_l[k]
-            if row[w] == v:
+            if buffer[b] == v:
                 # Silent write: the buffer is left untouched when
                 # detection is on; dirties it like any other write
                 # otherwise.
@@ -962,8 +1003,8 @@ def _process_chunk_wg(
                     k += 1
                     continue
             else:
-                row[w] = v
-                modified.add((way, w))
+                buffer[b] = v
+                modified.add(b)
             if not buffer_dirty:
                 dirty_since = ic_l[k]
                 buffer_dirty = True
@@ -987,8 +1028,10 @@ def _process_chunk_wg(
         )
         set_buffer.valid = True
         set_buffer.set_index = buffered_set
-        set_buffer._data = buffer_rows  # noqa: SLF001
-        set_buffer._modified = modified  # noqa: SLF001
+        set_buffer._data = [  # noqa: SLF001
+            buffer[base : base + wpb] for base in range(0, row_words, wpb)
+        ]
+        set_buffer._modified = {divmod(b, wpb) for b in modified}  # noqa: SLF001
         entry.dirty_since = dirty_since
 
     cache._tick = tick0 + n  # noqa: SLF001

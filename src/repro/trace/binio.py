@@ -22,6 +22,8 @@ over a packed structured dtype, so no record is built.  It checks the
 whole file before it returns anything, and a file with several faults
 reports the first of: bad header, truncated tail, first CRC mismatch,
 first bad kind byte, first misaligned address.
+:func:`write_binary_trace` is its mirror: the trace's columns packed
+into the same dtype and written as its bytes, so no record is built.
 
 The binary format is ~4x smaller and far faster to parse than the text
 format; campaign runs that cache traces on disk use it.
@@ -29,7 +31,6 @@ format; campaign runs that cache traces on disk use it.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
@@ -53,8 +54,6 @@ __all__ = [
 
 MAGIC = b"RPTRACE1"
 MAGIC_CRC = b"RPTRACE2"
-_RECORD = struct.Struct("<QBQQ")
-_CRC = struct.Struct("<I")
 
 _BODY = [("icount", "<u8"), ("kind", "u1"), ("address", "<u8"), ("value", "<u8")]
 #: One whole record of each variant, packed (25 and 29 bytes).
@@ -62,6 +61,8 @@ _DTYPES = {
     MAGIC: np.dtype(_BODY),
     MAGIC_CRC: np.dtype(_BODY + [("crc", "<u4")]),
 }
+#: The bytes of a record that its ``RPTRACE2`` CRC-32 covers.
+_BODY_SIZE = _DTYPES[MAGIC].itemsize
 
 PathLike = Union[str, Path]
 
@@ -72,23 +73,35 @@ def write_binary_trace(
     """Write ``trace`` to ``path`` in binary form; returns the record count.
 
     ``crc=True`` selects the integrity-checked ``RPTRACE2`` variant
-    with a per-record CRC-32 (4 bytes/record, ~16 % size cost).
+    with a per-record CRC-32 (4 bytes/record, ~16 % size cost).  The
+    trace's columns (:meth:`TraceColumns.of`) are packed into the
+    reader's record dtype, so no record is built; each CRC is computed
+    over its record's 25-byte body in the packed bytes.
     """
-    count = 0
+    columns = TraceColumns.of(trace)
+    magic = MAGIC_CRC if crc else MAGIC
+    dtype = _DTYPES[magic]
+    records = np.zeros(len(columns), dtype=dtype)
+    records["icount"] = columns.icounts
+    records["kind"] = columns.kinds
+    records["address"] = columns.addresses
+    records["value"] = columns.values
+    data = records.tobytes()
+    if crc:
+        view = memoryview(data)
+        records["crc"] = np.fromiter(
+            (
+                zlib.crc32(view[start : start + _BODY_SIZE])
+                for start in range(0, len(data), dtype.itemsize)
+            ),
+            dtype=np.uint32,
+            count=len(records),
+        )
+        data = records.tobytes()
     with open(path, "wb") as handle:
-        handle.write(MAGIC_CRC if crc else MAGIC)
-        for access in trace:
-            body = _RECORD.pack(
-                access.icount,
-                1 if access.is_write else 0,
-                access.address,
-                access.value,
-            )
-            if crc:
-                body += _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
-            handle.write(body)
-            count += 1
-    return count
+        handle.write(magic)
+        handle.write(data)
+    return len(records)
 
 
 def _first(mask: Any) -> Optional[int]:
@@ -135,7 +148,7 @@ def read_binary_trace(path: PathLike) -> TraceColumns:
         view = memoryview(data)
         computed = np.fromiter(
             (
-                zlib.crc32(view[start : start + _RECORD.size])
+                zlib.crc32(view[start : start + _BODY_SIZE])
                 for start in range(len(MAGIC), len(data), record_size)
             ),
             dtype=np.uint32,

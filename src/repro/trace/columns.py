@@ -20,7 +20,7 @@ column views (sharing any records already built).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Union, overload
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Union, overload
 
 import numpy
 
@@ -39,9 +39,9 @@ _COLUMNS = ("icounts", "kinds", "addresses", "values")
 class TraceColumns(Sequence[MemoryAccess]):
     """A trace as ``icounts``/``kinds``/``addresses``/``values`` columns.
 
-    Construct with :meth:`from_lists` (plain ints) or directly from
-    arrays of the column dtypes.  Columns are taken as given; record
-    validation runs when records are built.
+    Construct with :meth:`from_lists` (plain ints), :meth:`of` (any
+    trace) or directly from arrays of the column dtypes.  Columns are
+    taken as given; record validation runs when records are built.
     """
 
     __slots__ = _COLUMNS + ("_records",)
@@ -75,6 +75,23 @@ class TraceColumns(Sequence[MemoryAccess]):
             np.array(addresses, dtype=np.uint64),
             np.array(values, dtype=np.uint64),
         )
+
+    @classmethod
+    def of(cls, trace: Iterable[MemoryAccess]) -> "TraceColumns":
+        """``trace`` as columns: a :class:`TraceColumns` comes back as
+        it is, and any other iterable of records is packed into new
+        columns that keep a copy of the records."""
+        if isinstance(trace, TraceColumns):
+            return trace
+        records = list(trace)
+        columns = cls.from_lists(
+            [access.icount for access in records],
+            [access.kind is AccessType.WRITE for access in records],
+            [access.address for access in records],
+            [access.value for access in records],
+        )
+        columns._records = records
+        return columns
 
     def make_read_only(self) -> "TraceColumns":
         """Make the four columns read-only and return this trace.

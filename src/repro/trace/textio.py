@@ -25,20 +25,29 @@ __all__ = ["read_text_trace", "write_text_trace"]
 PathLike = Union[str, Path]
 
 _FIELD_LIMIT = 1 << 64
+#: The kind letter of a ``kinds`` column entry (1 = write).
+_LETTERS = (AccessType.READ.value, AccessType.WRITE.value)
 
 
 def write_text_trace(path: PathLike, trace: Iterable[MemoryAccess]) -> int:
-    """Write ``trace`` to ``path``; returns the number of records written."""
-    count = 0
+    """Write ``trace`` to ``path``; returns the number of records written.
+
+    Lines are formatted straight from the trace's columns
+    (:meth:`TraceColumns.of`), so no record is built.
+    """
+    columns = TraceColumns.of(trace)
     with open(path, "w", encoding="ascii") as handle:
         handle.write("# repro trace v1: icount kind address value\n")
-        for access in trace:
-            handle.write(
-                f"{access.icount} {access.kind.value} "
-                f"{access.address:#x} {access.value:#x}\n"
+        handle.writelines(
+            f"{icount} {_LETTERS[kind]} {address:#x} {value:#x}\n"
+            for icount, kind, address, value in zip(
+                columns.icounts.tolist(),
+                columns.kinds.tolist(),
+                columns.addresses.tolist(),
+                columns.values.tolist(),
             )
-            count += 1
-    return count
+        )
+    return len(columns)
 
 
 def _parse_line(line: str, line_number: int) -> Tuple[int, int, int, int]:

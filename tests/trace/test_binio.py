@@ -408,3 +408,59 @@ class TestErrorPins:
             expected = rf"record #5000 at byte offset {offset} has bad kind byte 2$"
         with pytest.raises(TraceFormatError, match=expected):
             read_binary_trace(path)
+
+
+def _packed_per_record(trace, crc):
+    """The file a per-record ``struct`` packer writes: the format's
+    definition, which the column writer must match byte for byte."""
+    out = [MAGIC_CRC if crc else MAGIC]
+    for access in trace:
+        body = struct.pack(
+            "<QBQQ", access.icount, int(access.is_write), access.address,
+            access.value,
+        )
+        out.append(body + struct.pack("<I", zlib.crc32(body)) if crc else body)
+    return b"".join(out)
+
+
+_TOP = 2**64 - 1
+_EXTREMES = [
+    MemoryAccess(icount=_TOP, kind=AccessType.WRITE, address=_TOP - 7, value=_TOP),
+    MemoryAccess(icount=0, kind=AccessType.READ, address=0),
+    MemoryAccess(icount=2**63, kind=AccessType.WRITE, address=2**63, value=2**63),
+]
+
+
+class TestWriterBytes:
+    """The writer packs columns; the bytes are the per-record format's."""
+
+    @_VARIANTS
+    @pytest.mark.parametrize(
+        "source",
+        ("generated", "records", "extremes", "empty", "iterator"),
+    )
+    def test_bytes_match_per_record_packing(self, tmp_path, crc, source):
+        records = {
+            "generated": list(_generated()),
+            "records": list(_generated(seed=4)),
+            "extremes": _EXTREMES,
+            "empty": [],
+            "iterator": SAMPLE,
+        }[source]
+        trace = {
+            "generated": _generated(),
+            "iterator": iter(SAMPLE),
+            "empty": TraceColumns.from_lists([], [], [], []),
+        }.get(source, records)
+        path = tmp_path / "t.bin"
+        assert write_binary_trace(path, trace, crc=crc) == len(records)
+        assert path.read_bytes() == _packed_per_record(records, crc)
+
+    @_VARIANTS
+    def test_writing_columns_builds_no_records(
+        self, tmp_path, crc, post_init_calls
+    ):
+        trace = _generated()
+        post_init_calls.clear()
+        write_binary_trace(tmp_path / "t.bin", trace, crc=crc)
+        assert post_init_calls == []

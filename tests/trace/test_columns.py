@@ -154,6 +154,31 @@ class TestLazyRecords:
         ]
 
 
+class TestOf:
+    def test_columns_come_back_as_they_are(self, post_init_calls):
+        trace = _trace(50)
+        assert TraceColumns.of(trace) is trace
+        assert post_init_calls == []
+
+    @pytest.mark.parametrize("wrap", (list, iter, tuple))
+    def test_records_are_packed_and_kept(self, wrap, post_init_calls):
+        records = _records(_trace(60))
+        post_init_calls.clear()
+        columns = TraceColumns.of(wrap(records))
+        assert [getattr(columns, c).dtype for c in COLUMNS] == [
+            np.uint64, np.uint8, np.uint64, np.uint64
+        ]
+        assert columns == TraceColumns.of(_trace(60))
+        assert list(columns) == records
+        assert columns[5] is records[5]
+        assert post_init_calls == []
+
+    def test_empty(self):
+        columns = TraceColumns.of([])
+        assert len(columns) == 0
+        assert columns.kinds.dtype == np.uint8
+
+
 def _assert_same_chunks(got, want):
     assert len(got) == len(want)
     for mine, theirs in zip(got, want):

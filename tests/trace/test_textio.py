@@ -185,3 +185,59 @@ class TestParsing:
         assert list(read_text_trace(path)) == [
             MemoryAccess(icount=top, kind=AccessType.WRITE, address=top - 7, value=top)
         ]
+
+
+class TestWriterText:
+    """The writer formats columns; the text is the per-record format's."""
+
+    @staticmethod
+    def per_record(trace):
+        return "# repro trace v1: icount kind address value\n" + "".join(
+            f"{a.icount} {a.kind.value} {a.address:#x} {a.value:#x}\n"
+            for a in trace
+        )
+
+    @pytest.mark.parametrize(
+        "source", ("generated", "records", "extremes", "empty", "iterator")
+    )
+    def test_text_matches_per_record_format(self, tmp_path, source):
+        from repro.workload.generator import generate_trace
+        from repro.workload.spec2006 import get_profile
+
+        top = 2**64 - 1
+        generated = generate_trace(get_profile("mcf"), 300, seed=7)
+        records = {
+            "generated": list(generated),
+            "records": list(generate_trace(get_profile("lbm"), 300, seed=7)),
+            "extremes": [
+                MemoryAccess(top, AccessType.WRITE, top - 7, top),
+                MemoryAccess(0, AccessType.READ, 0),
+            ],
+            "empty": [],
+            "iterator": _sample_trace(),
+        }[source]
+        trace = {
+            "generated": generated,
+            "iterator": iter(_sample_trace()),
+            "empty": TraceColumns.from_lists([], [], [], []),
+        }.get(source, records)
+        path = tmp_path / "t.txt"
+        assert write_text_trace(path, trace) == len(records)
+        assert path.read_bytes() == self.per_record(records).encode("ascii")
+        assert read_text_trace(path) == TraceColumns.of(records)
+
+    def test_writing_columns_builds_no_records(self, tmp_path, monkeypatch):
+        from repro.workload.generator import generate_trace
+        from repro.workload.spec2006 import get_profile
+
+        trace = generate_trace(get_profile("gcc"), 200, seed=1)
+        built = []
+        original = MemoryAccess.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(MemoryAccess, "__post_init__", counting)
+        write_text_trace(tmp_path / "t.txt", trace)
+        assert built == []

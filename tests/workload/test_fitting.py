@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.trace.binio import read_binary_trace, write_binary_trace
 from repro.trace.stats import collect_statistics
+from repro.utils.bitops import round_up_pow2
 from repro.workload.fitting import fit_profile
 from repro.workload.generator import generate_trace
 from repro.workload.kernels import run_kernel
-from repro.workload.profile import WorkloadProfile
-from repro.workload.spec2006 import get_profile
+from repro.workload.profile import StreamSpec, WorkloadProfile
+from repro.workload.spec2006 import benchmark_names, get_profile
 
 
 class TestValidation:
@@ -96,3 +98,79 @@ class TestRoundTrip:
             trace, BASELINE_GEOMETRY, techniques=("rmw", "wg")
         )
         assert comparison.access_reduction("wg") > 0.0
+
+
+def record_fit(trace, name="fitted"):
+    """:func:`fit_profile`'s estimates computed record by record: the
+    per-access reference its column estimators must equal exactly."""
+    stats = collect_statistics(list(trace))
+    read_frequency = min(0.6, max(0.01, stats.read_frequency))
+    write_frequency = min(0.6, max(0.01, stats.write_frequency))
+    if read_frequency + write_frequency >= 1.0:
+        scale = 0.95 / (read_frequency + write_frequency)
+        read_frequency *= scale
+        write_frequency *= scale
+    pairs = list(zip(trace, trace[1:]))
+    distances = [abs(b.address // 32 - a.address // 32) for a, b in pairs]
+    runs, current = [], 1
+    for distance in distances:
+        if distance <= 1:
+            current += 1
+        else:
+            runs.append(current)
+            current = 1
+    runs.append(current)
+    observed = sum(a.kind is b.kind for a, b in pairs) / len(pairs)
+    share = stats.write_share_of_accesses
+    base = share**2 + (1.0 - share) ** 2
+    rho = 0.0 if base >= 1.0 else (observed - base) / (1.0 - base)
+    spatial = {
+        "sequential": sum(d <= 1 for d in distances),
+        "strided": sum(1 < d <= 16 for d in distances),
+        "random": sum(d > 16 for d in distances),
+    }
+    footprint_words = len({access.word for access in trace})
+    region_kib = max(8, round_up_pow2(footprint_words * 8 // 1024 or 1))
+    return WorkloadProfile(
+        name=name,
+        read_frequency=read_frequency,
+        write_frequency=write_frequency,
+        silent_fraction=stats.silent_write_fraction,
+        burst_mean=max(1.0, sum(runs) / len(runs)),
+        type_persistence=min(1.0, max(0.0, rho)),
+        streams=tuple(
+            StreamSpec(
+                kind,
+                weight=max(count / len(distances), 0.02),
+                region_kib=region_kib,
+            )
+            for kind, count in spatial.items()
+        ),
+        description=f"fitted from a {len(trace)}-access trace",
+    )
+
+
+class TestColumnEstimators:
+    """The estimators run on columns; records and columns of one trace
+    fit to the same profile, field for field, as the per-record
+    reference does."""
+
+    @pytest.mark.parametrize("seed", (2012, 7))
+    @pytest.mark.parametrize("profile_name", benchmark_names())
+    def test_records_and_columns_fit_alike(self, profile_name, seed):
+        columns = generate_trace(get_profile(profile_name), 2_000, seed=seed)
+        records = list(columns)
+        expected = record_fit(records, name=profile_name)
+        assert fit_profile(columns, name=profile_name) == expected
+        assert fit_profile(records, name=profile_name) == expected
+
+    def test_decoded_rptrace2_file(self, tmp_path):
+        trace = generate_trace(get_profile("bwaves"), 5_000, seed=7)
+        path = tmp_path / "t.rpt"
+        write_binary_trace(path, trace, crc=True)
+        decoded = read_binary_trace(path)
+        assert fit_profile(decoded) == fit_profile(trace) == record_fit(trace)
+
+    def test_kernel_trace(self):
+        trace = run_kernel("histogram", words=2_000)
+        assert fit_profile(trace, name="h") == record_fit(trace, name="h")
