@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Dict
 
 from repro.analysis.area import section54_area
+from repro.analysis.estimators import resolve_estimator
 from repro.analysis.frequency import figure3_access_frequency
 from repro.analysis.power_perf import section55_power_performance
 from repro.analysis.reductions import (
@@ -51,11 +53,20 @@ FIGURE_IDS = tuple(sorted(_PRODUCERS))
 
 def reproduce_figure(figure_id: str, **kwargs) -> FigureResult:
     """Reproduce one figure; kwargs forwarded to the producer
-    (typically ``accesses=``, ``seed=``, ``benchmarks=``)."""
+    (typically ``accesses=``, ``seed=``, ``benchmarks=``).
+
+    An estimator-aware figure gets its registry resolved here, and the
+    registry's new estimation records are appended in one batch when
+    the figure ends (see :meth:`repro.power.estimator.EstimationRecordCache.batch`).
+    """
     try:
         producer = _PRODUCERS[figure_id]
     except KeyError:
         raise ValidationError(
             f"unknown figure {figure_id!r}; known: {list(FIGURE_IDS)}"
         ) from None
-    return producer(**kwargs)
+    if figure_id not in ESTIMATOR_AWARE_IDS:
+        return producer(**kwargs)
+    registry = resolve_estimator(kwargs.pop("estimator", None))
+    with registry.cache.batch() if registry.cache is not None else nullcontext():
+        return producer(estimator=registry, **kwargs)

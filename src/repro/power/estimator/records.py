@@ -3,11 +3,14 @@
 The Accelergy CACTI plug-in memoizes ``self.records`` keyed on the
 query and persists them to disk ("enable data reuse"); this is the
 production version of that idea for the estimator layer.  Records live
-in one append-only JSONL file — every ``put`` appends a single fsync'd
-line through :func:`repro.store.durable.append_line`, so a crash can
-tear at most the final line, a torn line is skipped (and counted) on
-the next load rather than poisoning the cache, and the next record
-starts on a fresh line.
+in one append-only JSONL file, written through
+:func:`repro.store.durable.append_lines`: outside a batch every ``put``
+appends its own fsync'd line; inside :meth:`EstimationRecordCache.batch`
+(one figure) the records are queued and appended with one fsync when
+the batch ends.  A crash can tear at most the final line, a torn line
+is skipped (and counted) on the next load rather than poisoning the
+cache, and the next record starts on a fresh line.  A crash inside a
+batch loses the batch's records, which the next run recomputes.
 
 Keys reuse the content-addressed canonicalisation from
 :mod:`repro.store.keys`: a record's identity is the digest of its meta
@@ -26,13 +29,14 @@ counters for ``stats`` and tests.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.power.estimator.protocol import Estimation
 from repro.power.estimator.query import EstimationQuery
-from repro.store.durable import append_line
+from repro.store.durable import append_lines
 from repro.store.keys import canonical_json, digest
 from repro.store.version import ESTIMATOR_CODE_PATHS, code_version
 
@@ -100,6 +104,8 @@ class EstimationRecordCache:
             "write_failures": 0,
         }
         self._records: Dict[str, Estimation] = {}
+        #: Record lines held back by an open :meth:`batch`, else None.
+        self._queued: Optional[List[str]] = None
         self._replay()
 
     # -- persistence ---------------------------------------------------------
@@ -136,20 +142,37 @@ class EstimationRecordCache:
             # Last writer wins — replay order is append order.
             self._records[key] = estimation
 
-    def _append(self, document: Dict[str, object]) -> bool:
-        line = canonical_json(document)
+    def _write(self, lines: Sequence[str]) -> bool:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            append_line(self.path, line)
+            append_lines(self.path, lines)
             return True
         except OSError as exc:
-            self.counters["write_failures"] += 1
+            self.counters["write_failures"] += len(lines)
             self.telemetry.warn(
                 "estimator.cache_unwritable",
                 f"estimation cache {self.path} unwritable: {exc}; "
-                "record not persisted",
+                f"{len(lines)} record(s) not persisted",
             )
             return False
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Queue the block's records; append them with one fsync when it
+        ends, also on an exception.
+
+        A batch opened inside another joins it: the outer one writes.
+        """
+        if self._queued is not None:
+            yield
+            return
+        self._queued = []
+        try:
+            yield
+        finally:
+            queued, self._queued = self._queued, None
+            if queued:
+                self._write(queued)
 
     # -- lookups -------------------------------------------------------------
 
@@ -168,13 +191,19 @@ class EstimationRecordCache:
         meta: Dict[str, object],
         estimation: Estimation,
     ) -> bool:
-        """Persist one record (append + fsync) and index it."""
-        document: Dict[str, object] = {
-            "key": key,
-            "meta": meta,
-            "payload": estimation.to_payload(),
-        }
-        persisted = self._append(document)
+        """Persist one record (append + fsync) and index it.
+
+        Inside a :meth:`batch` the record is queued and ``True`` means
+        queued; a failed batch write is counted when the batch ends.
+        """
+        line = canonical_json(
+            {"key": key, "meta": meta, "payload": estimation.to_payload()}
+        )
+        if self._queued is not None:
+            self._queued.append(line)
+            persisted = True
+        else:
+            persisted = self._write((line,))
         self._records[key] = estimation
         self.counters["puts"] += 1
         return persisted

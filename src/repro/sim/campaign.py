@@ -74,6 +74,7 @@ from repro.sim.resilience import (
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sram.events import SRAMEventLog
 from repro.trace.record import MemoryAccess
+from repro.utils.memo import scope_memo
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import get_profile
 
@@ -357,6 +358,11 @@ def _open_result_store(
 ):
     """Open (or pass through) the campaign's result store.
 
+    Inside a memo scope (one report) every campaign gets the scope's
+    store for its (root, ``max_bytes``), opened once; each campaign
+    that takes it points its degradation events at itself.  Outside a
+    scope each campaign opens its own.
+
     An unusable store root *degrades* — the campaign runs uncached
     behind a ``warning.store.open_failed`` — rather than failing work
     that does not need the cache to be correct.
@@ -371,12 +377,15 @@ def _open_result_store(
     def on_event(name: str, **details) -> None:
         emit_degradation(telem, name, **details)
 
+    max_bytes = policy.result_cache_max_bytes
+    opened = scope_memo("sim.result_stores")
+    handle = (str(result_cache), max_bytes)
+    if opened is not None and handle in opened:
+        store = opened[handle]
+        store.on_event = on_event
+        return store
     try:
-        return ResultStore(
-            result_cache,
-            max_bytes=policy.result_cache_max_bytes,
-            on_event=on_event,
-        )
+        store = ResultStore(result_cache, max_bytes=max_bytes, on_event=on_event)
     except (StoreError, OSError) as exc:
         telem.warn(
             "store.open_failed",
@@ -384,6 +393,9 @@ def _open_result_store(
             root=str(result_cache),
         )
         return None
+    if opened is not None:
+        opened[handle] = store
+    return store
 
 
 def _store_load_row(
@@ -441,12 +453,20 @@ def _serve_cached_rows(
         return cached, list(config.benchmarks), 0
     pending: List[str] = []
     corrupt_before = store.counters["corrupt"]
-    for benchmark in config.benchmarks:
-        row = _store_load_row(store, config, benchmark, telem)
-        if row is not None:
-            cached[benchmark] = row
-        else:
-            pending.append(benchmark)
+    try:
+        # The hits' recency goes to the index journal in one append.
+        with store.index.batch():
+            for benchmark in config.benchmarks:
+                row = _store_load_row(store, config, benchmark, telem)
+                if row is not None:
+                    cached[benchmark] = row
+                else:
+                    pending.append(benchmark)
+    except OSError as exc:
+        telem.warn(
+            "store.get_failed",
+            f"result-store recency of this lookup pass not recorded: {exc}",
+        )
     return cached, pending, store.counters["corrupt"] - corrupt_before
 
 

@@ -22,7 +22,7 @@ Modules:
 ``store``
     :class:`ResultStore` — the store itself.
 ``durable``
-    ``atomic_write`` / ``append_line`` — the two fsync'd writes every
+    ``atomic_write`` / ``append_lines`` — the two fsync'd writes every
     durable file in the package (and the ledger, estimation records and
     lint cache) goes through.
 """

@@ -14,11 +14,17 @@ Ops::
     {"op": "evict", "key": "<hex>"}
     {"op": "remove", "key": "<hex>"}
 
-Every append goes through :func:`repro.store.durable.append_line`
-(one fsync'd line) before the caller proceeds: a crash leaves at most
-one torn trailing line, and replay simply skips lines that do not parse
-(counted in :attr:`StoreIndex.skipped_lines`).  The index is a *cache
-of the object tree*, not the source of truth — :meth:`reconcile`
+Outside a batch every append goes through
+:func:`repro.store.durable.append_lines` (one fsync'd write) before the
+caller proceeds: a crash leaves at most one torn trailing line, and
+replay simply skips lines that do not parse (counted in
+:attr:`StoreIndex.skipped_lines`).  Inside :meth:`StoreIndex.batch`
+(one campaign's lookup pass) ``touch`` lines are queued and appended
+with one fsync when the batch ends; a ``put``, ``evict`` or ``remove``
+writes the queued touches ahead of itself in the same call, so the
+journal keeps operation order.  A crash inside a batch loses the
+queued touches, which is recency and never an entry.  The index is a
+*cache of the object tree*, not the source of truth — :meth:`reconcile`
 repairs it against the objects actually on disk, so even deleting
 ``index.jsonl`` outright (or losing another process's appends to a
 compaction) loses nothing but LRU order.
@@ -26,17 +32,20 @@ compaction) loses nothing but LRU order.
 When the journal grows past ~4x the live entry count it is compacted:
 rewritten as header + one ``put`` per live entry via
 :func:`repro.store.durable.atomic_write`, the same commit the store
-uses for entries, with a per-process tempfile.
+uses for entries, with a per-process tempfile.  Queued touches count
+toward that threshold, and a compaction inside a batch captures their
+recency, so it drops them.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.store.durable import append_line, atomic_write
+from repro.store.durable import append_lines, atomic_write
 
 __all__ = ["INDEX_FORMAT", "INDEX_VERSION", "StoreIndex"]
 
@@ -58,6 +67,8 @@ class StoreIndex:
         self._entries: "OrderedDict[str, int]" = OrderedDict()
         self._op_lines = 0
         self.skipped_lines = 0
+        #: Touch lines held back by an open :meth:`batch`, else None.
+        self._queued: Optional[List[str]] = None
         self._replay()
 
     # -- replay / persistence -------------------------------------------
@@ -123,10 +134,34 @@ class StoreIndex:
             self.skipped_lines += 1
 
     def _append(self, record: Dict) -> None:
-        append_line(self.path, json.dumps(record, sort_keys=True))
+        line = json.dumps(record, sort_keys=True)
+        if self._queued is not None and record["op"] == "touch":
+            self._queued.append(line)
+        else:
+            # Queued touches go first: the journal keeps operation order.
+            queued = self._queued or []
+            append_lines(self.path, [*queued, line])
+            queued.clear()
         self._op_lines += 1
         if self._op_lines > len(self._entries) * _COMPACT_FACTOR + _COMPACT_SLACK:
             self._rewrite()
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Queue ``touch`` lines for the block; append them with one
+        fsync when it ends, also on an exception.
+
+        A batch opened inside another joins it: the outer one writes.
+        """
+        if self._queued is not None:
+            yield
+            return
+        self._queued = []
+        try:
+            yield
+        finally:
+            queued, self._queued = self._queued, None
+            append_lines(self.path, queued)
 
     def _rewrite(self) -> None:
         """Compact: header + one ``put`` per live entry, atomically."""
@@ -142,6 +177,9 @@ class StoreIndex:
             ),
         )
         self._op_lines = len(self._entries)
+        if self._queued:
+            # The rewrite holds every queued touch's recency.
+            self._queued.clear()
 
     # -- mutation -------------------------------------------------------
 

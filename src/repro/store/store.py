@@ -14,7 +14,8 @@ Guarantees:
   final name.  A crash at any point leaves either the old state or the
   new state, never a half-written entry.  Opening a store deletes
   tempfiles whose writer process is dead and leaves a live writer's
-  alone.
+  alone; the same ``os.scandir`` walk of the root sizes the objects
+  the index is reconciled against.
 * **Validated reads.**  Every ``get`` re-checks format, schema version,
   key/meta identity (including the recorded code version) and payload
   CRC.  An entry that fails any check is *quarantined* — moved into
@@ -27,7 +28,10 @@ Guarantees:
   clock, so eviction decisions are deterministic.  The newest entry is
   never evicted by its own commit.  Each bounded commit first
   reconciles the index with the object tree, so entries other writers
-  committed count against the bound too.
+  committed count against the bound too.  A hit records its recency as
+  a ``touch`` line; inside ``store.index.batch()`` (a campaign's lookup
+  pass) the touches are appended with one fsync when the batch ends,
+  and a crash inside it loses their recency only.
 
 Telemetry: the ``on_event`` callback receives ``store.hit`` /
 ``store.miss`` / ``store.corrupt`` / ``store.evict`` (all registered in
@@ -94,7 +98,6 @@ class ResultStore:
         self.quarantine_dir = self.root / "quarantine"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        sweep_stale_tempfiles(self.root)
         self.index = StoreIndex(self.root / "index.jsonl")
         self.index.reconcile(self._scan_objects())
 
@@ -104,9 +107,17 @@ class ResultStore:
         return self.objects_dir / key[:2] / f"{key}.json"
 
     def _scan_objects(self) -> Dict[str, int]:
+        """``{key: size}`` of the committed entries, from one
+        ``os.scandir`` walk of the root that also deletes dead writers'
+        tempfiles."""
+        objects = os.path.join(os.fspath(self.root), "objects", "")
         found: Dict[str, int] = {}
-        for path in self.objects_dir.rglob("*.json"):
-            found[path.stem] = path.stat().st_size
+        for entry in sweep_stale_tempfiles(self.root):
+            if entry.name.endswith(".json") and entry.path.startswith(objects):
+                try:
+                    found[entry.name[: -len(".json")]] = entry.stat().st_size
+                except FileNotFoundError:
+                    continue  # another writer evicted it mid-walk
         return found
 
     # -- core get/put ---------------------------------------------------

@@ -81,6 +81,26 @@ class TestSharedWork:
         assert built == []
         assert memo.scope_memo("workload.traces") is None
 
+    def test_opens_the_result_store_once(self, tmp_path, monkeypatch):
+        from repro.sim.resilience import ExecutionPolicy, execution_policy
+        from repro.store import ResultStore
+
+        campaign_figures = ("claim_rmw", "fig9", "fig10")
+        policy = ExecutionPolicy(result_cache=str(tmp_path / "store"))
+        with execution_policy(policy):
+            cold = generate_report(accesses=300, figure_ids=campaign_figures)
+            opens = []
+            init = ResultStore.__init__
+
+            def counting(self, *args, **kwargs):
+                opens.append(args)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(ResultStore, "__init__", counting)
+            warm = generate_report(accesses=300, figure_ids=campaign_figures)
+        assert len(opens) == 1
+        assert figure_sections(warm) == figure_sections(cold)
+
 
 class TestWriteReport:
     def test_writes_file(self, tmp_path):

@@ -1,21 +1,29 @@
 """Estimation-record cache: keys, persistence, damage tolerance."""
 
 import json
+import multiprocessing
+import os
+import re
+import sys
 
 import pytest
 
+from repro.analysis.figures import reproduce_figure
+from repro.analysis.report import generate_report
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
 from repro.obs.telemetry import Telemetry
 from repro.power.estimator import (
     Estimation,
     EstimationQuery,
     EstimationRecordCache,
+    default_registry,
 )
 from repro.power.estimator.records import (
     RECORDS_FILENAME,
     estimator_code_version,
     record_key,
 )
+from repro.sim.resilience import ExecutionPolicy, execution_policy
 from repro.store.keys import digest
 from repro.store.version import ENV_CODE_VERSION
 
@@ -160,3 +168,105 @@ class TestStats:
         assert stats["records"] == 0
         assert stats["code_version"] == estimator_code_version()
         assert set(cache.counters) <= set(stats)
+
+
+def _counting_fsyncs(monkeypatch):
+    calls = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or fsync(fd))
+    return calls
+
+
+def _keys(count):
+    return [
+        record_key("library", EstimationQuery.area(CacheGeometry(1024 << n, 4, 32)))
+        for n in range(count)
+    ]
+
+
+#: Estimator-aware figures small enough for a unit test.
+REPORT_FIGURES = ("sec5.4", "overheads", "dvfs_energy")
+
+
+def _estimates(report):
+    """A report's figure tables, without the per-figure timings."""
+    return re.sub(r"^### (\S+)  \([0-9.]+s\)$", r"### \1", report, flags=re.M)
+
+
+def _record_then_die(cache_dir):
+    registry = default_registry(cache_path=cache_dir)
+    reproduce_figure("sec5.4", estimator=registry)
+    with registry.cache.batch():
+        reproduce_figure("overheads", estimator=registry, accesses=300)
+        os._exit(7)
+
+
+class TestBatch:
+    """Records put inside a batch reach the file in one append."""
+
+    def test_one_fsync_per_batch_whatever_the_records(self, tmp_path, monkeypatch):
+        cache = EstimationRecordCache(tmp_path)
+        calls = _counting_fsyncs(monkeypatch)
+        keys = _keys(12)
+        for batch in (keys[:1], keys[1:4], keys[4:]):
+            del calls[:]
+            with cache.batch():
+                for key, meta in batch:
+                    assert cache.put(key, meta, _estimation()) is True
+                assert calls == []
+            assert len(calls) == 1
+        reloaded = EstimationRecordCache(tmp_path)
+        assert len(reloaded) == 12
+        assert reloaded.counters["skipped_lines"] == 0
+
+    def test_records_are_served_while_queued(self, tmp_path):
+        cache = EstimationRecordCache(tmp_path)
+        (key, meta), = _keys(1)
+        with cache.batch():
+            cache.put(key, meta, _estimation(5.0))
+            assert cache.get(key)["total_fj"] == 5.0
+            assert not cache.path.exists()
+        assert EstimationRecordCache(tmp_path).get(key)["total_fj"] == 5.0
+
+    def test_unwritable_batch_counts_every_queued_record(self, tmp_path):
+        target = tmp_path / "records.jsonl"
+        target.mkdir()
+        telemetry = Telemetry(enabled=True)
+        cache = EstimationRecordCache(target / "nope.jsonl", telemetry)
+        cache.path = target  # open() on a directory raises OSError
+        with cache.batch():
+            for key, meta in _keys(5):
+                cache.put(key, meta, _estimation())
+        assert cache.counters["write_failures"] == 5
+        assert cache.counters["puts"] == 5
+        assert (
+            telemetry.registry.value("warning.estimator.cache_unwritable")
+            == 1
+        )
+
+    def test_a_figure_makes_one_append(self, tmp_path, monkeypatch):
+        registry = default_registry(cache_path=tmp_path)
+        calls = _counting_fsyncs(monkeypatch)
+        reproduce_figure("dvfs_energy", estimator=registry, accesses=300)
+        assert len(calls) == 1
+        assert len(registry.cache.path.read_text().splitlines()) > 1
+
+    def test_a_crash_inside_a_batch_loses_that_batch_only(self, tmp_path):
+        cache_dir = tmp_path / "estimates"
+        ctx = multiprocessing.get_context(
+            "fork" if sys.platform != "win32" else "spawn"
+        )
+        child = ctx.Process(target=_record_then_die, args=(cache_dir,))
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == 7
+        survived = EstimationRecordCache(cache_dir)
+        assert survived.counters["skipped_lines"] == 0
+        # The sec5.4 batch ended before the crash; the overheads one not.
+        area_only = default_registry(cache_path=tmp_path / "area")
+        reproduce_figure("sec5.4", estimator=area_only)
+        assert len(survived) == len(area_only.cache) > 0
+        clean = generate_report(accesses=300, figure_ids=REPORT_FIGURES)
+        with execution_policy(ExecutionPolicy(estimator_cache=str(cache_dir))):
+            resumed = generate_report(accesses=300, figure_ids=REPORT_FIGURES)
+        assert _estimates(resumed) == _estimates(clean)

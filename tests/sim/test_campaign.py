@@ -131,3 +131,101 @@ class TestCampaignTelemetry:
                 row.results[technique].counts.read_requests
                 for row in result.rows
             )
+
+
+class TestScopedStore:
+    """Inside a memo scope (one report) campaigns share one store open."""
+
+    SMALL = ExperimentConfig(
+        benchmarks=("bwaves", "mcf"), accesses_per_benchmark=300, seed=7
+    )
+
+    @staticmethod
+    def counting_opens(monkeypatch):
+        from repro.store import ResultStore
+
+        opens = []
+        init = ResultStore.__init__
+
+        def counting(self, *args, **kwargs):
+            opens.append(args[0] if args else kwargs["root"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "__init__", counting)
+        return opens
+
+    def test_each_campaign_opens_its_own_store_outside_a_scope(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        run_campaign(self.SMALL, result_cache=root)
+        opens = self.counting_opens(monkeypatch)
+        for _ in range(4):
+            warm = run_campaign(self.SMALL, result_cache=root)
+            assert warm.health.cached == 2
+        assert len(opens) == 4
+
+    def test_one_open_per_scope_and_root(self, tmp_path, monkeypatch):
+        from repro.utils.memo import memo_scope
+
+        run_campaign(self.SMALL, result_cache=tmp_path / "a")
+        opens = self.counting_opens(monkeypatch)
+        with memo_scope():
+            for _ in range(4):
+                warm = run_campaign(self.SMALL, result_cache=tmp_path / "a")
+                assert warm.health.cached == 2
+            run_campaign(self.SMALL, result_cache=tmp_path / "b")
+        assert opens == [tmp_path / "a", tmp_path / "b"]
+        with memo_scope():
+            run_campaign(self.SMALL, result_cache=tmp_path / "a")
+        assert len(opens) == 3
+
+    def test_events_reach_the_campaign_that_caused_them(self, tmp_path):
+        from repro.obs.telemetry import Telemetry
+        from repro.utils.memo import memo_scope
+
+        root = tmp_path / "store"
+        run_campaign(self.SMALL, result_cache=root)
+        wider = dataclasses.replace(
+            self.SMALL, benchmarks=("bwaves", "mcf", "gcc")
+        )
+        first, second = Telemetry(), Telemetry()
+        with memo_scope():
+            run_campaign(self.SMALL, first, result_cache=root)
+            run_campaign(wider, second, result_cache=root)
+        assert first.registry.value("store.hit") == 2
+        assert first.registry.value("store.miss") == 0
+        assert second.registry.value("store.hit") == 2
+        assert second.registry.value("store.miss") == 1
+
+    def test_a_lookup_pass_makes_one_index_fsync(self, tmp_path, monkeypatch):
+        import os
+
+        config = dataclasses.replace(self.SMALL, benchmarks=BENCHMARKS)
+        root = tmp_path / "store"
+        run_campaign(config, result_cache=root)
+        calls = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or fsync(fd))
+        warm = run_campaign(config, result_cache=root)
+        assert warm.health.cached == len(BENCHMARKS)
+        assert len(calls) == 1
+
+    def test_an_unwritable_journal_keeps_the_served_rows(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.index
+        from repro.obs.telemetry import Telemetry
+
+        root = tmp_path / "store"
+        run_campaign(self.SMALL, result_cache=root)
+
+        def refuse(path, lines):
+            if lines:
+                raise OSError("read-only journal")
+
+        monkeypatch.setattr(repro.store.index, "append_lines", refuse)
+        telemetry = Telemetry()
+        warm = run_campaign(self.SMALL, telemetry, result_cache=root)
+        assert warm.health.cached == 2
+        assert telemetry.registry.value("warning.store.get_failed") == 1

@@ -7,8 +7,13 @@ import sys
 import pytest
 
 from repro.faultinject import FaultSpec, InjectedFaultError, inject
-from repro.store import StoreIndex
-from repro.store.durable import append_line, atomic_write, sweep_stale_tempfiles
+from repro.store import ResultStore, StoreIndex
+from repro.store.durable import (
+    append_line,
+    append_lines,
+    atomic_write,
+    sweep_stale_tempfiles,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -79,6 +84,31 @@ class TestAppendLine:
         assert path.read_text() == "one\ntwo\n"
 
 
+class TestAppendLines:
+    def test_one_write_and_one_fsync_for_many_lines(self, tmp_path, monkeypatch):
+        calls = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or fsync(fd))
+        path = tmp_path / "log.jsonl"
+        append_lines(path, [f"line {n}" for n in range(50)])
+        assert len(calls) == 1
+        assert path.read_text().splitlines() == [f"line {n}" for n in range(50)]
+
+    def test_no_lines_write_nothing(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "fsync", calls.append)
+        path = tmp_path / "log.jsonl"
+        append_lines(path, [])
+        assert calls == []
+        assert not path.exists()
+
+    def test_torn_tail_is_closed_before_the_lines(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('one\n{"torn')
+        append_lines(path, ["two", "three"])
+        assert path.read_text() == 'one\n{"torn\ntwo\nthree\n'
+
+
 class TestSweep:
     def test_only_dead_writers_tempfiles_go(self, tmp_path):
         live = tmp_path / f"a.json.{os.getpid()}.tmp"
@@ -91,6 +121,58 @@ class TestSweep:
         assert live.exists()
         assert not dead.exists()
         assert not legacy.exists()
+
+
+class TestOneWalk:
+    """A store open sweeps and sizes from one ``os.scandir`` walk; it
+    must find what the two ``pathlib`` walks it replaced found."""
+
+    #: A live writer other than this process, whose own index writes
+    #: would reuse its tempfile name.
+    LIVE = os.getppid()
+
+    def build_tree(self, root):
+        live, dead = self.LIVE, dead_pid()
+        files = {
+            "objects/ab/ab01.json": "x" * 11,
+            "objects/ab/ab02.json": "x" * 22,
+            "objects/cd/cd03.json": "x" * 33,
+            "objects/cd/deeper/cd04.json": "x" * 44,
+            f"objects/ab/ab05.json.{live}.tmp": "live",
+            f"objects/cd/cd06.json.{dead}.tmp": "dead",
+            "objects/cd/cd07.json.tmp": "pid-less",
+            "quarantine/ab08.crc.json": "q" * 5,
+            f"quarantine/ab09.torn.json.{dead}.tmp": "dead",
+            f"index.jsonl.{dead}.tmp": "dead",
+            f"index.jsonl.{live}.tmp": "live",
+            "notes.txt": "kept",
+        }
+        for name, text in files.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+    def test_matches_the_pathlib_reference(self, tmp_path):
+        root = tmp_path / "cache"
+        self.build_tree(root)
+        objects = root / "objects"
+        sizes = {
+            path.stem: path.stat().st_size for path in objects.rglob("*.json")
+        }
+        tempfiles = set(root.rglob("*.tmp"))
+        live = {path for path in tempfiles if f".{self.LIVE}." in path.name}
+        others = set(root.rglob("*")) - tempfiles
+        store = ResultStore(root)
+        indexed = {key: store.index.size_of(key) for key in store.index.lru_order()}
+        assert indexed == sizes
+        assert set(root.rglob("*.tmp")) == live
+        assert others <= set(root.rglob("*"))
+        assert store._scan_objects() == sizes
+
+    def test_sweep_returns_the_files_it_kept(self, tmp_path):
+        self.build_tree(tmp_path)
+        kept = {entry.path for entry in sweep_stale_tempfiles(tmp_path)}
+        assert kept == {str(path) for path in tmp_path.rglob("*") if path.is_file()}
 
 
 def test_index_compaction_uses_a_per_process_tempfile(tmp_path, monkeypatch):
