@@ -4,13 +4,17 @@ Not part of the library — the CI chaos gate (see `.github/workflows/
 ci.yml`, job `chaos-smoke`).  It runs the same small campaign three
 ways and demands bit-identical rows every time:
 
-1. **Clean sequential** — the reference result.
+1. **Clean sequential** — the reference result, one simulator per
+   technique.  The same run inside a memo scope, where every row comes
+   from one conventional traversal (`repro.perf.derive.derive_row`),
+   must equal it.
 2. **Chaotic parallel** — supervised workers with injected crashes and
    transient faults (`REPRO_FAULTS`), writing a `--result-cache`.
 3. **Poisoned warm rerun** — the store is damaged with one corruptor
-   per validation layer (torn entry, bad CRC, version skew); the rerun
-   must quarantine and recompute the damage, serve the rest from the
-   store, and still match the reference.
+   per validation layer (torn entry, bad CRC, version skew); the rerun,
+   inside a memo scope, must quarantine the damage and recompute it
+   from one traversal per row, serve the rest from the store, and
+   still match the reference.
 
 Artifacts (health reports, store stats, the quarantine directory) land
 in `--out` for upload on failure.  Exit 0 on success, 1 on any
@@ -41,6 +45,7 @@ from repro.sim.experiment import ExperimentConfig  # noqa: E402
 from repro.sim.parallel import run_campaign_parallel  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
+from repro.utils.memo import memo_scope, scope_memo  # noqa: E402
 
 BENCHMARKS = ("bwaves", "gcc", "mcf", "milc")
 CORRUPTORS = (tear_entry, corrupt_entry_crc, skew_entry_code)
@@ -97,6 +102,14 @@ def main() -> int:
     reference = run_campaign(config, retry=RetryPolicy.none())
     expected = rows_of(reference)
     dump(out, "health-reference.json", health_doc(reference))
+    with memo_scope():
+        derived = run_campaign(config, retry=RetryPolicy.none())
+        traversals = len(scope_memo("sim.derived_rows"))
+    check(rows_of(derived) == expected, "rows from one traversal == clean reference")
+    check(
+        traversals == len(BENCHMARKS),
+        f"one traversal per row (got {traversals})",
+    )
 
     print("== phase 2: chaotic parallel run, cold store ==")
     faults = (
@@ -121,7 +134,9 @@ def main() -> int:
     for corruptor, path in zip(CORRUPTORS, entries):
         corruptor(path)
         print(f"     corrupted {path.name} via {corruptor.__name__}")
-    rerun = run_campaign(config, retry=retry, result_cache=cache)
+    with memo_scope():
+        rerun = run_campaign(config, retry=retry, result_cache=cache)
+        traversals = len(scope_memo("sim.derived_rows"))
     store = ResultStore(cache)
     dump(out, "health-rerun.json", health_doc(rerun))
     dump(out, "store-stats.json", store.stats())
@@ -140,6 +155,10 @@ def main() -> int:
     check(
         rerun.health.cached == rerun.health.total - len(CORRUPTORS),
         "undamaged rows all served from the store",
+    )
+    check(
+        traversals == len(CORRUPTORS),
+        f"healed rows recomputed from one traversal each (got {traversals})",
     )
     verify = store.verify()
     check(not verify["corrupt"], "store verifies clean after self-healing")

@@ -23,6 +23,7 @@ from repro.analysis.scenarios import figure4_scenarios
 from repro.analysis.silent import figure5_silent_writes
 from repro.analysis.traffic import traffic_anatomy
 from repro.errors import ValidationError
+from repro.utils.memo import ensure_memo_scope
 
 __all__ = ["ESTIMATOR_AWARE_IDS", "FIGURE_IDS", "reproduce_figure"]
 
@@ -55,9 +56,13 @@ def reproduce_figure(figure_id: str, **kwargs) -> FigureResult:
     """Reproduce one figure; kwargs forwarded to the producer
     (typically ``accesses=``, ``seed=``, ``benchmarks=``).
 
-    An estimator-aware figure gets its registry resolved here, and the
-    registry's new estimation records are appended in one batch when
-    the figure ends (see :meth:`repro.power.estimator.EstimationRecordCache.batch`).
+    The figure runs in a memo scope (:func:`repro.utils.memo.ensure_memo_scope`:
+    a report's, or its own), so it shares traces, timed replays and
+    campaign rows derived from one traversal, with bit-identical
+    results.  An estimator-aware figure gets its registry resolved
+    here, and the registry's new estimation records are appended in
+    one batch when the figure ends (see
+    :meth:`repro.power.estimator.EstimationRecordCache.batch`).
     """
     try:
         producer = _PRODUCERS[figure_id]
@@ -65,8 +70,9 @@ def reproduce_figure(figure_id: str, **kwargs) -> FigureResult:
         raise ValidationError(
             f"unknown figure {figure_id!r}; known: {list(FIGURE_IDS)}"
         ) from None
-    if figure_id not in ESTIMATOR_AWARE_IDS:
-        return producer(**kwargs)
-    registry = resolve_estimator(kwargs.pop("estimator", None))
-    with registry.cache.batch() if registry.cache is not None else nullcontext():
-        return producer(estimator=registry, **kwargs)
+    with ensure_memo_scope():
+        if figure_id not in ESTIMATOR_AWARE_IDS:
+            return producer(**kwargs)
+        registry = resolve_estimator(kwargs.pop("estimator", None))
+        with registry.cache.batch() if registry.cache is not None else nullcontext():
+            return producer(estimator=registry, **kwargs)

@@ -22,7 +22,13 @@ over the scalar run's outcomes.  For RMW, WG and WG+RB at default knobs
 on and one Set-Buffer entry) the leg also derives the technique from a
 conventional replay (:mod:`repro.perf.derive`) and holds the derived
 :class:`PerfResult` to the same reference, and its events, counts and
-statistics to the scalar run's, never to conventional's.
+statistics to the scalar run's, never to conventional's.  The
+derived-row leg does the same across a warm-up boundary: at default
+knobs each of the paper's four techniques, taken from a campaign row's
+one traversal (:func:`repro.perf.derive.derive_row`, measured after
+the first ``len(trace) // ROW_WARMUP_DIVISOR`` requests), must equal
+the controller's per-access run whose measurements reset at that
+boundary.
 The return value is a flat list of human-readable divergence strings —
 empty means the models agree on everything.
 """
@@ -40,7 +46,7 @@ from repro.check.timing import reference_timing
 from repro.core.registry import make_controller
 from repro.obs.sampler import IntervalSampler, IntervalSnapshot
 from repro.obs.telemetry import Telemetry
-from repro.perf.derive import DERIVED_TECHNIQUES
+from repro.perf.derive import DERIVED_TECHNIQUES, PAPER_TECHNIQUES, derive_row
 from repro.perf.timing import TimingSimulator
 from repro.sim.simulator import Simulator
 from repro.trace.record import MemoryAccess
@@ -55,6 +61,11 @@ TELEMETRY_WINDOW = 11
 many window boundaries; prime, so with any batch size the fuzzer draws
 most boundaries fall mid-chunk and every ``batch_size``-th one at a
 chunk end."""
+
+ROW_WARMUP_DIVISOR = 3
+"""The derived-row leg measures after the first third of the trace, so
+resident blocks and open Set-Buffer windows cross the warm-up
+boundary."""
 
 
 def _controller_kwargs(
@@ -226,6 +237,8 @@ def run_differential(
             _as_dict(cache.stats),
             _as_dict(derived.cache_stats),
         )
+    if technique in PAPER_TECHNIQUES and at_default_knobs:
+        divergences += _diff_derived_row(trace, technique, geometry, batch_size)
 
     # -- oracle vs scalar ---------------------------------------------------
     if technique in ORACLE_TECHNIQUES:
@@ -238,6 +251,47 @@ def run_differential(
         ).run(trace)
         divergences += _diff_oracle(
             oracle_run, trace, outcomes, controller, cache, scalar_memory
+        )
+    return divergences
+
+
+def _diff_derived_row(
+    trace: Sequence[MemoryAccess],
+    technique: str,
+    geometry: CacheGeometry,
+    batch_size: Optional[int],
+) -> List[str]:
+    """``technique`` from a campaign row's one traversal against its
+    per-access run, both measured after the same warm-up."""
+    warmup = len(trace) // ROW_WARMUP_DIVISOR
+    derived = derive_row(trace, geometry, warmup, batch_size)[technique]
+    reference = Simulator(technique, geometry)
+    process = reference.controller.process
+    for access in trace[:warmup]:
+        process(access)
+    reference.reset_measurements()
+    for access in trace[warmup:]:
+        process(access)
+    reference.controller.finalize()
+    label = f"scalar-vs-derived-row (warm-up {warmup})"
+    divergences = _diff_mapping(
+        f"{label} events",
+        reference.controller.events.to_dict(),
+        derived.events.to_dict(),
+    )
+    divergences += _diff_mapping(
+        f"{label} counts",
+        _as_dict(reference.controller.counts),
+        _as_dict(derived.counts),
+    )
+    divergences += _diff_mapping(
+        f"{label} stats",
+        _as_dict(reference.cache.stats),
+        _as_dict(derived.cache_stats),
+    )
+    if derived.requests != len(trace) - warmup:
+        divergences.append(
+            f"{label} requests: {len(trace) - warmup} != {derived.requests}"
         )
     return divergences
 

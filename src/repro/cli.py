@@ -481,7 +481,7 @@ def _cmd_report(args) -> int:
 def _cmd_power(args) -> int:
     import json as json_mod
 
-    from repro.analysis.overheads import check_overhead_claims, overhead_report
+    from repro.analysis.overheads import check_overhead_claims
     from repro.power.estimator import default_registry
 
     telemetry = _telemetry_from_args(args)
@@ -490,7 +490,10 @@ def _cmd_power(args) -> int:
         cache_path=args.estimator_cache,
         telemetry=telemetry,
     )
-    result = overhead_report(
+    # Through the figure front door, so the new estimation records are
+    # appended in one batch.
+    result = reproduce_figure(
+        "overheads",
         accesses=args.accesses,
         seed=args.seed,
         geometry=args.geometry,

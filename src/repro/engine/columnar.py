@@ -94,12 +94,15 @@ sites.
 
 Miss trail
 ----------
-The timing model's conventional replay also passes a ``misses`` array,
-set at each request that missed the cache; RMW, WG and WG+RB are then
-derived from that one replay (:mod:`repro.perf.derive`).  The plain
-kernel notes a miss by its run's final position, the one position its
-loop sees, and maps each back to the run's first record after the
-loop; no other path keeps a trail.  The closing arithmetic of both
+The timing model's conventional replay, and a campaign row's
+conventional traversal inside a memo scope
+(:meth:`repro.sim.simulator.Simulator.feed`'s ``misses``), also pass a
+``misses`` array, set at each request that missed the cache; RMW, WG
+and WG+RB are then derived from that one replay
+(:mod:`repro.perf.derive`).  The plain kernel notes a miss by its
+run's final position, the one position its loop sees, and maps each
+back to the run's first record after the loop; no other path keeps a
+trail.  The closing arithmetic of both
 kernels is one function per technique family (:func:`credit_plain`,
 :func:`credit_set_buffer`, :func:`credit_miss_traffic`), which the
 derivation calls too.
@@ -222,10 +225,14 @@ class ColumnarChunk:
         any cache or controller state — so it is computed once per chunk
         object and cached: a caller replaying the same chunks through
         several techniques (the hot-path bench does) pays for it once.
-        Campaign rows do not share chunks: each technique's
-        :meth:`repro.sim.simulator.Simulator.feed` re-chunks the trace,
-        so a row's conventional and RMW runs each compute it.  See
-        :func:`_grouped_projection` for the layout.
+        A campaign row inside a memo scope feeds only its conventional
+        traversal and derives the other techniques
+        (:func:`repro.perf.derive.derive_row`), so it computes the
+        projection once per chunk.  An observed row, or one outside a
+        scope, re-chunks the trace in each technique's
+        :meth:`repro.sim.simulator.Simulator.feed`, so its conventional
+        and RMW runs each compute it.  See :func:`_grouped_projection`
+        for the layout.
         """
         if self._grouped is None:
             self._grouped = _grouped_projection(self)

@@ -35,37 +35,81 @@ Why this is exact
   write came at or after the previous site; the dirty window runs from
   the first such write to the site.
 
+Across a warm-up boundary
+-------------------------
+A campaign row measures only the requests after its warm-up (the
+paper's fast-forward, ``ExperimentConfig.warmup_fraction``): at the
+boundary the counters reset, while cache and Set-Buffer state carry
+on.  :func:`derive_row` feeds the conventional :class:`Simulator` the
+warm-up slice, then the measured slice, keeping the miss trail and the
+tag slots at the boundary (``Traversal.start`` and ``start_tags``) and
+at the end.  The derivation runs over the whole trace, so the buffered
+set, silent writes and dirty windows see the warm-up, and then:
+
+* **Only requests from** ``start`` **count**: ``requests`` is
+  ``n - start``, and reads, writes, grouped and silent writes, buffer
+  fills, bypassed reads and write-back sites are counted from
+  ``start`` on.
+* **A dirty window counts when it closes at or after** ``start``.  Its
+  residency runs from where it opened, even before ``start``, as the
+  controller's ``dirty_since`` does.  The final drain always counts.
+* **WG's dirty evictions are the whole trace's minus the prefix's.**
+  The prefix is the first ``start`` requests, with ``start_tags`` as
+  its final tag slots; a block instance evicted before ``start`` took
+  all its writes before it.
+* **RMW is** :func:`~repro.engine.columnar.credit_plain` over the
+  conventional slice, and every technique's cache statistics are the
+  conventional slice's, with WG's dirty evictions swapped in.
+
 The differential suite and ``tests/perf/test_derive.py`` pin every
-field of every derived result to that technique's own run.
+field of every derived result to that technique's own run, with and
+without a warm-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, NamedTuple, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy
 
+from repro.cache.config import CacheGeometry
 from repro.core.outcomes import (
     PORT_BYPASS,
     PORT_READ,
     PORT_WRITEBACK,
     OperationCounts,
 )
-from repro.engine.columnar import credit_plain, credit_set_buffer, plain_port_codes
+from repro.engine.columnar import (
+    credit_plain,
+    credit_set_buffer,
+    plain_port_codes,
+    split_addresses,
+)
 from repro.errors import ValidationError
-from repro.sim.simulator import SimulationResult
+from repro.sim.simulator import SimulationResult, Simulator
 from repro.sram.events import SRAMEventLog
+from repro.trace.columns import TraceColumns
+from repro.trace.record import MemoryAccess
 from repro.trace.stats import word_writes
 
 # Bound as ``Any``: every derived result is pinned to the technique's
 # own run, and NumPy's stubs would only add casts.
 np: Any = numpy
 
-__all__ = ["DERIVED_TECHNIQUES", "Traversal", "derive_replays"]
+__all__ = [
+    "DERIVED_TECHNIQUES",
+    "PAPER_TECHNIQUES",
+    "Traversal",
+    "derive_replays",
+    "derive_row",
+]
 
 #: Techniques :func:`derive_replays` derives from a conventional replay.
 DERIVED_TECHNIQUES = ("rmw", "wg", "wg_rb")
+
+#: The paper's techniques: one conventional replay yields all four.
+PAPER_TECHNIQUES = ("conventional",) + DERIVED_TECHNIQUES
 
 
 @dataclass(frozen=True)
@@ -75,7 +119,9 @@ class Traversal:
     The trace's columns in request order (``kinds`` 1 for a write,
     ``sets`` and ``tags`` under the replay's geometry), the miss trail,
     the cache's tag slots after the last request (``-1`` for an invalid
-    way), and the replay's own result.
+    way), and the replay's own result.  A replay with a warm-up measures
+    the requests from ``start`` on: ``result`` is that slice's, and
+    ``start_tags`` holds the tag slots before request ``start``.
     """
 
     result: SimulationResult
@@ -87,12 +133,15 @@ class Traversal:
     values: Any
     missed: Any
     final_tags: Any
+    start: int = 0
+    start_tags: Any = None
 
 
 def derive_replays(
     traversal: Traversal, techniques: Iterable[str]
 ) -> Dict[str, Tuple[Any, SimulationResult]]:
-    """Each technique's ``(port-operation codes, SimulationResult)``.
+    """Each technique's ``(port-operation codes, SimulationResult)`` over
+    the requests from ``traversal.start`` on.
 
     Exact for the paper's controllers at default knobs (no miss-traffic
     accounting, silent-write detection on, one Set-Buffer entry) behind
@@ -117,6 +166,51 @@ def derive_replays(
     return derived
 
 
+def derive_row(
+    trace: Sequence[MemoryAccess],
+    geometry: CacheGeometry,
+    warmup: int,
+    batch_size: Optional[int] = None,
+) -> Dict[str, SimulationResult]:
+    """The paper's four techniques on ``trace``, measured after its
+    first ``warmup`` requests, from one conventional traversal.
+
+    Each result equals field by field a :class:`Simulator` of its own
+    fed the warm-up slice, reset, then fed the rest (what
+    :func:`repro.sim.campaign.execute_row` runs per technique
+    otherwise).
+    """
+    columns = TraceColumns.of(trace)
+    simulator = Simulator("conventional", geometry, batch_size=batch_size)
+    missed = np.zeros(len(columns), dtype=bool)
+    start_tags = None
+    if warmup:
+        simulator.feed(columns[:warmup], misses=missed[:warmup])
+        start_tags = np.array(simulator.cache.tag_slots(), dtype=np.int64)
+        simulator.reset_measurements()
+    simulator.feed(columns[warmup:], misses=missed[warmup:])
+    conventional = simulator.finish()
+    sets, tags, _ = split_addresses(columns.addresses, geometry)
+    traversal = Traversal(
+        result=conventional,
+        icounts=columns.icounts,
+        kinds=columns.kinds,
+        sets=sets,
+        tags=tags,
+        addresses=columns.addresses,
+        values=columns.values,
+        missed=missed,
+        final_tags=np.array(simulator.cache.tag_slots(), dtype=np.int64),
+        start=warmup,
+        start_tags=start_tags,
+    )
+    derived = derive_replays(traversal, DERIVED_TECHNIQUES)
+    return {
+        "conventional": conventional,
+        **{name: result for name, (_, result) in derived.items()},
+    }
+
+
 def _rmw(traversal: Traversal) -> Tuple[Any, SimulationResult]:
     base = traversal.result
     writes = base.counts.write_requests
@@ -132,7 +226,7 @@ def _rmw(traversal: Traversal) -> Tuple[Any, SimulationResult]:
     result = SimulationResult(
         "rmw", base.geometry, base.requests, events, counts, replace(base.cache_stats)
     )
-    return plain_port_codes(traversal.kinds, True), result
+    return plain_port_codes(traversal.kinds[traversal.start :], True), result
 
 
 class _Plane(NamedTuple):
@@ -168,32 +262,53 @@ def _set_buffer_plane(traversal: Traversal) -> _Plane:
     changed = np.zeros(n, dtype=bool)
     changed[writes.positions] = writes.changed
 
+    tags, start = traversal.tags, traversal.start
+    dirty_evictions = _dirty_evictions(
+        sets, tags, missed, changed, traversal.final_tags
+    )
+    if start:
+        dirty_evictions -= _dirty_evictions(
+            sets[:start],
+            tags[:start],
+            missed[:start],
+            changed[:start],
+            traversal.start_tags,
+        )
+    return _Plane(buffered, changed, dirty_evictions)
+
+
+def _dirty_evictions(
+    sets: Any, tags: Any, missed: Any, changed: Any, final_tags: Any
+) -> int:
+    """Evictions of block instances that took a value-changing write
+    since their fill, from a cold cache whose tag slots are
+    ``final_tags`` after the last request."""
     # Each miss fills a new instance of its block; in (set, tag, trace)
     # order a block's accesses split into instances at its misses.  An
     # instance is evicted unless it is its block's last one and still
     # resident at the end.
-    order = np.lexsort((traversal.tags, sets))
+    order = np.lexsort((tags, sets))
     fills = missed[order]
     instance = np.cumsum(fills) - 1
     took = np.zeros(int(np.count_nonzero(fills)), dtype=bool)
     took[instance[changed[order]]] = True
     filled = order[fills]
-    block_sets, block_tags = sets[filled], traversal.tags[filled]
+    block_sets, block_tags = sets[filled], tags[filled]
     latest = np.ones(len(filled), dtype=bool)
     latest[:-1] = (block_sets[1:] != block_sets[:-1]) | (
         block_tags[1:] != block_tags[:-1]
     )
-    resident = latest & (
-        traversal.final_tags[block_sets] == block_tags[:, None]
-    ).any(axis=1)
-    return _Plane(buffered, changed, int(np.count_nonzero(took & ~resident)))
+    resident = latest & (final_tags[block_sets] == block_tags[:, None]).any(
+        axis=1
+    )
+    return int(np.count_nonzero(took & ~resident))
 
 
 def _write_grouping(
     traversal: Traversal, plane: _Plane, bypass: bool
 ) -> Tuple[Any, SimulationResult]:
     kinds, missed, changed = traversal.kinds, traversal.missed, plane.changed
-    n = len(kinds)
+    n, start = len(kinds), traversal.start
     is_write = kinds != 0
     is_read = ~is_write
     match = traversal.sets == plane.buffered
@@ -207,12 +322,16 @@ def _write_grouping(
     # Dirty windows: one per write-back site, plus the end-of-run
     # drain at position n.  A window is dirty when a value-changing
     # write came at or after its start (the previous site: a site
-    # clears Dirty before its own write can set it).
+    # clears Dirty before its own write can set it).  It counts when it
+    # closes in the measured slice, from its first value-changing
+    # write on, which may come before the slice.
     sites = np.flatnonzero(flush | evict | premature)
     changed_before = np.concatenate(([0], np.cumsum(changed)))
     starts = np.concatenate(([0], sites))
     ends = np.concatenate((sites, [n]))
     dirty = changed_before[ends] > changed_before[starts]
+    if start:
+        dirty &= ends >= start
     opened = np.flatnonzero(changed)[changed_before[starts[dirty]]]
     closed = ends[dirty]
     icounts = traversal.icounts.astype(np.int64)
@@ -222,7 +341,14 @@ def _write_grouping(
     written_back = np.zeros(n + 1, dtype=bool)
     written_back[closed] = True
     final = int(written_back[n])
-    written_back = written_back[:n]
+    written_back = written_back[start:n]
+    if start:
+        is_write, changed, served, grouped, fills, premature, evict, flush = (
+            mask[start:]
+            for mask in (
+                is_write, changed, served, grouped, fills, premature, evict, flush
+            )
+        )
 
     codes = np.where(is_write, 0, PORT_READ).astype(np.uint8)
     if bypass:
@@ -232,13 +358,14 @@ def _write_grouping(
     codes[evict & written_back] |= PORT_WRITEBACK
 
     base = traversal.result
+    requests = n - start
     writes = int(np.count_nonzero(is_write))
     events, counts = SRAMEventLog(), OperationCounts()
     credit_set_buffer(
         events,
         counts,
         base.geometry.words_per_set,
-        reads=n - writes,
+        reads=requests - writes,
         bypassed=int(np.count_nonzero(served)) if bypass else 0,
         writes=writes,
         grouped=int(np.count_nonzero(grouped)),
@@ -255,7 +382,7 @@ def _write_grouping(
     result = SimulationResult(
         "wg_rb" if bypass else "wg",
         base.geometry,
-        n,
+        requests,
         events,
         counts,
         replace(base.cache_stats, dirty_evictions=plane.dirty_evictions),

@@ -71,7 +71,12 @@ from repro.errors import (
     TypeContractError,
     ValidationError,
 )
-from repro.perf.derive import DERIVED_TECHNIQUES, Traversal, derive_replays
+from repro.perf.derive import (
+    DERIVED_TECHNIQUES,
+    PAPER_TECHNIQUES,
+    Traversal,
+    derive_replays,
+)
 from repro.sim.simulator import SimulationResult
 from repro.sram.timing import PhaseTiming
 from repro.trace.record import MemoryAccess
@@ -91,9 +96,6 @@ __all__ = [
 ]
 
 _INT64_MAX = 2**63 - 1
-
-#: The paper's techniques: one conventional replay yields all four.
-PAPER_TECHNIQUES = ("conventional",) + DERIVED_TECHNIQUES
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,16 @@ every technique (with a warm-up slice excluded from accounting) and
 collects the per-benchmark access-reduction numbers plus suite
 averages.
 
+Inside a memo scope (:func:`repro.utils.memo.memo_scope`; every
+``repro-8t report``, ``figure`` and ``power`` run opens one) a row
+without telemetry takes the paper's four techniques from one
+conventional traversal of its trace: :func:`repro.perf.derive.derive_row`
+derives RMW, WG and WG+RB across the warm-up boundary, equal field by
+field to a run of their own, and the scope shares the result between
+campaigns on the same trace, geometry and warm-up.  Observed rows,
+other techniques and campaigns outside a scope run one
+:class:`Simulator` per technique (:func:`_run_one`).
+
 Fault tolerance
 ---------------
 Campaigns are the long-running shape of this codebase, so they are
@@ -326,7 +336,11 @@ def execute_row(
     """One benchmark through every technique (the unit of retry).
 
     Consults the fault-injection hook first, so the harness can crash,
-    hang or transiently fail exactly this (benchmark, attempt).
+    hang or transiently fail exactly this (benchmark, attempt).  Inside
+    a memo scope and without telemetry, the paper's techniques come
+    from one traversal (:func:`_derived_results`); every other
+    technique, and every technique of an observed row or outside a
+    scope, runs :func:`_run_one`.
     """
     maybe_inject("worker", benchmark=benchmark, attempt=attempt)
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -335,11 +349,43 @@ def execute_row(
         trace = generate_trace(
             profile, config.accesses_per_benchmark, seed=config.seed
         )
+    derived = {} if telem.enabled else _derived_results(trace, config)
     results = {
-        technique: _run_one(trace, technique, config, telemetry)
+        technique: (
+            derived[technique]
+            if technique in derived
+            else _run_one(trace, technique, config, telemetry)
+        )
         for technique in config.techniques
     }
     return BenchmarkRow(benchmark=benchmark, results=results)
+
+
+def _derived_results(
+    trace: Sequence[MemoryAccess], config: ExperimentConfig
+) -> Dict[str, SimulationResult]:
+    """The paper's four techniques on ``trace`` from one traversal, or
+    nothing outside a memo scope or for a row that runs none of them.
+
+    Inside a scope each (trace, geometry, warm-up) is traversed once
+    (:func:`repro.perf.derive.derive_row`), so campaigns on the same
+    shared traces, such as Fig 9 and ``claim_rmw``, take their
+    techniques from one entry.  An entry keeps the trace, matched by
+    identity, and the results.
+    """
+    memo = scope_memo("sim.derived_rows")
+    if memo is None:
+        return {}
+    from repro.perf.derive import PAPER_TECHNIQUES, derive_row
+
+    if not set(config.techniques).intersection(PAPER_TECHNIQUES):
+        return {}
+    warmup = config.warmup_accesses
+    key = (id(trace), config.geometry, warmup)
+    entry = memo.get(key)
+    if entry is None or entry[0] is not trace:
+        entry = memo[key] = (trace, derive_row(trace, config.geometry, warmup))
+    return entry[1]
 
 
 def emit_degradation(telem: Telemetry, name: str, **details) -> None:

@@ -15,7 +15,7 @@ prove it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
@@ -76,14 +76,23 @@ class Simulator:
         self.batch_size = batch_size
         self._requests = 0
 
-    def feed(self, trace: Iterable[MemoryAccess]) -> None:
+    def feed(
+        self, trace: Iterable[MemoryAccess], misses: Optional[Any] = None
+    ) -> None:
         """Process a stream of accesses (may be called repeatedly).
 
         Streaming: at most one chunk of decoded records is held at a
-        time.
+        time.  ``misses``, a zeroed bool array as long as ``trace``, is
+        set at each request that missed the cache: the miss trail of
+        :func:`repro.engine.columnar.process_chunk`, which only the
+        conventional and RMW kernels keep.
         """
+        fed = 0
         for chunk in iter_chunks(trace, self.geometry, self.batch_size):
-            self._requests += process_chunk(self.controller, chunk)
+            trail = None if misses is None else misses[fed : fed + len(chunk)]
+            consumed = process_chunk(self.controller, chunk, misses=trail)
+            fed += consumed
+            self._requests += consumed
 
     def feed_batches(self, batches: Iterable[AccessBatch]) -> None:
         """Process pre-decoded :class:`AccessBatch` chunks.

@@ -4,7 +4,9 @@ A memoized ``CampaignResult`` is only valid while the code that
 produced it is the code that would reproduce it.  ``code_version()``
 digests the source bytes of every package whose behaviour a simulation
 result depends on — controllers, engine, cache model, SRAM model,
-trace/workload synthesis, and the sim layer itself — so any edit to
+trace/workload synthesis, the sim layer itself, and the derivation
+that serves campaign rows inside a memo scope
+(``perf/derive.py``) — so any edit to
 result-bearing code changes the version, changes every store key, and
 turns the whole cache into misses.  Stale entries are never *served*;
 they are garbage-collected by ``repro-8t cache gc`` (or evicted by the
@@ -53,6 +55,7 @@ RESULT_CODE_PATHS = (
     "utils",
     "workload",
     "sim",
+    "perf/derive.py",
 )
 
 #: The estimator-result code surface: an estimation record is valid

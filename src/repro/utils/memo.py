@@ -7,7 +7,9 @@ controllers.  :func:`memo_scope` opens a scope for the duration of a
 named table, and outside any scope it returns ``None``, so the caller
 computes afresh.  Nothing is persisted and nothing outlives the block:
 the tables end, with every entry, when their scope exits.  A nested
-scope starts empty and hides the enclosing one until it exits.
+scope starts empty and hides the enclosing one until it exits;
+:func:`ensure_memo_scope` joins the open scope instead, and opens one
+only when none is open.
 
 The tables sit in a :class:`contextvars.ContextVar`, so a scope is
 invisible to other threads.
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Dict, Hashable, Iterator, Optional
 
-__all__ = ["memo_scope", "scope_memo"]
+__all__ = ["ensure_memo_scope", "memo_scope", "scope_memo"]
 
 _Tables = Dict[str, Dict[Hashable, Any]]
 
@@ -36,6 +38,17 @@ def memo_scope() -> Iterator[None]:
         yield
     finally:
         _TABLES.reset(token)
+
+
+@contextmanager
+def ensure_memo_scope() -> Iterator[None]:
+    """Run the ``with`` block in the open memo scope, or in a new one
+    when none is open."""
+    if _TABLES.get() is not None:
+        yield
+        return
+    with memo_scope():
+        yield
 
 
 def scope_memo(name: str) -> Optional[Dict[Hashable, Any]]:

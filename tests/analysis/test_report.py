@@ -4,8 +4,10 @@ import re
 
 import pytest
 
+from repro.analysis import figures
 from repro.analysis.figures import reproduce_figure
 from repro.analysis.report import generate_report, write_report
+from repro.sim.simulator import Simulator
 from repro.trace.columns import TraceColumns
 from repro.utils import memo
 
@@ -39,6 +41,21 @@ class TestGenerateReport:
 
 #: The figures that share traces, statistics and timed replays.
 SHARING_FIGURES = ("fig3", "fig4", "fig5", "sec5.5", "dvfs_energy", "traffic")
+
+CAMPAIGN_FIGURES = ("fig9", "fig10", "fig11", "claim_rmw")
+
+
+def counting_simulators(monkeypatch):
+    """The technique of every ``Simulator`` built from here on."""
+    built = []
+    init = Simulator.__init__
+
+    def counting(self, technique, *args, **kwargs):
+        built.append(technique)
+        init(self, technique, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "__init__", counting)
+    return built
 
 
 def figure_sections(report):
@@ -100,6 +117,35 @@ class TestSharedWork:
             warm = generate_report(accesses=300, figure_ids=campaign_figures)
         assert len(opens) == 1
         assert figure_sections(warm) == figure_sections(cold)
+
+    @pytest.mark.parametrize("figure_id", CAMPAIGN_FIGURES + SHARING_FIGURES)
+    def test_figures_equal_inside_and_outside_a_scope(self, figure_id):
+        """``reproduce_figure`` always runs in a scope; the producer
+        called directly runs in none."""
+        producer = figures._PRODUCERS[figure_id]
+        outside = producer(accesses=400, seed=7)
+        with memo.memo_scope():
+            inside = producer(accesses=400, seed=7)
+        assert inside == outside
+
+    def test_campaign_figures_build_one_simulator_per_row(self, monkeypatch):
+        """25 profiles at four geometries; ``claim_rmw`` takes Fig 9's
+        rows."""
+        built = counting_simulators(monkeypatch)
+        generate_report(accesses=600, figure_ids=CAMPAIGN_FIGURES)
+        assert built == ["conventional"] * 100
+
+    def test_a_figure_joins_the_open_scope_or_opens_its_own(self, monkeypatch):
+        built = counting_simulators(monkeypatch)
+        two = ("bwaves", "mcf")
+        with memo.memo_scope():
+            reproduce_figure("fig9", accesses=300, seed=7, benchmarks=two)
+            assert len(memo.scope_memo("sim.derived_rows")) == 2
+            reproduce_figure("claim_rmw", accesses=300, seed=7, benchmarks=two)
+        assert built == ["conventional"] * 2
+        reproduce_figure("claim_rmw", accesses=300, seed=7, benchmarks=two)
+        assert built == ["conventional"] * 4
+        assert memo.scope_memo("sim.derived_rows") is None
 
 
 class TestWriteReport:

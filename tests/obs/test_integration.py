@@ -129,16 +129,18 @@ def _seed_process(controller, access):
 
 
 def _time_feed(trace, use_seed_body):
+    """CPU seconds this process spends feeding ``trace``: unlike wall
+    time, other processes on the host do not inflate it."""
     simulator = Simulator("wg", BASELINE_GEOMETRY)
     controller = simulator.controller
-    started = time.perf_counter()
+    started = time.process_time()
     if use_seed_body:
         for access in trace:
             _seed_process(controller, access)
     else:
         for access in trace:
             controller.process(access)
-    return time.perf_counter() - started
+    return time.process_time() - started
 
 
 class TestOverhead:
@@ -148,7 +150,8 @@ class TestOverhead:
         Budget is ~5%; the assertion allows CI timing noise on top.
         Best-of-five per variant, interleaved, to cancel drift: on a
         host whose speed changes in phases, three runs per variant can
-        leave the two bests in different phases.
+        leave the two bests in different phases.  Each run is timed in
+        process CPU time, so a busy host stretches neither side.
         """
         seed_best = instrumented_best = float("inf")
         for _ in range(5):

@@ -1,8 +1,12 @@
 """Unit tests for the simulation runner."""
 
+import numpy as np
 import pytest
 
+from repro.cache.cache import SetAssociativeCache
+from repro.core.registry import make_controller
 from repro.engine.batch import iter_batches
+from repro.errors import ValidationError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.sim.simulator import Simulator, run_simulation
@@ -75,6 +79,37 @@ class TestEngines:
         simulator = Simulator("conventional", tiny_geometry, batch_size=16)
         simulator.feed(make_random_trace(100, seed=9))
         assert simulator.finish().requests == 100
+
+
+class TestMissTrail:
+    """``feed(trace, misses=)`` marks the requests that missed, across
+    chunks and across calls."""
+
+    @pytest.mark.parametrize("batch_size", (1, 7, None), ids=("1", "7", "default"))
+    def test_trail_matches_scalar_outcomes(self, batch_size, tiny_geometry):
+        trace = make_random_trace(900, seed=46, word_span=300, write_share=0.5)
+        reference = make_controller("conventional", SetAssociativeCache(tiny_geometry))
+        expected = [not reference.process(access).cache_hit for access in trace]
+        simulator = Simulator("conventional", tiny_geometry, batch_size=batch_size)
+        missed = np.zeros(len(trace), dtype=bool)
+        simulator.feed(trace[:300], misses=missed[:300])
+        simulator.reset_measurements()
+        simulator.feed(trace[300:], misses=missed[300:])
+        assert missed.tolist() == expected
+        assert any(expected) and not all(expected)
+        assert simulator.finish().requests == 600
+
+    def test_without_a_trail_nothing_changes(self, tiny_geometry):
+        trace = make_random_trace(400, seed=47)
+        plain, trailed = (Simulator("rmw", tiny_geometry) for _ in range(2))
+        plain.feed(trace)
+        trailed.feed(trace, misses=np.zeros(len(trace), dtype=bool))
+        assert plain.finish() == trailed.finish()
+
+    def test_only_the_plain_kernels_keep_a_trail(self, tiny_geometry):
+        simulator = Simulator("wg", tiny_geometry)
+        with pytest.raises(ValidationError, match="miss trail"):
+            simulator.feed(make_random_trace(20), misses=np.zeros(20, dtype=bool))
 
 
 class TestWarmupReset:

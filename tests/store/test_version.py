@@ -61,6 +61,20 @@ def test_version_ignores_result_free_paths(tmp_path):
     assert fresh_version(pkg) == before
 
 
+def test_the_row_derivation_is_result_bearing(tmp_path):
+    """Rows inside a memo scope come from ``perf/derive.py``; the
+    timing model beside it makes no campaign row."""
+    pkg = tmp_path / "pkg"
+    (pkg / "perf").mkdir(parents=True)
+    (pkg / "perf" / "derive.py").write_text("D = 1\n")
+    (pkg / "perf" / "timing.py").write_text("T = 1\n")
+    before = fresh_version(pkg)
+    (pkg / "perf" / "timing.py").write_text("T = 2\n")
+    assert fresh_version(pkg) == before
+    (pkg / "perf" / "derive.py").write_text("D = 2\n")
+    assert fresh_version(pkg) != before
+
+
 def test_estimator_surface_is_independent(tmp_path):
     """Controller edits rotate campaign keys only; power-model edits
     rotate estimation keys only — the two caches invalidate apart."""

@@ -806,3 +806,27 @@ class TestPowerSubcommand:
         capsys.readouterr()
         assert len(appends) == 1
         assert len((cache / "estimations.jsonl").read_text().splitlines()) > 1
+
+    def test_power_writes_its_records_with_one_fsync(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import os
+
+        synced = []
+        fsync = os.fsync
+
+        def counting(fd):
+            synced.append(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        cache = tmp_path / "estimates"
+        argv = [
+            "power", "--estimator-cache", str(cache),
+            "--accesses", "300", "--benchmarks", "bwaves", "mcf",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        records = cache / "estimations.jsonl"
+        assert len(records.read_text().splitlines()) > 1
+        assert synced.count(records.stat().st_ino) == 1
