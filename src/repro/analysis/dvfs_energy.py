@@ -28,7 +28,7 @@ from repro.perf.timing import timed_replay
 from repro.power.estimator import EstimationQuery, EstimatorRegistry
 from repro.power.params import TECH_45NM, TechnologyParams
 from repro.power.voltage import DVFSController
-from repro.trace.stream import materialize
+from repro.utils.memo import ensure_memo_scope
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import benchmark_names, get_profile
 
@@ -62,12 +62,19 @@ def dvfs_energy_endgame(
     rows = []
     totals = {label: 0.0 for label, _, _ in _CONFIGS}
     for name in names:
-        trace = materialize(generate_trace(get_profile(name), accesses, seed=seed))
+        trace = generate_trace(get_profile(name), accesses, seed=seed)
+        # One traversal serves the three configurations' techniques (in
+        # the open memo scope, or in one of its own).
+        with ensure_memo_scope():
+            replays = {
+                technique: timed_replay(trace, technique, geometry)
+                for _, technique, _ in _CONFIGS
+            }
         row = [name]
         for label, technique, cell in _CONFIGS:
             level = floors[label]
-            # One controller run gives the event log and the elapsed time.
-            perf, result = timed_replay(trace, technique, geometry)
+            # One timed replay gives the event log and the elapsed time.
+            perf, result = replays[technique]
             dynamic_fj = registry.estimate(
                 EstimationQuery.dynamic_energy(
                     result.events,

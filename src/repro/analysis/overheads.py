@@ -23,10 +23,10 @@ from repro.analysis.estimators import resolve_estimator
 from repro.analysis.result import FigureResult
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
 from repro.errors import ValidationError
+from repro.perf.timing import timed_replay
 from repro.power.estimator import EstimationQuery, EstimatorRegistry
-from repro.sim.comparison import compare_techniques
 from repro.sram.events import SRAMEventLog
-from repro.trace.stream import materialize
+from repro.utils.memo import ensure_memo_scope
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import get_profile
 
@@ -61,18 +61,17 @@ def overhead_report(
     registry = resolve_estimator(estimator)
     names = list(benchmarks) if benchmarks else list(_DEFAULT_BENCHMARKS)
 
-    # One simulation sweep, shared by every backend: merge per-technique
-    # event logs over the workload mix.
+    # One traversal per trace (in the open memo scope, so a report's
+    # other timed figures share it, or in one of its own), shared by
+    # every backend: merge per-technique event logs over the workload
+    # mix.
     merged = {technique: SRAMEventLog() for technique in _TECHNIQUES}
     for name in names:
-        trace = materialize(
-            generate_trace(get_profile(name), accesses, seed=seed)
-        )
-        comparison = compare_techniques(
-            trace, geometry, techniques=_TECHNIQUES
-        )
-        for technique in _TECHNIQUES:
-            merged[technique] += comparison.result(technique).events
+        trace = generate_trace(get_profile(name), accesses, seed=seed)
+        with ensure_memo_scope():
+            for technique in _TECHNIQUES:
+                _, result = timed_replay(trace, technique, geometry)
+                merged[technique] += result.events
     total_accesses = accesses * len(names)
 
     area_query = EstimationQuery.area(

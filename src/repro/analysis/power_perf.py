@@ -20,7 +20,7 @@ from repro.errors import ValidationError
 from repro.perf.timing import timed_replay
 from repro.power.estimator import EstimationQuery, EstimatorRegistry
 from repro.power.params import TECH_45NM, TechnologyParams
-from repro.trace.stream import materialize
+from repro.utils.memo import ensure_memo_scope
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import benchmark_names, get_profile
 
@@ -53,13 +53,15 @@ def section55_power_performance(
     sums = {"wg_energy": 0.0, "wgrb_energy": 0.0, "rmw_lat": 0.0,
             "wg_lat": 0.0, "wgrb_lat": 0.0}
     for name in names:
-        trace = materialize(generate_trace(get_profile(name), accesses, seed=seed))
-        # One controller run per technique gives both the timing and the
-        # event log the energy comes from.
+        trace = generate_trace(get_profile(name), accesses, seed=seed)
+        # One traversal serves the three techniques (in the open memo
+        # scope, or in one of its own), and each timed replay gives both
+        # the timing and the event log the energy comes from.
+        with ensure_memo_scope():
+            replays = {t: timed_replay(trace, t, geometry) for t in _TECHNIQUES}
         energy_fj = {}
         latency = {}
-        for technique in _TECHNIQUES:
-            perf, result = timed_replay(trace, technique, geometry)
+        for technique, (perf, result) in replays.items():
             latency[technique] = perf.mean_read_latency
             energy_fj[technique] = total_fj(result.events)
         baseline_fj = energy_fj["rmw"]

@@ -16,7 +16,6 @@ scope to the Pin-tool cache the paper builds:
 
 from repro.cache.config import CacheGeometry, BASELINE_GEOMETRY
 from repro.cache.address import AddressMapper
-from repro.cache.block import CacheBlock
 from repro.cache.memory import FunctionalMemory
 from repro.cache.replacement import (
     FIFOPolicy,
@@ -26,7 +25,6 @@ from repro.cache.replacement import (
     TreePLRUPolicy,
     make_policy,
 )
-from repro.cache.cache_set import CacheSet
 from repro.cache.cache import AccessResult, SetAssociativeCache
 from repro.cache.hierarchy import CacheBackedMemory, CacheHierarchy
 from repro.cache.stats import CacheStats
@@ -35,7 +33,6 @@ __all__ = [
     "CacheGeometry",
     "BASELINE_GEOMETRY",
     "AddressMapper",
-    "CacheBlock",
     "FunctionalMemory",
     "ReplacementPolicy",
     "LRUPolicy",
@@ -43,7 +40,6 @@ __all__ = [
     "RandomPolicy",
     "TreePLRUPolicy",
     "make_policy",
-    "CacheSet",
     "SetAssociativeCache",
     "AccessResult",
     "CacheStats",

@@ -80,8 +80,10 @@ bit-identity across all of it.
 
 Port-operation codes
 --------------------
-The timing model (:mod:`repro.perf.timing`) passes :func:`process_chunk`
-a ``codes`` array to fill with each request's
+The timing model (:mod:`repro.perf.timing`) replays through
+:meth:`repro.sim.simulator.Simulator.feed`, whose ``codes`` array
+reaches :func:`process_chunk` one chunk slice at a time, to be filled
+with each request's
 :meth:`repro.core.outcomes.AccessOutcome.port_code`.  The plain kernel
 derives the codes from the access kinds; the WG kernel starts from
 "read port for a read, nothing for a write" and overwrites it at its
@@ -94,15 +96,15 @@ sites.
 
 Miss trail
 ----------
-The timing model's conventional replay, and a campaign row's
-conventional traversal inside a memo scope
-(:meth:`repro.sim.simulator.Simulator.feed`'s ``misses``), also pass a
-``misses`` array, set at each request that missed the cache; RMW, WG
-and WG+RB are then derived from that one replay
-(:mod:`repro.perf.derive`).  The plain kernel notes a miss by its
-run's final position, the one position its loop sees, and maps each
-back to the run's first record after the loop; no other path keeps a
-trail.  The closing arithmetic of both
+A conventional traversal (:func:`repro.perf.derive.traverse`, behind
+the timing model's derived replays and a campaign row's derived
+techniques inside a memo scope) passes
+:meth:`repro.sim.simulator.Simulator.feed` a ``misses`` array, set at
+each request that missed the cache; RMW, WG and WG+RB are then
+derived from that one replay (:mod:`repro.perf.derive`).  The plain
+kernel notes a miss by its run's final position, the one position its
+loop sees, and maps each back to the run's first record after the
+loop; no other path keeps a trail.  The closing arithmetic of both
 kernels is one function per technique family (:func:`credit_plain`,
 :func:`credit_set_buffer`, :func:`credit_miss_traffic`), which the
 derivation calls too.

@@ -1,9 +1,10 @@
 """Benchmark profiler — the engine behind ``repro-8t profile``.
 
-Runs one benchmark through a set of techniques with telemetry fully
-enabled, structured into the three campaign phases (trace-gen, warm-up,
-measure), and packages the result for table rendering: phase timings
-from the span counters, the hottest instrumentation counters, and the
+Runs one benchmark as a campaign row (:func:`repro.sim.campaign.execute_row`)
+with telemetry fully enabled, so it times the row that campaigns ship:
+its ``trace_gen``, ``warmup.<technique>`` and ``measure.<technique>``
+spans.  It packages the result for table rendering: phase timings from
+the span counters, the hottest instrumentation counters, and the
 per-technique event totals (aggregated with ``SRAMEventLog.__add__``).
 
 This module is intentionally *not* re-exported from ``repro.obs`` —
@@ -18,12 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
-from repro.obs.spans import phase_timings, span
+from repro.obs.spans import phase_timings
 from repro.obs.telemetry import Telemetry
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.campaign import execute_row
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.simulator import SimulationResult
 from repro.sram.events import SRAMEventLog
-from repro.workload.generator import generate_trace
-from repro.workload.spec2006 import get_profile
 
 __all__ = ["ProfileReport", "profile_benchmark"]
 
@@ -87,28 +88,24 @@ def profile_benchmark(
 
     A caller-supplied ``telemetry`` is used as-is (so the CLI can point
     its sink at ``--trace-out``); otherwise a metrics-only one is built.
-    Runs on the columnar engine that campaigns run on; a live trace
-    sink makes it run per access, so each instrumentation point emits
-    its instant.
+    The row runs as a campaign's does: on the columnar engine, one
+    :class:`repro.sim.simulator.Simulator` per technique, because an
+    observed row derives nothing; a live trace sink makes it run per
+    access, so each instrumentation point emits its instant.
     """
     telem = telemetry if telemetry is not None else Telemetry()
-    with span(telem, "trace_gen", benchmark=benchmark, accesses=accesses):
-        trace = generate_trace(get_profile(benchmark), accesses, seed=seed)
-    warmup = int(accesses * warmup_fraction)
-    results: Dict[str, SimulationResult] = {}
-    for technique in techniques:
-        simulator = Simulator(technique, geometry, telemetry=telem)
-        if warmup:
-            with span(telem, f"warmup.{technique}", benchmark=benchmark):
-                simulator.feed(trace[:warmup])
-            simulator.reset_measurements()
-        with span(telem, f"measure.{technique}", benchmark=benchmark):
-            simulator.feed(trace[warmup:])
-        results[technique] = simulator.finish()
+    config = ExperimentConfig(
+        geometry=geometry,
+        benchmarks=(benchmark,),
+        techniques=tuple(techniques),
+        accesses_per_benchmark=accesses,
+        warmup_fraction=warmup_fraction,
+        seed=seed,
+    )
     return ProfileReport(
         benchmark=benchmark,
         geometry=geometry,
         accesses=accesses,
-        results=results,
+        results=execute_row(benchmark, config, telem).results,
         telemetry=telem,
     )

@@ -4,11 +4,13 @@ The paper's four techniques see the same L1-D hit/miss stream.  RMW
 adds one row read per write (Section 2); WG and WG+RB change only what
 the Set-Buffer does with the stream (Sections 4.1-4.2).  So one
 conventional replay of a trace, with its miss trail
-(:func:`repro.engine.columnar.process_chunk`'s ``misses``), determines
-the other three: :func:`derive_replays` turns a :class:`Traversal` into
-each technique's port-operation codes and :class:`SimulationResult`,
-and :class:`repro.perf.timing.TimingSimulator` schedules the codes with
-the same max-plus scan as a run of its own.
+(:meth:`repro.sim.simulator.Simulator.feed`'s ``misses``), determines
+the other three.  :func:`traverse` runs that replay and keeps what it
+leaves as a :class:`Traversal`; :func:`derive_replays` turns a
+traversal into each technique's port-operation codes and
+:class:`SimulationResult`.  Campaign rows take the results
+(:func:`derive_row`), and :class:`repro.perf.timing.TimingSimulator`
+schedules the codes with the same max-plus scan as a run of its own.
 
 Why this is exact
 -----------------
@@ -40,7 +42,7 @@ Across a warm-up boundary
 A campaign row measures only the requests after its warm-up (the
 paper's fast-forward, ``ExperimentConfig.warmup_fraction``): at the
 boundary the counters reset, while cache and Set-Buffer state carry
-on.  :func:`derive_row` feeds the conventional :class:`Simulator` the
+on.  :func:`traverse` feeds the conventional :class:`Simulator` the
 warm-up slice, then the measured slice, keeping the miss trail and the
 tag slots at the boundary (``Traversal.start`` and ``start_tags``) and
 at the end.  The derivation runs over the whole trace, so the buffered
@@ -103,6 +105,7 @@ __all__ = [
     "Traversal",
     "derive_replays",
     "derive_row",
+    "traverse",
 ]
 
 #: Techniques :func:`derive_replays` derives from a conventional replay.
@@ -145,7 +148,8 @@ def derive_replays(
 
     Exact for the paper's controllers at default knobs (no miss-traffic
     accounting, silent-write detection on, one Set-Buffer entry) behind
-    a cold stamp-LRU cache, as :class:`TimingSimulator` builds them.
+    a cold stamp-LRU cache, as :func:`traverse` gets them from a fresh
+    :class:`Simulator`.
     """
     derived: Dict[str, Tuple[Any, SimulationResult]] = {}
     plane = None
@@ -180,8 +184,29 @@ def derive_row(
     :func:`repro.sim.campaign.execute_row` runs per technique
     otherwise).
     """
+    traversal = traverse(
+        Simulator("conventional", geometry, batch_size=batch_size), trace, warmup
+    )
+    derived = derive_replays(traversal, DERIVED_TECHNIQUES)
+    return {
+        "conventional": traversal.result,
+        **{name: result for name, (_, result) in derived.items()},
+    }
+
+
+def traverse(
+    simulator: Simulator, trace: Iterable[MemoryAccess], warmup: int = 0
+) -> Traversal:
+    """Replay ``trace`` through ``simulator``, a fresh conventional one,
+    keeping what the derivation needs.
+
+    The simulator is fed the first ``warmup`` requests, reset, then fed
+    the rest, each slice with its miss trail, and finished; the tag
+    slots are read at the boundary and at the end.  ``trace`` is packed
+    into columns once (:meth:`TraceColumns.of`), so a one-shot iterable
+    works too.
+    """
     columns = TraceColumns.of(trace)
-    simulator = Simulator("conventional", geometry, batch_size=batch_size)
     missed = np.zeros(len(columns), dtype=bool)
     start_tags = None
     if warmup:
@@ -189,10 +214,10 @@ def derive_row(
         start_tags = np.array(simulator.cache.tag_slots(), dtype=np.int64)
         simulator.reset_measurements()
     simulator.feed(columns[warmup:], misses=missed[warmup:])
-    conventional = simulator.finish()
-    sets, tags, _ = split_addresses(columns.addresses, geometry)
-    traversal = Traversal(
-        result=conventional,
+    result = simulator.finish()
+    sets, tags, _ = split_addresses(columns.addresses, simulator.geometry)
+    return Traversal(
+        result=result,
         icounts=columns.icounts,
         kinds=columns.kinds,
         sets=sets,
@@ -204,11 +229,6 @@ def derive_row(
         start=warmup,
         start_tags=start_tags,
     )
-    derived = derive_replays(traversal, DERIVED_TECHNIQUES)
-    return {
-        "conventional": conventional,
-        **{name: result for name, (_, result) in derived.items()},
-    }
 
 
 def _rmw(traversal: Traversal) -> Tuple[Any, SimulationResult]:

@@ -23,11 +23,13 @@ latency (arrival to data), plus read-port conflict counts showing the
 
 How a run is computed
 ---------------------
-:meth:`TimingSimulator.run` drives its controller through the columnar
-engine, asking :func:`repro.engine.columnar.process_chunk` for each
-request's port-operation code (:meth:`AccessOutcome.port_code`), and
-then schedules every request at once.  Each port serves its operations
-first come, first served, in trace order, from a port free at cycle 0:
+:meth:`TimingSimulator.run` replays the trace through a
+:class:`repro.sim.simulator.Simulator`, the engine campaign rows run
+on, whose :meth:`~repro.sim.simulator.Simulator.feed` fills a
+``codes`` array with each request's port-operation code
+(:meth:`AccessOutcome.port_code`), and then schedules every request
+at once.  Each port serves its operations first come, first served,
+in trace order, from a port free at cycle 0:
 ``start_k = max(ready_k, start_{k-1} + d)``.  With one duration ``d``
 per port that recurrence is a max-plus prefix scan,
 ``start_k = k*d + max_{j<=k}(ready_j - j*d)``, one
@@ -42,20 +44,22 @@ own.  An RMW's write phase starts when its read phase finishes; no
 extra serial delay is charged between them.
 
 A conventional run can also derive RMW, WG and WG+RB from its own
-cache traversal (``run(trace, derive)``, :mod:`repro.perf.derive`);
-:func:`timed_replay` serves the paper's four techniques that way, one
-traversal per (trace, geometry, timing).
+cache traversal (``run(trace, derive)``: :func:`repro.perf.derive.traverse`
+feeds the simulator with the miss trail, as for a campaign row, and
+:func:`repro.perf.derive.derive_replays` gives each technique's codes
+and result); :func:`timed_replay` serves the paper's four techniques
+that way, one traversal per (trace, geometry, timing) inside a memo
+scope.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy
 
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.core.outcomes import (
     PORT_BYPASS,
@@ -63,8 +67,7 @@ from repro.core.outcomes import (
     PORT_WRITE,
     PORT_WRITE_FIRST,
 )
-from repro.core.registry import make_controller
-from repro.engine.columnar import iter_chunks, process_chunk
+from repro.engine.columnar import plain_port_codes, split_addresses
 from repro.errors import (
     SimulationError,
     StateError,
@@ -74,13 +77,14 @@ from repro.errors import (
 from repro.perf.derive import (
     DERIVED_TECHNIQUES,
     PAPER_TECHNIQUES,
-    Traversal,
     derive_replays,
+    traverse,
 )
-from repro.sim.simulator import SimulationResult
+from repro.sim.simulator import SimulationResult, Simulator
 from repro.sram.timing import PhaseTiming
+from repro.trace.columns import TraceColumns
 from repro.trace.record import MemoryAccess
-from repro.utils.memo import scope_memo
+from repro.utils.memo import ensure_memo_scope, scope_memo
 
 # Bound as ``Any``: the schedule is pinned against the per-access
 # reference in ``repro.check.timing``, and NumPy's stubs would only
@@ -127,11 +131,13 @@ class PerfResult:
 class TimingSimulator:
     """Runs a trace through a controller while scheduling array ports.
 
-    After :meth:`run`, :attr:`result` holds the run's
-    :class:`SimulationResult` (events, counts, cache statistics), so a
-    caller that needs both timing and energy runs the controller once.
-    ``batch_size`` sets the columnar chunk length, as for
-    :class:`repro.sim.simulator.Simulator`.
+    The controller runs in a :class:`repro.sim.simulator.Simulator`
+    (:attr:`cache` and :attr:`controller` are its own), which reports
+    each request's port-operation code.  After :meth:`run`,
+    :attr:`result` holds the run's :class:`SimulationResult` (events,
+    counts, cache statistics), so a caller that needs both timing and
+    energy runs the controller once.  ``batch_size`` sets the columnar
+    chunk length, as for :class:`Simulator`.
     """
 
     def __init__(
@@ -143,12 +149,12 @@ class TimingSimulator:
         **controller_kwargs,
     ) -> None:
         timing = PhaseTiming() if timing is None else timing
-        self.cache = SetAssociativeCache(geometry)
-        self.controller = make_controller(
-            technique, self.cache, **controller_kwargs
+        self._simulator = Simulator(
+            technique, geometry, batch_size=batch_size, **controller_kwargs
         )
+        self.cache = self._simulator.cache
+        self.controller = self._simulator.controller
         self.timing = timing
-        self.batch_size = batch_size
         # Park et al.'s local RMW confines port occupancy to one
         # sub-array: such controllers get one port pair per sub-array,
         # so requests to other banks proceed concurrently.
@@ -191,71 +197,29 @@ class TimingSimulator:
                 f"other techniques, not {controller.name!r}"
                 f"{' with miss traffic' if controller.count_miss_traffic else ''}"
             )
-        geometry = self.cache.geometry
-        icounts: List[Any] = []
-        kinds: List[Any] = []
-        codes: List[Any] = []
-        sets: List[Any] = []
-        tags: List[Any] = []
-        addresses: List[Any] = []
-        values: List[Any] = []
-        misses: List[Any] = []
-        for chunk in iter_chunks(trace, geometry, self.batch_size):
-            chunk_codes = np.empty(len(chunk), dtype=np.uint8)
-            chunk_misses = np.zeros(len(chunk), dtype=bool) if derive else None
-            process_chunk(controller, chunk, chunk_codes, chunk_misses)
-            icounts.append(chunk.icounts)
-            kinds.append(chunk.kinds)
-            codes.append(chunk_codes)
-            sets.append(chunk.set_indices)
-            if derive:
-                tags.append(chunk.tags)
-                addresses.append(chunk.addresses)
-                values.append(chunk.values)
-                misses.append(chunk_misses)
-        controller.finalize()
-        icount_column = _joined(icounts, np.uint64)
-        kind_column = _joined(kinds, np.uint8)
-        set_column = _joined(sets, np.int64)
-        is_read = kind_column == 0
-        self._result = SimulationResult(
-            technique=controller.name,
-            geometry=geometry,
-            requests=len(kind_column),
-            events=controller.events.copy(),
-            counts=controller.counts,
-            cache_stats=self.cache.stats,
-        )
+        columns = TraceColumns.of(trace)
+        if derive:
+            traversal = traverse(self._simulator, columns)
+            self._result = traversal.result
+            # The conventional kernel's codes follow from the kinds.
+            codes = plain_port_codes(columns.kinds, False)
+        else:
+            codes = np.empty(len(columns), dtype=np.uint8)
+            self._simulator.feed(columns, codes=codes)
+            self._result = self._simulator.finish()
+        icounts, is_read = columns.icounts, columns.kinds == 0
         banks = None
         if self._subarrays > 1:
-            banks = controller.subarray_of(set_column)  # type: ignore[attr-defined]
-        perf = self._schedule(
-            controller.name,
-            icount_column,
-            is_read,
-            _joined(codes, np.uint8),
-            banks,
-        )
+            sets, _, _ = split_addresses(columns.addresses, self.cache.geometry)
+            banks = controller.subarray_of(sets)  # type: ignore[attr-defined]
+        perf = self._schedule(controller.name, icounts, is_read, codes, banks)
         self.replays = {controller.name: (perf, self._result)}
         if derive:
-            traversal = Traversal(
-                result=self._result,
-                icounts=icount_column,
-                kinds=kind_column,
-                sets=set_column,
-                tags=_joined(tags, np.int64),
-                addresses=_joined(addresses, np.uint64),
-                values=_joined(values, np.uint64),
-                missed=_joined(misses, bool),
-                final_tags=np.array(self.cache.tag_slots(), dtype=np.int64),
-            )
             for name, (derived_codes, result) in derive_replays(
                 traversal, derive
             ).items():
                 self.replays[name] = (
-                    self._schedule(
-                        name, icount_column, is_read, derived_codes, None
-                    ),
+                    self._schedule(name, icounts, is_read, derived_codes, None),
                     result,
                 )
         return perf
@@ -349,11 +313,6 @@ class TimingSimulator:
         )
 
 
-def _joined(parts: List[Any], dtype: Any) -> Any:
-    """One column from its chunk parts (empty for an empty trace)."""
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-
-
 def _fcfs_finish(ready: Any, duration: int) -> Tuple[Any, int]:
     """Finish cycles and conflict count of one port's operations.
 
@@ -382,11 +341,11 @@ def timed_replay(
 
     Inside a memo scope (:func:`repro.utils.memo.memo_scope`, which a
     report opens) each (trace, geometry, timing) is replayed once and
-    yields all four paper techniques, so the trace must not change
+    serves all four paper techniques, so the trace must not change
     while the scope is open (a generated trace shared there is
     read-only).  The entries keep the trace, matched by identity, and
     the results, never the simulator with its cache and controller.
-    Outside a scope only ``technique`` is derived.
+    Outside a scope every call replays.
     """
     timing = PhaseTiming() if timing is None else timing
     memo = scope_memo("perf.timed_replay")
@@ -394,11 +353,7 @@ def timed_replay(
     entry = memo.get(key) if memo is not None else None
     if entry is not None and entry[0] is trace:
         return entry[1], entry[2]
-    derive: Sequence[str] = ()
-    if memo is not None and technique in PAPER_TECHNIQUES:
-        derive = DERIVED_TECHNIQUES
-    elif technique in DERIVED_TECHNIQUES:
-        derive = (technique,)
+    derive = DERIVED_TECHNIQUES if technique in PAPER_TECHNIQUES else ()
     simulator = TimingSimulator(
         "conventional" if derive else technique, geometry, timing
     )
@@ -415,10 +370,15 @@ def evaluate_performance(
     techniques: Sequence[str] = PAPER_TECHNIQUES,
     timing: Optional[PhaseTiming] = None,
 ) -> dict:
-    """Run the timing model for several techniques on one trace."""
+    """Run the timing model for several techniques on one trace.
+
+    The techniques share the open memo scope, or one of their own, so
+    the paper's four come from one traversal (:func:`timed_replay`).
+    """
     if isinstance(trace, Iterator):
         raise TypeContractError("trace must be a reusable sequence")
-    return {
-        technique: timed_replay(trace, technique, geometry, timing)[0]
-        for technique in techniques
-    }
+    with ensure_memo_scope():
+        return {
+            technique: timed_replay(trace, technique, geometry, timing)[0]
+            for technique in techniques
+        }

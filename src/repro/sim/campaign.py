@@ -55,7 +55,7 @@ all-integer JSON form of a row, the payload of a stored row.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -314,15 +314,17 @@ def _run_one(
     Metrics-only telemetry (registry and interval sampler) rides the
     columnar kernels; a live trace sink sends every chunk through the
     per-access path so each instrumentation point emits its instant.
+    The two slices run under ``warmup.<technique>`` and
+    ``measure.<technique>`` spans.
     """
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
     simulator = Simulator(technique, config.geometry, telemetry=telemetry)
     warmup = config.warmup_accesses
     if warmup:
-        with span(telem, "warmup", technique=technique):
+        with span(telem, f"warmup.{technique}"):
             simulator.feed(trace[:warmup])
         simulator.reset_measurements()
-    with span(telem, "measure", technique=technique):
+    with span(telem, f"measure.{technique}"):
         simulator.feed(trace[warmup:])
     return simulator.finish()
 
@@ -420,9 +422,7 @@ def _open_result_store(
     if isinstance(result_cache, ResultStore):
         return result_cache
 
-    def on_event(name: str, **details) -> None:
-        emit_degradation(telem, name, **details)
-
+    on_event = partial(emit_degradation, telem)
     max_bytes = policy.result_cache_max_bytes
     opened = scope_memo("sim.result_stores")
     handle = (str(result_cache), max_bytes)
@@ -549,6 +549,42 @@ def _breaker_for(retry: RetryPolicy) -> Optional[CircuitBreaker]:
     return CircuitBreaker(retry.breaker_threshold)
 
 
+def _failed_row(
+    benchmark: str,
+    exc: ReproError,
+    retry: RetryPolicy,
+    breaker: Optional[CircuitBreaker],
+) -> FailedRow:
+    """The quarantine record of a row whose retries ended in ``exc``: a
+    row the breaker skipped took the breaker's count of attempts, any
+    other the whole retry budget."""
+    skipped = isinstance(exc, BreakerOpenError)
+    return FailedRow(
+        benchmark=benchmark,
+        attempts=(
+            breaker.failures(benchmark)
+            if skipped and breaker is not None
+            else retry.max_attempts
+        ),
+        error_type=type(exc).__name__,
+        error=str(exc),
+        breaker_skipped=skipped,
+    )
+
+
+def _emit_failure(telem: Telemetry, failure: FailedRow) -> None:
+    """Report a lost row: ``breaker.skip`` or ``campaign.quarantined``."""
+    if failure.breaker_skipped:
+        emit_degradation(telem, "breaker.skip", benchmark=failure.benchmark)
+    else:
+        emit_degradation(
+            telem,
+            "campaign.quarantined",
+            benchmark=failure.benchmark,
+            error=failure.error_type,
+        )
+
+
 def _resolve(
     retry: Optional[RetryPolicy],
     strict: Optional[bool],
@@ -585,8 +621,10 @@ def run_campaign(
     running again against the same store.  ``CampaignResult.health``
     accounts for every row's provenance either way.
 
-    With ``telemetry``, each campaign phase (trace-gen, warm-up,
-    measure) runs under a span and the controllers are instrumented.
+    With ``telemetry``, each row's phases run under spans
+    (``trace_gen``, then ``warmup.<technique>`` and
+    ``measure.<technique>`` per technique) and the controllers are
+    instrumented.
     """
     retry, strict, result_cache, policy = _resolve(retry, strict, result_cache)
     if policy.processes is not None and policy.processes > 1:
@@ -631,10 +669,7 @@ def _run_rows_resilient(
     committed to ``store`` before the next benchmark starts."""
     completed: Dict[str, BenchmarkRow] = {}
     failed: List[FailedRow] = []
-
-    def on_event(name: str, **details) -> None:
-        emit_degradation(telem, name, **details)
-
+    on_event = partial(emit_degradation, telem)
     for benchmark in benchmarks:
         try:
             row = retry_call(
@@ -648,35 +683,14 @@ def _run_rows_resilient(
                 breaker=breaker,
             )
         except ReproError as exc:
-            skipped = isinstance(exc, BreakerOpenError)
-            failure = FailedRow(
-                benchmark=benchmark,
-                attempts=(
-                    breaker.failures(benchmark)
-                    if skipped and breaker is not None
-                    else retry.max_attempts
-                ),
-                error_type=type(exc).__name__,
-                error=str(exc),
-                breaker_skipped=skipped,
-            )
+            failure = _failed_row(benchmark, exc, retry, breaker)
             if strict:
                 raise CampaignFailedError(
                     f"campaign failed (strict): {failure.describe()}",
                     failed_rows=[failure],
                 ) from exc
             failed.append(failure)
-            if skipped:
-                emit_degradation(
-                    telem, "breaker.skip", benchmark=benchmark
-                )
-            else:
-                emit_degradation(
-                    telem,
-                    "campaign.quarantined",
-                    benchmark=benchmark,
-                    error=failure.error_type,
-                )
+            _emit_failure(telem, failure)
             continue
         completed[benchmark] = row
         if store is not None:

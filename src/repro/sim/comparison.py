@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence
 
 from repro.cache.config import CacheGeometry
 from repro.obs.spans import span
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.sim.campaign import emit_degradation
 from repro.sim.resilience import RetryPolicy, active_policy, retry_call
 from repro.sim.simulator import SimulationResult, run_simulation
 from repro.trace.record import MemoryAccess
@@ -93,12 +95,7 @@ def compare_techniques(
         )
     retry = retry if retry is not None else active_policy().retry
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    def on_event(name: str, **details) -> None:
-        if telem.enabled:
-            telem.registry.inc(name)
-            telem.instant(name, category="resilience", **details)
-
+    on_event = partial(emit_degradation, telem)
     results: Dict[str, SimulationResult] = {}
     for technique in techniques:
         with span(telem, f"simulate.{technique}", requests=len(trace)):

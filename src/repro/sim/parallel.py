@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from threading import Event
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import BreakerOpenError, CampaignFailedError, ReproError
+from repro.errors import CampaignFailedError, ReproError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.campaign import (
@@ -76,6 +76,8 @@ from repro.sim.campaign import (
     CampaignResult,
     _breaker_for,
     _campaign_result,
+    _emit_failure,
+    _failed_row,
     _open_result_store,
     _resolve,
     _run_rows_resilient,
@@ -178,22 +180,11 @@ def _supervise_job(
             breaker=breaker,
         )
     except ReproError as exc:  # repro-lint: disable=RPR205
-        # Not silent: _run_pool emits breaker.skip / campaign.quarantined
-        # for this FailedRow when folding outcomes, in deterministic
-        # submission order.  Emitting from the supervisor thread here
-        # would double-count and race the ordering.
-        skipped = isinstance(exc, BreakerOpenError)
-        outcome.failure = FailedRow(
-            benchmark=benchmark,
-            attempts=(
-                breaker.failures(benchmark)
-                if skipped and breaker is not None
-                else retry.max_attempts
-            ),
-            error_type=type(exc).__name__,
-            error=str(exc),
-            breaker_skipped=skipped,
-        )
+        # Not silent: _run_pool reports this FailedRow (_emit_failure)
+        # when folding outcomes, in deterministic submission order.
+        # Emitting from the supervisor thread here would double-count
+        # and race the ordering.
+        outcome.failure = _failed_row(benchmark, exc, retry, breaker)
         return outcome
     outcome.row = row
     outcome.metrics_state = state
@@ -297,17 +288,7 @@ def _run_pool(
                 emit_degradation(telem, name, **details)
             if outcome.failure is not None:
                 failed.append(outcome.failure)
-                if outcome.failure.breaker_skipped:
-                    emit_degradation(
-                        telem, "breaker.skip", benchmark=outcome.benchmark
-                    )
-                else:
-                    emit_degradation(
-                        telem,
-                        "campaign.quarantined",
-                        benchmark=outcome.benchmark,
-                        error=outcome.failure.error_type,
-                    )
+                _emit_failure(telem, outcome.failure)
                 continue
             completed[outcome.benchmark] = outcome.row
             if store is not None:

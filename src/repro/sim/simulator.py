@@ -10,6 +10,12 @@ reproduces the exact semantics, each record of the chunk runs through
 :meth:`CacheController.process`, the scalar path and semantics of
 record.  Both are bit-identical (``tests/engine/`` and ``repro.check``
 prove it).
+
+It is the one replay engine: campaign rows, the profiler and the
+timing model (:class:`repro.perf.timing.TimingSimulator`, which asks
+:meth:`Simulator.feed` for each request's port-operation code) all
+replay through it, and :func:`repro.perf.derive.traverse` feeds one
+with the miss trail to derive RMW, WG and WG+RB.
 """
 
 from __future__ import annotations
@@ -77,20 +83,30 @@ class Simulator:
         self._requests = 0
 
     def feed(
-        self, trace: Iterable[MemoryAccess], misses: Optional[Any] = None
+        self,
+        trace: Iterable[MemoryAccess],
+        misses: Optional[Any] = None,
+        codes: Optional[Any] = None,
     ) -> None:
         """Process a stream of accesses (may be called repeatedly).
 
         Streaming: at most one chunk of decoded records is held at a
-        time.  ``misses``, a zeroed bool array as long as ``trace``, is
-        set at each request that missed the cache: the miss trail of
-        :func:`repro.engine.columnar.process_chunk`, which only the
-        conventional and RMW kernels keep.
+        time.  Two optional output arrays as long as ``trace`` collect
+        what :func:`repro.engine.columnar.process_chunk` reports per
+        request: ``misses``, zeroed bools, is set at each request that
+        missed the cache (the miss trail, which only the conventional
+        and RMW kernels keep), and ``codes``, u8, receives each
+        request's port-operation code (the timing model's input).
         """
         fed = 0
         for chunk in iter_chunks(trace, self.geometry, self.batch_size):
-            trail = None if misses is None else misses[fed : fed + len(chunk)]
-            consumed = process_chunk(self.controller, chunk, misses=trail)
+            stop = fed + len(chunk)
+            consumed = process_chunk(
+                self.controller,
+                chunk,
+                None if codes is None else codes[fed:stop],
+                None if misses is None else misses[fed:stop],
+            )
             fed += consumed
             self._requests += consumed
 

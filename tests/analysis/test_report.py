@@ -121,7 +121,8 @@ class TestSharedWork:
     @pytest.mark.parametrize("figure_id", CAMPAIGN_FIGURES + SHARING_FIGURES)
     def test_figures_equal_inside_and_outside_a_scope(self, figure_id):
         """``reproduce_figure`` always runs in a scope; the producer
-        called directly runs in none."""
+        called directly runs in none, apart from the scope a timed
+        figure opens around each trace's replays."""
         producer = figures._PRODUCERS[figure_id]
         outside = producer(accesses=400, seed=7)
         with memo.memo_scope():
@@ -134,6 +135,29 @@ class TestSharedWork:
         built = counting_simulators(monkeypatch)
         generate_report(accesses=600, figure_ids=CAMPAIGN_FIGURES)
         assert built == ["conventional"] * 100
+
+    def test_overheads_read_the_shared_timed_replays(self, monkeypatch):
+        """One conventional traversal per trace serves Section 5.5 and the
+        overhead report's energy sweep alike."""
+        built = counting_simulators(monkeypatch)
+        generate_report(accesses=600, figure_ids=("sec5.5",))
+        alone = list(built)
+        built.clear()
+        generate_report(accesses=600, figure_ids=("sec5.5", "overheads"))
+        assert built == alone == ["conventional"] * 25
+
+    @pytest.mark.parametrize(
+        "figure_id, traces", (("sec5.5", 25), ("dvfs_energy", 25), ("overheads", 4))
+    )
+    def test_a_timed_figure_traverses_each_trace_once(
+        self, monkeypatch, figure_id, traces
+    ):
+        """Called outside any scope, a figure that reads several
+        techniques per trace still takes them from one traversal."""
+        built = counting_simulators(monkeypatch)
+        figures._PRODUCERS[figure_id](accesses=300, seed=7)
+        assert built == ["conventional"] * traces
+        assert memo.scope_memo("perf.timed_replay") is None
 
     def test_a_figure_joins_the_open_scope_or_opens_its_own(self, monkeypatch):
         built = counting_simulators(monkeypatch)

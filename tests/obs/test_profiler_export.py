@@ -2,6 +2,9 @@
 
 import csv
 import json
+from dataclasses import asdict
+
+import pytest
 
 from repro.analysis.export import metrics_to_json, snapshots_to_csv
 from repro.cache.config import CacheGeometry
@@ -9,6 +12,8 @@ from repro.obs.profiler import profile_benchmark
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import IntervalSampler
 from repro.obs.telemetry import Telemetry
+from repro.sim.campaign import execute_row
+from repro.sim.experiment import ExperimentConfig
 
 SMALL = CacheGeometry(size_bytes=4096, associativity=2, block_bytes=32)
 
@@ -56,6 +61,39 @@ class TestProfiler:
         )
         assert report.telemetry is telem
         assert len(telem.sampler.series("wg")) == 4
+
+
+    @pytest.mark.parametrize("fraction", (0.0, 0.1, 0.37))
+    def test_results_are_the_campaign_row(self, fraction):
+        """The profiler times the row a campaign ships: every field of
+        every technique equals ``execute_row`` on the same config."""
+        techniques = ("conventional", "rmw", "wg", "wg_rb", "write_buffer")
+        report = profile_benchmark(
+            "mcf",
+            geometry=SMALL,
+            accesses=1_500,
+            seed=7,
+            techniques=techniques,
+            warmup_fraction=fraction,
+        )
+        config = ExperimentConfig(
+            geometry=SMALL,
+            benchmarks=("mcf",),
+            techniques=techniques,
+            accesses_per_benchmark=1_500,
+            warmup_fraction=fraction,
+            seed=7,
+        )
+        row = execute_row("mcf", config)
+        assert list(report.results) == list(row.results) == list(techniques)
+        for technique, expected in row.results.items():
+            result = report.results[technique]
+            assert result.technique == expected.technique
+            assert result.geometry == expected.geometry
+            assert result.requests == expected.requests
+            assert result.events.to_dict() == expected.events.to_dict()
+            assert asdict(result.counts) == asdict(expected.counts)
+            assert result.cache_stats == expected.cache_stats
 
 
 class TestExport:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cache.config import CacheGeometry
 from repro.perf import timing as timing_module
+from repro.perf.derive import DERIVED_TECHNIQUES
 from repro.perf.timing import (
     PerfResult,
     TimingSimulator,
@@ -190,3 +191,51 @@ class TestTimedReplay:
         timed_replay(trace, "wg", small_geometry)
         assert len(simulators) == 2
         assert scope_memo("perf.timed_replay") is None
+
+    def test_evaluate_performance_traverses_once(
+        self, trace, small_geometry, simulators
+    ):
+        """The four paper techniques come from one traversal, in a scope
+        of their own that ends with the call."""
+        results = evaluate_performance(trace, small_geometry)
+        assert len(simulators) == 1
+        assert scope_memo("perf.timed_replay") is None
+        assert list(results) == list(self.TECHNIQUES)
+        for technique, perf in results.items():
+            assert perf == TimingSimulator(technique, small_geometry).run(trace)
+
+
+def assert_same_run(first, second):
+    """Two ``(PerfResult, SimulationResult)`` pairs agree field by field."""
+    assert first[0] == second[0]
+    assert first[1].technique == second[1].technique
+    assert first[1].geometry == second[1].geometry
+    assert first[1].requests == second[1].requests
+    assert first[1].events.to_dict() == second[1].events.to_dict()
+    assert first[1].counts == second[1].counts
+    assert first[1].cache_stats == second[1].cache_stats
+
+
+class TestInputForms:
+    """A record list, a one-shot generator and the columns of one trace
+    give the same run, derived replays included."""
+
+    @pytest.mark.parametrize("batch_size", (1, 7, None), ids=("1", "7", "default"))
+    @pytest.mark.parametrize(
+        "technique", ("conventional", "rmw", "wg", "wg_rb", "rmw_local")
+    )
+    def test_list_generator_and_columns(self, small_geometry, technique, batch_size):
+        columns = generate_trace(get_profile("mcf"), 700, seed=7)
+        derive = DERIVED_TECHNIQUES if technique == "conventional" else ()
+        runs = []
+        for given in (list(columns), (access for access in columns), columns):
+            simulator = TimingSimulator(
+                technique, small_geometry, batch_size=batch_size
+            )
+            perf = simulator.run(given, derive)
+            assert simulator.replays[technique] == (perf, simulator.result)
+            runs.append(simulator.replays)
+        for replays in runs[1:]:
+            assert list(replays) == list(runs[0])
+            for name, replay in replays.items():
+                assert_same_run(replay, runs[0][name])

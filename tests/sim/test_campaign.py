@@ -133,6 +133,23 @@ class TestCampaignTelemetry:
             )
 
 
+    def test_each_row_times_every_technique(self):
+        """Observed rows run each technique under ``warmup.<t>`` and
+        ``measure.<t>`` spans, as ``repro-8t profile`` reports them."""
+        from repro.obs.telemetry import Telemetry
+
+        config = ExperimentConfig(
+            benchmarks=("bwaves", "mcf", "gcc"), accesses_per_benchmark=500
+        )
+        telemetry = Telemetry()
+        result = run_campaign(config, telemetry=telemetry)
+        registry = telemetry.registry
+        assert registry.value("span.trace_gen.calls") == len(result.rows) == 3
+        for technique in config.techniques:
+            for phase in ("warmup", "measure"):
+                assert registry.value(f"span.{phase}.{technique}.calls") == 3
+
+
 class TestScopedStore:
     """Inside a memo scope (one report) campaigns share one store open."""
 
