@@ -29,8 +29,10 @@ columnar engine's kernels require stamp-LRU and check
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, List, Optional
+
+import numpy
 
 from repro.cache.address import AddressMapper
 from repro.cache.config import CacheGeometry
@@ -42,6 +44,10 @@ from repro.utils.rng import DeterministicRNG
 from repro.errors import ValidationError
 
 __all__ = ["SetAssociativeCache", "AccessResult"]
+
+# Bound as ``Any``: the one array here is the derivation's tag
+# snapshot, and NumPy's stubs would only add casts.
+np: Any = numpy
 
 #: Invalid-way sentinel in the tag slots.  Tags are masked to
 #: ``tag_bits`` bits and therefore never negative.
@@ -279,9 +285,16 @@ class SetAssociativeCache:
             tag if tag != _NO_TAG else None for tag in self._tags[set_index]
         ]
 
-    def tag_slots(self) -> List[List[int]]:
-        """Copy of every set's tag slots, ``-1`` for an invalid way."""
-        return [list(tags) for tags in self._tags]
+    def tag_slots(self) -> Any:
+        """Every set's tag slots as one ``(num_sets, ways)`` int64 array,
+        ``-1`` for an invalid way: a snapshot, read without copying any
+        set's slot list."""
+        num_sets = self.geometry.num_sets
+        return np.fromiter(
+            chain.from_iterable(self._tags),
+            dtype=np.int64,
+            count=num_sets * self._ways,
+        ).reshape(num_sets, self._ways)
 
     def flush_all_dirty(self) -> int:
         """Write every dirty block to memory (end-of-run drain for oracles).

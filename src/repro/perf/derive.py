@@ -58,7 +58,9 @@ set, silent writes and dirty windows see the warm-up, and then:
 * **WG's dirty evictions are the whole trace's minus the prefix's.**
   The prefix is the first ``start`` requests, with ``start_tags`` as
   its final tag slots; a block instance evicted before ``start`` took
-  all its writes before it.
+  all its writes before it.  Both counts read the trace in stable
+  (set, tag) order, and one sort serves both: the prefix's order is
+  the whole trace's with the positions from ``start`` on dropped.
 * **RMW is** :func:`~repro.engine.columnar.credit_plain` over the
   conventional slice, and every technique's cache statistics are the
   conventional slice's, with WG's dirty evictions swapped in.
@@ -121,10 +123,11 @@ class Traversal:
 
     The trace's columns in request order (``kinds`` 1 for a write,
     ``sets`` and ``tags`` under the replay's geometry), the miss trail,
-    the cache's tag slots after the last request (``-1`` for an invalid
-    way), and the replay's own result.  A replay with a warm-up measures
-    the requests from ``start`` on: ``result`` is that slice's, and
-    ``start_tags`` holds the tag slots before request ``start``.
+    the cache's tag slots after the last request as a ``(num_sets,
+    ways)`` int64 array (``-1`` for an invalid way), and the replay's
+    own result.  A replay with a warm-up measures the requests from
+    ``start`` on: ``result`` is that slice's, and ``start_tags`` is the
+    same array before request ``start``.
     """
 
     result: SimulationResult
@@ -202,7 +205,9 @@ def traverse(
 
     The simulator is fed the first ``warmup`` requests, reset, then fed
     the rest, each slice with its miss trail, and finished; the tag
-    slots are read at the boundary and at the end.  ``trace`` is packed
+    slots are snapshotted at the boundary and at the end
+    (:meth:`~repro.cache.cache.SetAssociativeCache.tag_slots`, one
+    array each).  ``trace`` is packed
     into columns once (:meth:`TraceColumns.of`), so a one-shot iterable
     works too.
     """
@@ -211,7 +216,7 @@ def traverse(
     start_tags = None
     if warmup:
         simulator.feed(columns[:warmup], misses=missed[:warmup])
-        start_tags = np.array(simulator.cache.tag_slots(), dtype=np.int64)
+        start_tags = simulator.cache.tag_slots()
         simulator.reset_measurements()
     simulator.feed(columns[warmup:], misses=missed[warmup:])
     result = simulator.finish()
@@ -225,7 +230,7 @@ def traverse(
         addresses=columns.addresses,
         values=columns.values,
         missed=missed,
-        final_tags=np.array(simulator.cache.tag_slots(), dtype=np.int64),
+        final_tags=simulator.cache.tag_slots(),
         start=warmup,
         start_tags=start_tags,
     )
@@ -250,12 +255,26 @@ def _rmw(traversal: Traversal) -> Tuple[Any, SimulationResult]:
 
 
 class _Plane(NamedTuple):
-    """The Set-Buffer inputs WG and WG+RB share."""
+    """The Set-Buffer inputs WG and WG+RB share, over the whole trace."""
 
-    #: Buffered set before each request, -1 when the buffer is invalid.
-    buffered: Any
+    is_write: Any
     #: True at each value-changing (non-silent) write.
     changed: Any
+    #: Value-changing writes before each position (``n + 1`` entries).
+    changed_before: Any
+    #: Positions of the value-changing writes.
+    changed_at: Any
+    #: A miss to the buffered set: fill-flush write-back site.
+    flush: Any
+    #: A write to another set while the buffer is valid: eviction site.
+    evict: Any
+    #: A read hit to the buffered set: WG's premature write-back site,
+    #: WG+RB's bypassed read.
+    served: Any
+    #: A write hit to the buffered set.
+    grouped: Any
+    #: A write that fills the buffer.
+    fills: Any
     #: Evictions of blocks that took a value-changing write since
     #: their fill: WG's dirty evictions.
     dirty_evictions: int
@@ -270,6 +289,7 @@ def _set_buffer_plane(traversal: Traversal) -> _Plane:
     previous = np.empty(n, dtype=np.int64)
     previous[:1] = -1
     previous[1:] = last_write[:-1]
+    # The buffered set before each request, -1 when the buffer is invalid.
     buffered = np.where(previous >= 0, sets[previous], -1)
     # A read miss to the buffered set drops the buffer until the next
     # write refills it.
@@ -282,32 +302,45 @@ def _set_buffer_plane(traversal: Traversal) -> _Plane:
     changed = np.zeros(n, dtype=bool)
     changed[writes.positions] = writes.changed
 
+    # One stable (set, tag) sort serves the prefix too: its order is
+    # the whole trace's with the positions from ``start`` on dropped.
     tags, start = traversal.tags, traversal.start
+    order = np.lexsort((tags, sets))
     dirty_evictions = _dirty_evictions(
-        sets, tags, missed, changed, traversal.final_tags
+        order, sets, tags, missed, changed, traversal.final_tags
     )
     if start:
         dirty_evictions -= _dirty_evictions(
-            sets[:start],
-            tags[:start],
-            missed[:start],
-            changed[:start],
-            traversal.start_tags,
+            order[order < start], sets, tags, missed, changed, traversal.start_tags
         )
-    return _Plane(buffered, changed, dirty_evictions)
+
+    match = sets == buffered
+    grouped = is_write & ~missed & match
+    return _Plane(
+        is_write=is_write,
+        changed=changed,
+        changed_before=np.concatenate(([0], np.cumsum(changed))),
+        changed_at=np.flatnonzero(changed),
+        flush=missed & match,
+        evict=is_write & ~match & (buffered >= 0),
+        served=~is_write & ~missed & match,  # Tag-Buffer read hits
+        grouped=grouped,
+        fills=is_write & ~grouped,
+        dirty_evictions=dirty_evictions,
+    )
 
 
 def _dirty_evictions(
-    sets: Any, tags: Any, missed: Any, changed: Any, final_tags: Any
+    order: Any, sets: Any, tags: Any, missed: Any, changed: Any, final_tags: Any
 ) -> int:
     """Evictions of block instances that took a value-changing write
     since their fill, from a cold cache whose tag slots are
-    ``final_tags`` after the last request."""
+    ``final_tags`` after the requests at ``order``: the positions of a
+    trace prefix in stable (set, tag) order."""
     # Each miss fills a new instance of its block; in (set, tag, trace)
     # order a block's accesses split into instances at its misses.  An
     # instance is evicted unless it is its block's last one and still
     # resident at the end.
-    order = np.lexsort((tags, sets))
     fills = missed[order]
     instance = np.cumsum(fills) - 1
     took = np.zeros(int(np.count_nonzero(fills)), dtype=bool)
@@ -327,17 +360,8 @@ def _dirty_evictions(
 def _write_grouping(
     traversal: Traversal, plane: _Plane, bypass: bool
 ) -> Tuple[Any, SimulationResult]:
-    kinds, missed, changed = traversal.kinds, traversal.missed, plane.changed
-    n, start = len(kinds), traversal.start
-    is_write = kinds != 0
-    is_read = ~is_write
-    match = traversal.sets == plane.buffered
-    flush = missed & match
-    evict = is_write & ~match & (plane.buffered >= 0)
-    served = is_read & ~missed & match  # Tag-Buffer read hits
-    grouped = is_write & ~missed & match
-    fills = is_write & ~grouped
-    premature = np.zeros(n, dtype=bool) if bypass else served
+    n, start = len(traversal.kinds), traversal.start
+    premature = np.zeros(n, dtype=bool) if bypass else plane.served
 
     # Dirty windows: one per write-back site, plus the end-of-run
     # drain at position n.  A window is dirty when a value-changing
@@ -345,14 +369,14 @@ def _write_grouping(
     # clears Dirty before its own write can set it).  It counts when it
     # closes in the measured slice, from its first value-changing
     # write on, which may come before the slice.
-    sites = np.flatnonzero(flush | evict | premature)
-    changed_before = np.concatenate(([0], np.cumsum(changed)))
+    sites = np.flatnonzero(plane.flush | plane.evict | premature)
+    changed_before = plane.changed_before
     starts = np.concatenate(([0], sites))
     ends = np.concatenate((sites, [n]))
     dirty = changed_before[ends] > changed_before[starts]
     if start:
         dirty &= ends >= start
-    opened = np.flatnonzero(changed)[changed_before[starts[dirty]]]
+    opened = plane.changed_at[changed_before[starts[dirty]]]
     closed = ends[dirty]
     icounts = traversal.icounts.astype(np.int64)
     residency = np.maximum(
@@ -362,13 +386,19 @@ def _write_grouping(
     written_back[closed] = True
     final = int(written_back[n])
     written_back = written_back[start:n]
-    if start:
-        is_write, changed, served, grouped, fills, premature, evict, flush = (
-            mask[start:]
-            for mask in (
-                is_write, changed, served, grouped, fills, premature, evict, flush
-            )
+    is_write, changed, served, grouped, fills, premature, evict, flush = (
+        mask[start:]
+        for mask in (
+            plane.is_write,
+            plane.changed,
+            plane.served,
+            plane.grouped,
+            plane.fills,
+            premature,
+            plane.evict,
+            plane.flush,
         )
+    )
 
     codes = np.where(is_write, 0, PORT_READ).astype(np.uint8)
     if bypass:

@@ -54,8 +54,8 @@ all-integer JSON form of a row, the payload of a stored row.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -259,22 +259,35 @@ def _geometry_payload(geometry: CacheGeometry) -> Dict:
     }
 
 
+_COUNT_FIELDS = tuple(f.name for f in fields(OperationCounts))
+_STATS_FIELDS = tuple(f.name for f in fields(CacheStats))
+
+
 def serialize_result(result: SimulationResult) -> Dict:
     """JSON payload for one (trace, technique) result — exact, all ints."""
+    counts, stats = result.counts, result.cache_stats
     return {
         "technique": result.technique,
         "geometry": _geometry_payload(result.geometry),
         "requests": result.requests,
         "events": result.events.to_dict(),
-        "counts": asdict(result.counts),
-        "cache_stats": asdict(result.cache_stats),
+        "counts": {name: getattr(counts, name) for name in _COUNT_FIELDS},
+        "cache_stats": {name: getattr(stats, name) for name in _STATS_FIELDS},
     }
+
+
+# One validated geometry per distinct payload, shared by a row's results
+# and a report's rows.  ``typed=True`` keeps an ``int`` field apart
+# from an equal ``float`` or ``bool``, which need not validate alike.
+@lru_cache(maxsize=64, typed=True)
+def _stored_geometry(**payload) -> CacheGeometry:
+    return CacheGeometry(**payload)
 
 
 def deserialize_result(payload: Dict) -> SimulationResult:
     return SimulationResult(
         technique=payload["technique"],
-        geometry=CacheGeometry(**payload["geometry"]),
+        geometry=_stored_geometry(**payload["geometry"]),
         requests=payload["requests"],
         events=SRAMEventLog(**payload["events"]),
         counts=OperationCounts(**payload["counts"]),

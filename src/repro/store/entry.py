@@ -9,6 +9,15 @@ Layout of an entry file::
      "crc": "<crc32 hex of canonical payload JSON>",
      "payload": {...}}
 
+The file is the document's canonical JSON (sorted keys, ``","`` and
+``":"`` separators) and a newline, so the checksummed payload text is
+stored verbatim between the top-level ``"payload":`` and ``,"schema":``
+keys.  :func:`encode_entry` dumps the payload once and splices it into
+the document.  Reads compute the CRC over that stored text, and
+re-dump the parsed payload canonically only when it does not match:
+an entry in any other valid layout (indented, unsorted) is classified
+exactly as a canonical one.
+
 Reads are paranoid by construction — every failure mode maps to a
 :class:`repro.errors.StoreIntegrityError` with a classifying
 ``reason``:
@@ -53,27 +62,47 @@ FORMAT_NAME = "repro8t-result"
 SCHEMA_VERSION = 1
 
 
+#: The top-level keys around the payload: ``"payload"`` and
+#: ``"schema"`` sort after every other key of the document.
+_PAYLOAD_KEY = '"payload":'
+_SCHEMA_KEY = ',"schema":'
+
+
+def _crc(text: str) -> str:
+    return format(zlib.crc32(text.encode()) & 0xFFFFFFFF, "08x")
+
+
 def payload_crc(payload: Dict) -> str:
-    return format(
-        zlib.crc32(canonical_json(payload).encode()) & 0xFFFFFFFF, "08x"
-    )
+    return _crc(canonical_json(payload))
 
 
 def encode_entry(key: str, meta: Dict[str, object], payload: Dict) -> str:
-    """Serialise one entry (canonical JSON + trailing newline)."""
-    return (
-        canonical_json(
-            {
-                "format": FORMAT_NAME,
-                "schema": SCHEMA_VERSION,
-                "key": key,
-                "meta": meta,
-                "crc": payload_crc(payload),
-                "payload": payload,
-            }
-        )
-        + "\n"
+    """Serialise one entry: the document's canonical JSON and a newline.
+
+    The payload is dumped once, for its CRC and for its place in the
+    document.
+    """
+    body = canonical_json(payload)
+    head = canonical_json(
+        {"crc": _crc(body), "format": FORMAT_NAME, "key": key, "meta": meta}
     )
+    return f"{head[:-1]},{_PAYLOAD_KEY}{body}{_SCHEMA_KEY}{SCHEMA_VERSION}}}\n"
+
+
+def _crc_matches(text: str, document: Dict, payload: Dict) -> bool:
+    """Whether the recorded CRC is that of the payload's canonical JSON.
+
+    A canonical document stores that JSON between the first
+    ``"payload":`` and the last ``,"schema":`` (canonical JSON escapes
+    quotes inside strings, so both markers can only be keys); any other
+    layout, or a damaged slice, falls back to a canonical re-dump.
+    """
+    stored = document.get("crc")
+    begin = text.find(_PAYLOAD_KEY)
+    end = text.rfind(_SCHEMA_KEY)
+    if 0 <= begin < end and _crc(text[begin + len(_PAYLOAD_KEY) : end]) == stored:
+        return True
+    return stored == payload_crc(payload)
 
 
 def _parse(text: str, where: str) -> Dict:
@@ -146,7 +175,7 @@ def decode_entry(
             "refusing to serve it",
             reason="skew",
         )
-    if document.get("crc") != payload_crc(payload):
+    if not _crc_matches(text, document, payload):
         raise StoreIntegrityError(
             f"{where}: payload CRC mismatch (stored "
             f"{document.get('crc')!r}); entry is corrupt",
@@ -176,7 +205,7 @@ def entry_header(text: str, where: str) -> Dict:
         raise StoreIntegrityError(
             f"{where}: entry has no key", reason="torn"
         )
-    if document.get("crc") != payload_crc(payload):
+    if not _crc_matches(text, document, payload):
         raise StoreIntegrityError(
             f"{where}: payload CRC mismatch", reason="crc"
         )

@@ -64,20 +64,47 @@ def row_config_fingerprint(config) -> str:
     This excludes ``benchmarks``: each row is keyed by its own benchmark
     name, so campaigns that share geometry/techniques/seed share cached
     rows.  Technique order is excluded too (the list is sorted).
+    Memoised on the digested values rather than the config, so a config
+    holding a technique list (unhashable) works too.
     """
     geometry = config.geometry
+    return _config_fingerprint(
+        geometry.size_bytes,
+        geometry.associativity,
+        geometry.block_bytes,
+        geometry.address_bits,
+        tuple(sorted(config.techniques)),
+        config.accesses_per_benchmark,
+        config.warmup_fraction,
+        config.seed,
+    )
+
+
+# ``typed=True``: ``0`` and ``0.0`` (or ``1`` and ``True``) hash equal
+# but dump differently, so they must not share a memoised digest.
+@lru_cache(maxsize=256, typed=True)
+def _config_fingerprint(
+    size_bytes,
+    associativity,
+    block_bytes,
+    address_bits,
+    techniques,
+    accesses,
+    warmup_fraction,
+    seed,
+) -> str:
     return digest(
         {
             "geometry": {
-                "size_bytes": geometry.size_bytes,
-                "associativity": geometry.associativity,
-                "block_bytes": geometry.block_bytes,
-                "address_bits": geometry.address_bits,
+                "size_bytes": size_bytes,
+                "associativity": associativity,
+                "block_bytes": block_bytes,
+                "address_bits": address_bits,
             },
-            "techniques": sorted(config.techniques),
-            "accesses_per_benchmark": config.accesses_per_benchmark,
-            "warmup_fraction": config.warmup_fraction,
-            "seed": config.seed,
+            "techniques": list(techniques),
+            "accesses_per_benchmark": accesses,
+            "warmup_fraction": warmup_fraction,
+            "seed": seed,
         }
     )[:FINGERPRINT_LENGTH]
 
@@ -102,15 +129,35 @@ def profile_fingerprint(profile: "WorkloadProfile") -> str:
 def row_key(
     config, benchmark: str, code: Optional[str] = None
 ) -> Tuple[str, Dict[str, object]]:
-    """(key, meta) for one cached campaign row."""
-    meta: Dict[str, object] = {
+    """(key, meta) for one cached campaign row.
+
+    The config fingerprint and the key are memoised on the values they
+    digest (the meta's, for the key), so a lookup pass and its commits
+    hash each row once.  The meta dict is fresh on every call, and a
+    new code version (``REPRO_CODE_VERSION`` included) is a new key.
+    """
+    values = (
+        benchmark,
+        row_config_fingerprint(config),
+        workload_fingerprint(benchmark),
+        code if code is not None else code_version(),
+    )
+    return _row_digest(*values), _row_meta(*values)
+
+
+def _row_meta(benchmark, config, workload, code) -> Dict[str, object]:
+    return {
         "kind": "campaign-row",
         "benchmark": benchmark,
-        "config": row_config_fingerprint(config),
-        "workload": workload_fingerprint(benchmark),
-        "code": code if code is not None else code_version(),
+        "config": config,
+        "workload": workload,
+        "code": code,
     }
-    return digest(meta), meta
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _row_digest(benchmark, config, workload, code) -> str:
+    return digest(_row_meta(benchmark, config, workload, code))
 
 
 def verdict_key(

@@ -181,12 +181,20 @@ class ResultStore:
         payload: Dict,
         benchmark: Optional[str] = None,
     ) -> None:
-        """Atomically commit one entry, then enforce the size bound."""
+        """Atomically commit one entry, then enforce the size bound.
+
+        The entry's shard directory (``objects/<key[:2]>``) is made only
+        when a commit finds it missing: on the first commit into it, or
+        after it was removed behind the store's back.
+        """
         with self._lock:
             text = encode_entry(key, meta, payload)
             path = self._object_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write(path, text, benchmark=benchmark)
+            try:
+                atomic_write(path, text, benchmark=benchmark)
+            except FileNotFoundError:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                atomic_write(path, text, benchmark=benchmark)
             self.index.put(key, len(text.encode()))
             self.counters["puts"] += 1
             self._enforce_bound(protect=key, benchmark=benchmark)

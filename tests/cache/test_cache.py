@@ -1,5 +1,6 @@
 """Unit and property tests for the set-associative cache model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
 from repro.cache.memory import FunctionalMemory
+from repro.sim.simulator import Simulator
 from repro.trace.record import AccessType, MemoryAccess
+
+from tests.conftest import make_random_trace
 
 
 def R(address, icount=0):
@@ -155,3 +159,36 @@ class TestOracleProperty:
         cache.flush_all_dirty()
         for word, value in model.items():
             assert cache.memory.read_word(word * 8) == value
+
+
+class TestTagSlots:
+    """``tag_slots()`` is one ``(num_sets, ways)`` int64 snapshot."""
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            CacheGeometry(size_bytes=512, associativity=2, block_bytes=32),
+            CacheGeometry(size_bytes=4 * 1024, associativity=4, block_bytes=32),
+            CacheGeometry(size_bytes=8 * 1024, associativity=8, block_bytes=32),
+            CacheGeometry(size_bytes=128 * 1024, associativity=4, block_bytes=32),
+        ],
+        ids=lambda g: g.describe(),
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_slot_lists_at_the_boundary_and_the_end(self, geometry, seed):
+        trace = make_random_trace(
+            3000, seed=seed, word_span=geometry.size_bytes // 2, write_share=0.5
+        )
+        simulator = Simulator("conventional", geometry)
+        cache = simulator.cache
+        empty = cache.tag_slots()
+        assert empty.shape == (geometry.num_sets, geometry.associativity)
+        assert (empty == -1).all()
+        for part in (trace[:1000], trace[1000:]):
+            simulator.feed(part)
+            slots = cache.tag_slots()
+            expected = np.array([list(t) for t in cache._tags], dtype=np.int64)
+            assert slots.dtype == np.int64
+            assert slots.shape == expected.shape
+            assert np.array_equal(slots, expected)
+            assert (slots >= 0).any()

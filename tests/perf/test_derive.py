@@ -18,6 +18,7 @@ chunk sizes.
 
 from dataclasses import asdict
 
+import numpy
 import pytest
 
 from repro.cache.config import CacheGeometry
@@ -167,3 +168,23 @@ class TestRows:
     def test_record_list_input(self):
         trace = list(generate_trace(get_profile("mcf"), 1200, seed=7))
         assert_row_equals_own_runs(trace, ROW_GEOMETRIES[0], 0.37, batch_size=7)
+
+
+class TestOneSort:
+    """With a warm-up the prefix's dirty evictions reuse the whole
+    trace's (set, tag) order: one ``np.lexsort`` per derived row (its
+    fields are ``TestRows``'s to check)."""
+
+    @pytest.mark.parametrize("fraction", WARMUP_FRACTIONS)
+    def test_one_sort_per_derived_row(self, fraction, monkeypatch):
+        sorts = []
+        lexsort = numpy.lexsort
+
+        def counting(keys, *args, **kwargs):
+            sorts.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        trace = generate_trace(get_profile("mcf"), 2000, seed=7)
+        monkeypatch.setattr(numpy, "lexsort", counting)
+        derive_row(trace, ROW_GEOMETRIES[0], int(len(trace) * fraction))
+        assert sorts == [len(trace)]

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cache.config import BASELINE_GEOMETRY, CacheGeometry
+from repro.errors import ReproError
 from repro.sim.campaign import (
     deserialize_row,
     execute_row,
@@ -93,6 +94,64 @@ class TestRowSerialisation:
             )
             assert other.geometry == result.geometry
             assert other.requests == result.requests
+
+
+class TestRowPayload:
+    """``serialize_row`` builds its field dicts without ``asdict``."""
+
+    @pytest.mark.parametrize("warmup_fraction", (0.0, 0.1))
+    def test_equals_the_asdict_form(self, warmup_fraction):
+        config = ExperimentConfig(
+            benchmarks=("mcf",),
+            accesses_per_benchmark=1200,
+            seed=5,
+            warmup_fraction=warmup_fraction,
+        )
+        row = execute_row("mcf", config)
+        expected = {
+            "benchmark": row.benchmark,
+            "results": {
+                technique: {
+                    "technique": result.technique,
+                    "geometry": {
+                        name: getattr(result.geometry, name)
+                        for name in (
+                            "size_bytes",
+                            "associativity",
+                            "block_bytes",
+                            "address_bits",
+                        )
+                    },
+                    "requests": result.requests,
+                    "events": result.events.to_dict(),
+                    "counts": dataclasses.asdict(result.counts),
+                    "cache_stats": dataclasses.asdict(result.cache_stats),
+                }
+                for technique, result in row.results.items()
+            },
+        }
+        assert serialize_row(row) == expected
+
+    def test_stored_geometries_are_shared_and_still_validated(self):
+        config = ExperimentConfig(
+            benchmarks=("mcf",), accesses_per_benchmark=600, seed=5
+        )
+        payload = json.loads(json.dumps(serialize_row(execute_row("mcf", config))))
+        first, second = deserialize_row(payload), deserialize_row(payload)
+        geometries = {
+            id(result.geometry)
+            for row in (first, second)
+            for result in row.results.values()
+        }
+        assert len(geometries) == 1
+        assert first.results["wg"].geometry == config.geometry
+        # An equal float must not be served the memoised int geometry.
+        payload["results"]["wg"]["geometry"]["size_bytes"] = 65536.0
+        with pytest.raises(ReproError):
+            deserialize_row(payload)
+        payload["results"]["wg"]["geometry"]["size_bytes"] = 3000
+        with pytest.raises(ReproError):
+            deserialize_row(payload)
 
 
 class TestGeometrySweep:
@@ -246,6 +305,22 @@ class TestScopedStore:
         warm = run_campaign(self.SMALL, telemetry, result_cache=root)
         assert warm.health.cached == 2
         assert telemetry.registry.value("warning.store.get_failed") == 1
+
+    def test_a_removed_shard_is_made_again_not_warned(self, tmp_path):
+        import shutil
+
+        from repro.obs.telemetry import Telemetry
+        from repro.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        run_campaign(self.SMALL, result_cache=store)
+        shutil.rmtree(store.objects_dir)
+        telemetry = Telemetry()
+        again = run_campaign(self.SMALL, telemetry, result_cache=store)
+        assert again.health.recomputed == 2
+        assert telemetry.registry.value("warning.store.put_failed") == 0
+        warm = run_campaign(self.SMALL, result_cache=store)
+        assert warm.health.cached == 2
 
 
 class TestDerivedRows:

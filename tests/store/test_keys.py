@@ -129,3 +129,63 @@ class TestRowConfigFingerprint:
         assert row_config_fingerprint(small_config()) != row_config_fingerprint(
             small_config(**overrides)
         )
+
+
+class TestRowKeyMemo:
+    """``row_key`` hashes each row once; the memo must not change a key."""
+
+    def test_equal_configs_give_equal_keys(self):
+        config = small_config()
+        assert row_key(config, "bwaves") == row_key(small_config(), "bwaves")
+
+    def test_a_config_holding_lists(self):
+        listed = small_config(techniques=["wg", "rmw"], benchmarks=["mcf", "bwaves"])
+        assert row_key(listed, "bwaves") == row_key(small_config(), "bwaves")
+        assert row_config_fingerprint(listed) == row_config_fingerprint(
+            small_config()
+        )
+
+    def test_the_returned_meta_is_fresh(self):
+        key, meta = row_key(small_config(), "mcf")
+        meta["code"] = "tampered"
+        meta["benchmark"] = "bwaves"
+        again, fresh = row_key(small_config(), "mcf")
+        assert again == key
+        assert fresh["benchmark"] == "mcf"
+        assert fresh["code"] != "tampered"
+        assert again == digest(fresh)
+
+    def test_a_new_code_version_is_a_new_key(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CODE_VERSION", "aaaaaaaaaaaaaaaa")
+        first, meta = row_key(small_config(), "mcf")
+        monkeypatch.setenv("REPRO_CODE_VERSION", "bbbbbbbbbbbbbbbb")
+        second, other = row_key(small_config(), "mcf")
+        assert first != second
+        assert (meta["code"], other["code"]) == ("a" * 16, "b" * 16)
+        assert (first, second) == (digest(meta), digest(other))
+        assert row_key(small_config(), "mcf", code="c" * 16)[0] != second
+
+    def test_numbers_that_hash_equal_keep_their_own_digest(self):
+        """``0`` and ``0.0`` dump differently, so they key differently."""
+        as_int = small_config(warmup_fraction=0)
+        as_float = small_config(warmup_fraction=0.0)
+        assert row_config_fingerprint(as_int) != row_config_fingerprint(as_float)
+        for config in (as_int, as_float, as_int):
+            key, meta = row_key(config, "mcf")
+            assert key == digest(meta)
+            assert meta["config"] == (
+                digest(
+                    {
+                        "geometry": {
+                            "size_bytes": config.geometry.size_bytes,
+                            "associativity": config.geometry.associativity,
+                            "block_bytes": config.geometry.block_bytes,
+                            "address_bits": config.geometry.address_bits,
+                        },
+                        "techniques": sorted(config.techniques),
+                        "accesses_per_benchmark": config.accesses_per_benchmark,
+                        "warmup_fraction": config.warmup_fraction,
+                        "seed": config.seed,
+                    }
+                )[:FINGERPRINT_LENGTH]
+            )

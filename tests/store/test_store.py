@@ -9,7 +9,9 @@ tempfile).
 
 import json
 import multiprocessing
+import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +290,31 @@ def test_entry_file_is_single_json_document(store):
     document = json.loads(entry_path(store).read_text())
     assert document["key"] == KEY
     assert document["payload"] == PAYLOAD
+
+
+# -- shard directories -----------------------------------------------------
+
+
+def test_put_makes_each_shard_directory_once(store, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counting(path, *args, **kwargs):
+        made.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting)
+    for _ in range(3):
+        store.put(KEY, META, PAYLOAD)
+    assert made == [entry_path(store).parent]
+
+
+def test_put_recreates_a_shard_removed_behind_its_back(store):
+    store.put(KEY, META, PAYLOAD)
+    shutil.rmtree(entry_path(store).parent)
+    store.put(KEY, META, dict(PAYLOAD, reads=8))
+    assert store.get(KEY, META) == dict(PAYLOAD, reads=8)
+    shutil.rmtree(store.objects_dir)
+    store.put(KEY, META, PAYLOAD)
+    assert store.get(KEY, META) == PAYLOAD
+    assert store.counters["puts"] == 3
