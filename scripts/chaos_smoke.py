@@ -17,7 +17,10 @@ ways and demands bit-identical rows every time:
    still match the reference.
 
 Artifacts (health reports, store stats, the quarantine directory) land
-in `--out` for upload on failure.  Exit 0 on success, 1 on any
+in `--out` for upload on failure.  Each run starts by removing
+`--out`'s `result-cache`, so phase 2 always writes a cold store and
+phase 3 corrupts only entries this run wrote, also on a second run
+into the same `--out` after the code changed.  Exit 0 on success, 1 on any
 divergence or health-accounting violation.
 
 Run: PYTHONPATH=src python scripts/chaos_smoke.py [--out DIR]
@@ -84,6 +87,7 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = out / "result-cache"
+    shutil.rmtree(cache, ignore_errors=True)
     config = ExperimentConfig(
         benchmarks=BENCHMARKS,
         techniques=("conventional", "wg"),

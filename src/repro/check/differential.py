@@ -22,7 +22,10 @@ over the scalar run's outcomes.  For RMW, WG and WG+RB at default knobs
 on and one Set-Buffer entry) the leg also derives the technique from a
 conventional replay (:mod:`repro.perf.derive`) and holds the derived
 :class:`PerfResult` to the same reference, and its events, counts and
-statistics to the scalar run's, never to conventional's.  The
+statistics to the scalar run's, never to conventional's; the trail leg
+holds the miss trail of that traversal's tag walk
+(:func:`repro.perf.derive.traverse`) to the scalar run's misses, so a
+wrong trail is named as such, not only through the derived counts.  The
 derived-row leg does the same across a warm-up boundary: at default
 knobs each of the paper's four techniques, taken from a campaign row's
 one traversal (:func:`repro.perf.derive.derive_row`, measured after
@@ -46,7 +49,12 @@ from repro.check.timing import reference_timing
 from repro.core.registry import make_controller
 from repro.obs.sampler import IntervalSampler, IntervalSnapshot
 from repro.obs.telemetry import Telemetry
-from repro.perf.derive import DERIVED_TECHNIQUES, PAPER_TECHNIQUES, derive_row
+from repro.perf.derive import (
+    DERIVED_TECHNIQUES,
+    PAPER_TECHNIQUES,
+    derive_row,
+    traverse,
+)
 from repro.perf.timing import TimingSimulator
 from repro.sim.simulator import Simulator
 from repro.trace.record import MemoryAccess
@@ -237,6 +245,7 @@ def run_differential(
             _as_dict(cache.stats),
             _as_dict(derived.cache_stats),
         )
+        divergences += _diff_trail(trace, outcomes, geometry, batch_size)
     if technique in PAPER_TECHNIQUES and at_default_knobs:
         divergences += _diff_derived_row(trace, technique, geometry, batch_size)
 
@@ -253,6 +262,28 @@ def run_differential(
             oracle_run, trace, outcomes, controller, cache, scalar_memory
         )
     return divergences
+
+
+def _diff_trail(
+    trace: Sequence[MemoryAccess],
+    outcomes: Sequence[Any],
+    geometry: CacheGeometry,
+    batch_size: Optional[int],
+) -> List[str]:
+    """The tag walk's miss trail against the scalar run's misses: every
+    technique hits and misses alike, so the trail is each outcome's
+    ``not cache_hit``."""
+    walked = traverse(trace, geometry, batch_size=batch_size).missed.tolist()
+    scalar = [not outcome.cache_hit for outcome in outcomes]
+    wrong = [i for i, (a, b) in enumerate(zip(scalar, walked)) if a != b]
+    if not wrong:
+        return []
+    first = wrong[0]
+    return [
+        f"scalar-vs-walk miss trail: {len(wrong)} request(s) differ, first "
+        f"at request {first} (scalar {'miss' if scalar[first] else 'hit'}, "
+        f"walk {'miss' if walked[first] else 'hit'})"
+    ]
 
 
 def _diff_derived_row(

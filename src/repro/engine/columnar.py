@@ -98,14 +98,13 @@ Miss trail
 ----------
 A conventional traversal (:func:`repro.perf.derive.traverse`, behind
 the timing model's derived replays and a campaign row's derived
-techniques inside a memo scope) passes
-:meth:`repro.sim.simulator.Simulator.feed` a ``misses`` array, set at
-each request that missed the cache; RMW, WG and WG+RB are then
-derived from that one replay (:mod:`repro.perf.derive`).  The plain
-kernel notes a miss by its run's final position, the one position its
-loop sees, and maps each back to the run's first record after the
-loop; no other path keeps a trail.  The closing arithmetic of both
-kernels is one function per technique family (:func:`credit_plain`,
+techniques inside a memo scope) needs the requests that missed and the
+tag slots, never a data word, so it runs no kernel: it walks a flat
+tag directory over the same runs as the plain kernel
+(:func:`set_runs`), visiting only each run's first record, the one
+that can miss.  RMW, WG and WG+RB are then derived from that walk
+(:mod:`repro.perf.derive`).  The closing arithmetic of both kernels is
+one function per technique family (:func:`credit_plain`,
 :func:`credit_set_buffer`, :func:`credit_miss_traffic`), which the
 derivation calls too.
 """
@@ -120,6 +119,7 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -151,21 +151,22 @@ np: Any = numpy
 
 __all__ = [
     "ColumnarChunk",
+    "SetRuns",
     "credit_miss_traffic",
     "credit_plain",
     "credit_set_buffer",
     "iter_chunks",
     "plain_port_codes",
     "process_chunk",
+    "set_runs",
     "split_addresses",
 ]
 
 _NO_TAG = -1
 _WRITE = AccessType.WRITE
 
-#: ``kernel(controller, chunk, codes[, misses])``: ``misses`` is passed
-#: only when a caller asks for the miss trail.
-_Kernel = Callable[..., None]
+#: ``kernel(controller, chunk, codes)``.
+_Kernel = Callable[[Any, "ColumnarChunk", Optional[Any]], None]
 
 
 def split_addresses(
@@ -227,14 +228,13 @@ class ColumnarChunk:
         any cache or controller state — so it is computed once per chunk
         object and cached: a caller replaying the same chunks through
         several techniques (the hot-path bench does) pays for it once.
-        A campaign row inside a memo scope feeds only its conventional
-        traversal and derives the other techniques
-        (:func:`repro.perf.derive.derive_row`), so it computes the
-        projection once per chunk.  An observed row, or one outside a
-        scope, re-chunks the trace in each technique's
-        :meth:`repro.sim.simulator.Simulator.feed`, so its conventional
-        and RMW runs each compute it.  See :func:`_grouped_projection`
-        for the layout.
+        A derived campaign row or timed replay never asks for it: its
+        traversal (:func:`repro.perf.derive.traverse`) runs no kernel
+        and walks the tags over the runs alone (:func:`set_runs`).  An
+        observed row, or one outside a memo scope, re-chunks the trace
+        in each technique's :meth:`repro.sim.simulator.Simulator.feed`,
+        so its conventional and RMW runs each compute it.  See
+        :func:`_grouped_projection` for the layout.
         """
         if self._grouped is None:
             self._grouped = _grouped_projection(self)
@@ -274,38 +274,38 @@ class ColumnarChunk:
         )
 
 
-def _grouped_projection(chunk: ColumnarChunk) -> Any:
-    """Set-grouped, run-compressed view of a chunk (pure trace transform).
+class SetRuns(NamedTuple):
+    """A chunk in stable set order, split into same-(set, tag) runs.
 
-    A stable argsort groups the chunk by set, preserving trace order
-    within each set — legal input to the plain kernel because per-set
-    cache state is disjoint and LRU stamps are positional.  Consecutive
-    same-(set, tag) records then form *runs* in which only the first
-    record can miss (the block stays resident — an eviction would need
-    another access to the set, and the run is contiguous in sorted
-    order) and only writes mutate data.  A read affects nothing but the
-    LRU stamp, and stamps are only *read* after its run ends (victim
-    choice happens on a miss, i.e. in a later run of the set), so every
-    record may stamp with its run's final trace position and non-first
-    reads drop out entirely.
+    ``order`` is the stable argsort by set; ``sets``, ``tags`` and
+    ``kinds`` are the chunk's columns in that order; ``new_run`` is True
+    at each run's first sorted record; ``starts`` and ``ends`` are each
+    run's first and last sorted index; ``wrote`` is True for a run that
+    holds a write.
+    """
 
-    Returns ``(set_l, pos_l, flag_l, tag_l, word_l, val_l, fword_l,
-    runs, writes)``: plain-int lists over the kept records (run-firsts
-    plus writes), where ``pos_l`` is the run-final chunk position (the
-    kernel adds its tick base), ``flag_l`` packs the record's kind in
-    bit 0 and "run contains a write" in bit 1, ``fword_l`` is the first
-    word-store index of the record's block (the fill path's memory
-    address, ``WORD_BYTES == 8``), ``runs`` is ``(order, run_starts,
-    run_end)`` — the sort and each run's first and last sorted index,
-    kept for the miss trail — and ``writes`` counts writes in the
-    whole chunk.  Everything here depends only on the trace data and
-    the chunk's geometry — never on cache or controller state — so the
-    result is cached on the chunk and shared by every technique that
-    replays that chunk object.
+    order: Any
+    sets: Any
+    tags: Any
+    kinds: Any
+    new_run: Any
+    starts: Any
+    ends: Any
+    wrote: Any
+
+
+def set_runs(chunk: ColumnarChunk) -> SetRuns:
+    """The stable set sort of a non-empty chunk and its same-(set, tag)
+    runs: the one split behind the plain kernel's projection
+    (:func:`_grouped_projection`) and the derivation's tag walk
+    (:func:`repro.perf.derive.traverse`).
+
+    Within a run only the first record can miss: the block stays
+    resident, since an eviction would need another access to the set
+    and the run is contiguous in sorted order.
     """
     set_arr = chunk.set_indices
     n = len(set_arr)
-    wpb = chunk.geometry.words_per_block
     order = np.argsort(set_arr, kind="stable")
     s_sorted = set_arr[order]
     t_sorted = chunk.tags[order]
@@ -317,27 +317,61 @@ def _grouped_projection(chunk: ColumnarChunk) -> Any:
         t_sorted[1:] != t_sorted[:-1],
         out=new_run[1:],
     )
-    run_starts = np.flatnonzero(new_run)
-    run_id = np.cumsum(new_run) - 1
-    run_end = np.append(run_starts[1:], n) - 1
+    starts = np.flatnonzero(new_run)
+    return SetRuns(
+        order=order,
+        sets=s_sorted,
+        tags=t_sorted,
+        kinds=k_sorted,
+        new_run=new_run,
+        starts=starts,
+        ends=np.append(starts[1:], n) - 1,
+        wrote=np.logical_or.reduceat(k_sorted, starts),
+    )
+
+
+def _grouped_projection(chunk: ColumnarChunk) -> Any:
+    """Set-grouped, run-compressed view of a chunk (pure trace transform).
+
+    The chunk's runs (:func:`set_runs`) are legal input to the plain
+    kernel in set order, because per-set cache state is disjoint and
+    LRU stamps are positional.  Within a run only writes mutate data.
+    A read affects nothing but the LRU stamp, and stamps are only
+    *read* after its run ends (victim choice happens on a miss, i.e. in
+    a later run of the set), so every record may stamp with its run's
+    final trace position and non-first reads drop out entirely.
+
+    Returns ``(set_l, pos_l, flag_l, tag_l, word_l, val_l, fword_l,
+    writes)``: plain-int lists over the kept records (run-firsts plus
+    writes), where ``pos_l`` is the run-final chunk position (the
+    kernel adds its tick base), ``flag_l`` packs the record's kind in
+    bit 0 and "run contains a write" in bit 1, ``fword_l`` is the first
+    word-store index of the record's block (the fill path's memory
+    address, ``WORD_BYTES == 8``), and ``writes`` counts writes in the
+    whole chunk.  Everything here depends only on the trace data and
+    the chunk's geometry — never on cache or controller state — so the
+    result is cached on the chunk and shared by every technique that
+    replays that chunk object.
+    """
+    wpb = chunk.geometry.words_per_block
+    runs = set_runs(chunk)
+    order, k_sorted = runs.order, runs.kinds
+    run_id = np.cumsum(runs.new_run) - 1
     # Within a run positions increase (stable sort), so the run's last
     # sorted record carries its final position.
-    pos_sorted = order[run_end][run_id]
-    flag_sorted = k_sorted + 2 * np.logical_or.reduceat(
-        k_sorted, run_starts
-    )[run_id].astype(np.uint8)
-    keep = np.flatnonzero(new_run | (k_sorted != 0))
+    pos_sorted = order[runs.ends][run_id]
+    flag_sorted = k_sorted + 2 * runs.wrote[run_id].astype(np.uint8)
+    keep = np.flatnonzero(runs.new_run | (k_sorted != 0))
     sel = order[keep]
     return (
-        s_sorted.take(keep).tolist(),
+        runs.sets.take(keep).tolist(),
         pos_sorted.take(keep).tolist(),
         flag_sorted.take(keep).tolist(),
-        t_sorted.take(keep).tolist(),
+        runs.tags.take(keep).tolist(),
         chunk.word_offsets.take(sel).tolist(),
         chunk.values.take(sel).tolist(),
         ((chunk.addresses.take(sel) >> 3).astype(np.int64) & ~(wpb - 1))
         .tolist(),
-        (order, run_starts, run_end),
         int(np.count_nonzero(k_sorted)),
     )
 
@@ -390,7 +424,6 @@ def process_chunk(
     controller: "CacheController",
     chunk: ColumnarChunk,
     codes: Optional[Any] = None,
-    misses: Optional[Any] = None,
 ) -> int:
     """Run one chunk through the columnar kernels; returns records consumed.
 
@@ -403,9 +436,6 @@ def process_chunk(
     port-operation code (:meth:`AccessOutcome.port_code`, the timing
     model's input).  The kernels write it from the access kind and their
     event sites; a chunk run per access takes each code from the outcome.
-    ``misses``, a zeroed bool array of ``len(chunk)``, is set at each
-    request that missed the cache (the miss trail); only the plain
-    kernel keeps one.
     """
     if controller._finalized:  # noqa: SLF001 - engine contract
         raise StateError("controller already finalized")
@@ -418,11 +448,6 @@ def process_chunk(
     if n == 0:
         return 0
     kernel = _kernel_for(controller)
-    if misses is not None and kernel is not _process_chunk_plain:
-        raise ValidationError(
-            f"{controller.name}: only the conventional and RMW kernel "
-            "keeps a miss trail"
-        )
     if kernel is None:
         records = TraceColumns(
             chunk.icounts, chunk.kinds, chunk.addresses, chunk.values
@@ -435,11 +460,8 @@ def process_chunk(
             for i, access in enumerate(records):
                 codes[i] = process(access).port_code(access.is_read)
         return n
-    # The trail rides as a fourth argument only when asked for: the WG
-    # kernel (which the check campaign patches) takes three.
-    trail = () if misses is None else (misses,)
     if not controller._obs:  # noqa: SLF001
-        kernel(controller, chunk, codes, *trail)
+        kernel(controller, chunk, codes)
         return n
     # Metrics-only telemetry: credit the registry after each kernel
     # call, and end each call at the sampler's next window boundary so
@@ -452,13 +474,12 @@ def process_chunk(
             stop = min(n, start + sampler.remaining(controller.name))
         marks = controller._telemetry_marks()  # noqa: SLF001
         if stop - start == n:
-            kernel(controller, chunk, codes, *trail)
+            kernel(controller, chunk, codes)
         else:
             kernel(
                 controller,
                 chunk[start:stop],
                 None if codes is None else codes[start:stop],
-                *(part[start:stop] for part in trail),
             )
         controller._add_telemetry_deltas(marks)  # noqa: SLF001
         if sampler is not None:
@@ -495,7 +516,6 @@ def _process_chunk_plain(
     controller: "CacheController",
     chunk: ColumnarChunk,
     codes: Optional[Any],
-    misses: Optional[Any] = None,
 ) -> None:
     """Columnar kernel shared by the conventional and RMW controllers.
 
@@ -526,14 +546,10 @@ def _process_chunk_plain(
     word_range = range(wpb)
     n = len(chunk)
 
-    set_l, pos_l, flag_l, tag_l, word_l, val_l, fword_l, runs, writes = (
-        chunk.grouped()
-    )
+    set_l, pos_l, flag_l, tag_l, word_l, val_l, fword_l, writes = chunk.grouped()
     mem_get = mem_words.get
     mem_disjoint = mem_words.keys().isdisjoint
     zero_row = [0] * wpb
-    record_misses = misses is not None
-    miss_finals = []  # run-final position of each miss, when recorded
 
     # Hits need no counting in the loop: they are derived at flush time
     # from the vectorized totals minus the (rare) miss counters.
@@ -578,8 +594,6 @@ def _process_chunk_plain(
                 write_misses += 1
             else:
                 read_misses += 1
-            if record_misses:
-                miss_finals.append(pos)
             if _NO_TAG in tags:
                 way = tags.index(_NO_TAG)
                 base = way * wpb
@@ -616,11 +630,6 @@ def _process_chunk_plain(
 
     if codes is not None:
         codes[:] = plain_port_codes(chunk.kinds, is_rmw)
-    if misses is not None and miss_finals:
-        order, run_starts, run_end = runs
-        run_first = np.empty(n, dtype=np.int64)
-        run_first[order[run_end]] = order[run_starts]
-        misses[run_first[miss_finals]] = True
     reads = n - writes
     block_reads = read_misses + write_misses
     cache._tick = tick0 + n  # noqa: SLF001

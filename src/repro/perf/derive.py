@@ -3,14 +3,36 @@
 The paper's four techniques see the same L1-D hit/miss stream.  RMW
 adds one row read per write (Section 2); WG and WG+RB change only what
 the Set-Buffer does with the stream (Sections 4.1-4.2).  So one
-conventional replay of a trace, with its miss trail
-(:meth:`repro.sim.simulator.Simulator.feed`'s ``misses``), determines
-the other three.  :func:`traverse` runs that replay and keeps what it
-leaves as a :class:`Traversal`; :func:`derive_replays` turns a
-traversal into each technique's port-operation codes and
-:class:`SimulationResult`.  Campaign rows take the results
-(:func:`derive_row`), and :class:`repro.perf.timing.TimingSimulator`
-schedules the codes with the same max-plus scan as a run of its own.
+conventional traversal of a trace determines the other three.
+:func:`traverse` walks the trace's tags and keeps what the walk leaves
+as a :class:`Traversal`; :func:`derive_replays` turns a traversal into
+each technique's port-operation codes and :class:`SimulationResult`.
+Campaign rows take the results (:func:`derive_row`), and
+:class:`repro.perf.timing.TimingSimulator` schedules the codes with the
+same max-plus scan as a run of its own.
+
+The walk
+--------
+The derivation reads three things of the conventional replay: the
+miss trail (which requests missed), the tag slots at the warm-up
+boundary and at the end, and the slice's hit, miss and eviction
+counts.  None of them depends on a data word.  A cache hits, misses
+and picks its victim by tag and LRU stamp alone, and a conventional
+block turns dirty at any write, silent or not.  So :func:`traverse`
+builds no value-accurate :class:`~repro.sim.simulator.Simulator`: it
+walks a flat tag directory (a dict from block to slot; per-slot block,
+stamp and dirty lists; a per-set fill count).  Each chunk is split
+into same-(set, tag) runs in stable set order
+(:func:`repro.engine.columnar.set_runs`, the plain kernel's split),
+and the walk visits only each run's first record, the one that can
+miss, stamping the slot with the run's final position.  The walk
+starts cold and never invalidates a way, so a set's valid ways are a
+prefix: a fill takes the set's next unfilled way, and once the set is
+full the lowest-stamp way, as the plain kernel does.  The conventional
+result is :func:`~repro.engine.columnar.credit_plain` over the slice's
+request counts, with the walk's statistics.  Values matter only to
+WG's silent writes, which the derivation reads off the trace
+(:func:`repro.trace.stats.word_writes`).
 
 Why this is exact
 -----------------
@@ -42,10 +64,10 @@ Across a warm-up boundary
 A campaign row measures only the requests after its warm-up (the
 paper's fast-forward, ``ExperimentConfig.warmup_fraction``): at the
 boundary the counters reset, while cache and Set-Buffer state carry
-on.  :func:`traverse` feeds the conventional :class:`Simulator` the
-warm-up slice, then the measured slice, keeping the miss trail and the
-tag slots at the boundary (``Traversal.start`` and ``start_tags``) and
-at the end.  The derivation runs over the whole trace, so the buffered
+on.  :func:`traverse` walks the warm-up slice, then the measured
+slice, counting only the second, and keeps the miss trail and the tag
+slots at the boundary (``Traversal.start`` and ``start_tags``) and at
+the end.  The derivation runs over the whole trace, so the buffered
 set, silent writes and dirty windows see the warm-up, and then:
 
 * **Only requests from** ``start`` **count**: ``requests`` is
@@ -73,11 +95,12 @@ without a warm-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy
 
 from repro.cache.config import CacheGeometry
+from repro.cache.stats import CacheStats
 from repro.core.outcomes import (
     PORT_BYPASS,
     PORT_READ,
@@ -87,11 +110,13 @@ from repro.core.outcomes import (
 from repro.engine.columnar import (
     credit_plain,
     credit_set_buffer,
+    iter_chunks,
     plain_port_codes,
+    set_runs,
     split_addresses,
 )
 from repro.errors import ValidationError
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import SimulationResult
 from repro.sram.events import SRAMEventLog
 from repro.trace.columns import TraceColumns
 from repro.trace.record import MemoryAccess
@@ -119,15 +144,16 @@ PAPER_TECHNIQUES = ("conventional",) + DERIVED_TECHNIQUES
 
 @dataclass(frozen=True)
 class Traversal:
-    """What one conventional replay leaves for the derivation.
+    """What one conventional traversal leaves for the derivation.
 
     The trace's columns in request order (``kinds`` 1 for a write,
-    ``sets`` and ``tags`` under the replay's geometry), the miss trail,
-    the cache's tag slots after the last request as a ``(num_sets,
-    ways)`` int64 array (``-1`` for an invalid way), and the replay's
-    own result.  A replay with a warm-up measures the requests from
-    ``start`` on: ``result`` is that slice's, and ``start_tags`` is the
-    same array before request ``start``.
+    ``sets`` and ``tags`` under the traversal's geometry), the miss
+    trail (True at each request that missed), the tag slots after the
+    last request as a ``(num_sets, ways)`` int64 array (``-1`` for an
+    invalid way), and the conventional replay's result.  A traversal
+    with a warm-up measures the requests from ``start`` on: ``result``
+    is that slice's, and ``start_tags`` is the same array before
+    request ``start``.
     """
 
     result: SimulationResult
@@ -151,8 +177,7 @@ def derive_replays(
 
     Exact for the paper's controllers at default knobs (no miss-traffic
     accounting, silent-write detection on, one Set-Buffer entry) behind
-    a cold stamp-LRU cache, as :func:`traverse` gets them from a fresh
-    :class:`Simulator`.
+    a cold stamp-LRU cache, as :func:`traverse` walks one.
     """
     derived: Dict[str, Tuple[Any, SimulationResult]] = {}
     plane = None
@@ -182,14 +207,13 @@ def derive_row(
     """The paper's four techniques on ``trace``, measured after its
     first ``warmup`` requests, from one conventional traversal.
 
-    Each result equals field by field a :class:`Simulator` of its own
-    fed the warm-up slice, reset, then fed the rest (what
+    Each result equals field by field a
+    :class:`~repro.sim.simulator.Simulator` of its own fed the warm-up
+    slice, reset, then fed the rest (what
     :func:`repro.sim.campaign.execute_row` runs per technique
     otherwise).
     """
-    traversal = traverse(
-        Simulator("conventional", geometry, batch_size=batch_size), trace, warmup
-    )
+    traversal = traverse(trace, geometry, warmup, batch_size)
     derived = derive_replays(traversal, DERIVED_TECHNIQUES)
     return {
         "conventional": traversal.result,
@@ -198,42 +222,156 @@ def derive_row(
 
 
 def traverse(
-    simulator: Simulator, trace: Iterable[MemoryAccess], warmup: int = 0
+    trace: Iterable[MemoryAccess],
+    geometry: CacheGeometry,
+    warmup: int = 0,
+    batch_size: Optional[int] = None,
 ) -> Traversal:
-    """Replay ``trace`` through ``simulator``, a fresh conventional one,
-    keeping what the derivation needs.
+    """Walk ``trace``'s tags through a cold conventional cache of
+    ``geometry``, keeping what the derivation needs.
 
-    The simulator is fed the first ``warmup`` requests, reset, then fed
-    the rest, each slice with its miss trail, and finished; the tag
-    slots are snapshotted at the boundary and at the end
-    (:meth:`~repro.cache.cache.SetAssociativeCache.tag_slots`, one
-    array each).  ``trace`` is packed
-    into columns once (:meth:`TraceColumns.of`), so a one-shot iterable
-    works too.
+    The walk (see "The walk" above) takes the first ``warmup`` requests,
+    snapshots the tag slots, then takes the rest, which alone count
+    towards the result; the tag slots are snapshotted again at the
+    end.  ``trace`` is packed into columns once
+    (:meth:`TraceColumns.of`), so a one-shot iterable works too, and
+    each slice is cut into chunks of ``batch_size``
+    (:func:`~repro.engine.columnar.iter_chunks`), as a
+    :class:`~repro.sim.simulator.Simulator` would cut it.
     """
     columns = TraceColumns.of(trace)
+    directory = _TagDirectory(geometry)
     missed = np.zeros(len(columns), dtype=bool)
     start_tags = None
     if warmup:
-        simulator.feed(columns[:warmup], misses=missed[:warmup])
-        start_tags = simulator.cache.tag_slots()
-        simulator.reset_measurements()
-    simulator.feed(columns[warmup:], misses=missed[warmup:])
-    result = simulator.finish()
-    sets, tags, _ = split_addresses(columns.addresses, simulator.geometry)
+        directory.walk(columns[:warmup], 0, missed, batch_size)
+        start_tags = directory.tag_slots()
+    evictions, dirty_evictions = directory.walk(
+        columns[warmup:], warmup, missed, batch_size
+    )
+    kinds = columns.kinds
+    requests = len(kinds) - warmup
+    is_write = kinds[warmup:] != 0
+    writes = int(np.count_nonzero(is_write))
+    misses = int(np.count_nonzero(missed[warmup:]))
+    write_misses = int(np.count_nonzero(missed[warmup:] & is_write))
+    stats = CacheStats(
+        read_hits=requests - writes - (misses - write_misses),
+        read_misses=misses - write_misses,
+        write_hits=writes - write_misses,
+        write_misses=write_misses,
+        evictions=evictions,
+        dirty_evictions=dirty_evictions,
+    )
+    events, counts = SRAMEventLog(), OperationCounts()
+    credit_plain(
+        events, counts, requests - writes, writes, False, geometry.words_per_set
+    )
+    sets, tags, _ = split_addresses(columns.addresses, geometry)
     return Traversal(
-        result=result,
+        result=SimulationResult(
+            "conventional", geometry, requests, events, counts, stats
+        ),
         icounts=columns.icounts,
-        kinds=columns.kinds,
+        kinds=kinds,
         sets=sets,
         tags=tags,
         addresses=columns.addresses,
         values=columns.values,
         missed=missed,
-        final_tags=simulator.cache.tag_slots(),
+        final_tags=directory.tag_slots(),
         start=warmup,
         start_tags=start_tags,
     )
+
+
+class _TagDirectory:
+    """The tag state of a conventional stamp-LRU cache, slot by slot.
+
+    Slot ``set * ways + way`` holds a block id (``tag << index_bits |
+    set``, -1 while the way is invalid), its last-touch stamp (a trace
+    position) and its dirty bit; ``slot_of`` maps each resident block
+    to its slot, and ``filled`` counts each set's valid ways.
+    """
+
+    def __init__(self, geometry: CacheGeometry) -> None:
+        self.geometry = geometry
+        slots = geometry.num_sets * geometry.associativity
+        self.slot_of: Dict[int, int] = {}
+        self.blocks = [-1] * slots
+        self.stamps = [0] * slots
+        self.dirty = [False] * slots
+        self.filled = [0] * geometry.num_sets
+
+    def walk(
+        self,
+        columns: TraceColumns,
+        start: int,
+        missed: Any,
+        batch_size: Optional[int],
+    ) -> Tuple[int, int]:
+        """Take ``columns``, the trace's requests from position
+        ``start`` on; set ``missed`` (the whole trace's trail) at each
+        that misses, and return the slice's evictions and dirty
+        evictions."""
+        geometry = self.geometry
+        ways = geometry.associativity
+        index_bits = geometry.index_bits
+        slot_of, blocks, stamps, dirty, filled = (
+            self.slot_of,
+            self.blocks,
+            self.stamps,
+            self.dirty,
+            self.filled,
+        )
+        misses: List[int] = []
+        evictions = dirty_evictions = 0
+        offset = start
+        for chunk in iter_chunks(columns, geometry, batch_size):
+            runs = set_runs(chunk)
+            firsts = runs.starts
+            sets = runs.sets[firsts]
+            for first, final, s, block, wrote in zip(
+                (runs.order[firsts] + offset).tolist(),
+                (runs.order[runs.ends] + offset).tolist(),
+                sets.tolist(),
+                ((runs.tags[firsts] << index_bits) | sets).tolist(),
+                runs.wrote.tolist(),
+            ):
+                slot = slot_of.get(block)
+                if slot is None:
+                    misses.append(first)
+                    way = filled[s]
+                    if way < ways:
+                        filled[s] = way + 1
+                        slot = s * ways + way
+                    else:
+                        base = s * ways
+                        lru = stamps[base : base + ways]
+                        slot = base + lru.index(min(lru))
+                        evictions += 1
+                        if dirty[slot]:
+                            dirty_evictions += 1
+                        del slot_of[blocks[slot]]
+                    blocks[slot] = block
+                    slot_of[block] = slot
+                    dirty[slot] = wrote
+                elif wrote:
+                    dirty[slot] = True
+                stamps[slot] = final
+            offset += len(chunk)
+        missed[misses] = True
+        return evictions, dirty_evictions
+
+    def tag_slots(self) -> Any:
+        """The ``(num_sets, ways)`` int64 tag slots, ``-1`` for an
+        invalid way (an arithmetic shift keeps it ``-1``), as
+        :meth:`repro.cache.cache.SetAssociativeCache.tag_slots` gives
+        them."""
+        geometry = self.geometry
+        return (
+            np.array(self.blocks, dtype=np.int64) >> geometry.index_bits
+        ).reshape(geometry.num_sets, geometry.associativity)
 
 
 def _rmw(traversal: Traversal) -> Tuple[Any, SimulationResult]:

@@ -24,9 +24,9 @@ latency (arrival to data), plus read-port conflict counts showing the
 How a run is computed
 ---------------------
 :meth:`TimingSimulator.run` replays the trace through a
-:class:`repro.sim.simulator.Simulator`, the engine campaign rows run
-on, whose :meth:`~repro.sim.simulator.Simulator.feed` fills a
-``codes`` array with each request's port-operation code
+:class:`repro.sim.simulator.Simulator` of its controller, the engine
+campaign rows run on, whose :meth:`~repro.sim.simulator.Simulator.feed`
+fills a ``codes`` array with each request's port-operation code
 (:meth:`AccessOutcome.port_code`), and then schedules every request
 at once.  Each port serves its operations first come, first served,
 in trace order, from a port free at cycle 0:
@@ -43,24 +43,28 @@ with per-sub-array ports (``rmw_local``) scan each sub-array on its
 own.  An RMW's write phase starts when its read phase finishes; no
 extra serial delay is charged between them.
 
-A conventional run can also derive RMW, WG and WG+RB from its own
-cache traversal (``run(trace, derive)``: :func:`repro.perf.derive.traverse`
-feeds the simulator with the miss trail, as for a campaign row, and
-:func:`repro.perf.derive.derive_replays` gives each technique's codes
-and result); :func:`timed_replay` serves the paper's four techniques
-that way, one traversal per (trace, geometry, timing) inside a memo
-scope.
+A conventional run can instead derive RMW, WG and WG+RB from one
+cache traversal (``run(trace, derive)``), and then builds no
+:class:`~repro.sim.simulator.Simulator`: :func:`repro.perf.derive.traverse`
+walks the trace's tags, as for a campaign row, its conventional codes
+follow from the access kinds, and
+:func:`repro.perf.derive.derive_replays` gives each derived
+technique's codes and result.  :func:`timed_replay` serves the paper's
+four techniques that way, one traversal per (trace, geometry, timing)
+inside a memo scope.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy
 
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheGeometry
+from repro.core.controller import CacheController
 from repro.core.outcomes import (
     PORT_BYPASS,
     PORT_READ,
@@ -131,9 +135,14 @@ class PerfResult:
 class TimingSimulator:
     """Runs a trace through a controller while scheduling array ports.
 
-    The controller runs in a :class:`repro.sim.simulator.Simulator`
-    (:attr:`cache` and :attr:`controller` are its own), which reports
-    each request's port-operation code.  After :meth:`run`,
+    Each :meth:`run` builds what it replays.  A run of the technique's
+    own controller builds a :class:`repro.sim.simulator.Simulator`,
+    which reports each request's port-operation code, and leaves its
+    cache and controller in :attr:`cache` and :attr:`controller`.  A
+    derived run (``run(trace, derive)``) builds no cache and no
+    controller: it walks the trace's tags
+    (:func:`repro.perf.derive.traverse`), and afterwards :attr:`cache`
+    and :attr:`controller` are None, as before any run.  After either,
     :attr:`result` holds the run's :class:`SimulationResult` (events,
     counts, cache statistics), so a caller that needs both timing and
     energy runs the controller once.  ``batch_size`` sets the columnar
@@ -148,21 +157,15 @@ class TimingSimulator:
         batch_size: Optional[int] = None,
         **controller_kwargs,
     ) -> None:
-        timing = PhaseTiming() if timing is None else timing
-        self._simulator = Simulator(
-            technique, geometry, batch_size=batch_size, **controller_kwargs
-        )
-        self.cache = self._simulator.cache
-        self.controller = self._simulator.controller
-        self.timing = timing
-        # Park et al.'s local RMW confines port occupancy to one
-        # sub-array: such controllers get one port pair per sub-array,
-        # so requests to other banks proceed concurrently.
-        self._subarrays: int = getattr(self.controller, "subarrays", 1)
-        # Kim et al.'s pulse assist stretches every write pulse.
-        self._write_cycles: int = timing.array_write_cycles * getattr(
-            self.controller, "write_cycle_factor", 1
-        )
+        self.technique = technique
+        self.geometry = geometry
+        self.timing = PhaseTiming() if timing is None else timing
+        self.batch_size = batch_size
+        self._controller_kwargs = controller_kwargs
+        #: The last run's cache and controller: None before a run and
+        #: after a derived one.
+        self.cache: Optional[SetAssociativeCache] = None
+        self.controller: Optional[CacheController] = None
         self._result: Optional[SimulationResult] = None
         #: Technique -> ``(PerfResult, SimulationResult)`` of the last
         #: :meth:`run`: this controller's and each derived technique's.
@@ -181,48 +184,86 @@ class TimingSimulator:
         """Replay ``trace`` and schedule it; returns the :class:`PerfResult`.
 
         ``derive`` names techniques of
-        :data:`repro.perf.derive.DERIVED_TECHNIQUES` to derive from this
-        replay instead of replaying the trace again; only a
+        :data:`repro.perf.derive.DERIVED_TECHNIQUES` to derive from one
+        traversal instead of replaying the trace again; only a
         ``conventional`` controller without miss-traffic accounting
         derives.  Afterwards :attr:`replays` maps this controller's
         technique and each derived one to its ``(PerfResult,
         SimulationResult)``.
         """
-        controller = self.controller
-        if derive and (
-            controller.name != "conventional" or controller.count_miss_traffic
-        ):
+        if derive:
+            self._check_derivable()
+            return self._run_derived(TraceColumns.of(trace), derive)
+        columns = TraceColumns.of(trace)
+        icounts, is_read = columns.icounts, columns.kinds == 0
+        simulator = Simulator(
+            self.technique,
+            self.geometry,
+            batch_size=self.batch_size,
+            **self._controller_kwargs,
+        )
+        controller = simulator.controller
+        self.cache, self.controller = simulator.cache, controller
+        codes = np.empty(len(columns), dtype=np.uint8)
+        simulator.feed(columns, codes=codes)
+        self._result = simulator.finish()
+        # Park et al.'s local RMW confines port occupancy to one
+        # sub-array: such controllers get one port pair per sub-array,
+        # so requests to other banks proceed concurrently.
+        subarrays: int = getattr(controller, "subarrays", 1)
+        banks = None
+        if subarrays > 1:
+            sets, _, _ = split_addresses(columns.addresses, self.geometry)
+            of_set = controller.subarray_of(sets)  # type: ignore[attr-defined]
+            banks = [np.flatnonzero(of_set == bank) for bank in range(subarrays)]
+        # Kim et al.'s pulse assist stretches every write pulse.
+        write_cycles = self.timing.array_write_cycles * getattr(
+            controller, "write_cycle_factor", 1
+        )
+        perf = self._schedule(
+            controller.name, icounts, is_read, codes, write_cycles, banks
+        )
+        self.replays = {controller.name: (perf, self._result)}
+        return perf
+
+    def _check_derivable(self) -> None:
+        """Refuse a derived run of anything but a conventional
+        controller at default knobs: the tag walk runs no controller,
+        so it has no option (or telemetry) to honour."""
+        options = dict(self._controller_kwargs)
+        miss_traffic = options.pop("count_miss_traffic", False)
+        if self.technique.lower() != "conventional" or miss_traffic or options:
+            detail = " with miss traffic" if miss_traffic else "".join(
+                f" with {name}" for name in sorted(options)
+            )
             raise ValidationError(
                 "only a conventional replay without miss traffic derives "
-                f"other techniques, not {controller.name!r}"
-                f"{' with miss traffic' if controller.count_miss_traffic else ''}"
+                f"other techniques, not {self.technique!r}{detail}"
             )
-        columns = TraceColumns.of(trace)
-        if derive:
-            traversal = traverse(self._simulator, columns)
-            self._result = traversal.result
-            # The conventional kernel's codes follow from the kinds.
-            codes = plain_port_codes(columns.kinds, False)
-        else:
-            codes = np.empty(len(columns), dtype=np.uint8)
-            self._simulator.feed(columns, codes=codes)
-            self._result = self._simulator.finish()
+
+    def _run_derived(
+        self, columns: TraceColumns, derive: Sequence[str]
+    ) -> PerfResult:
+        """The conventional run and each derived one, from one
+        traversal; no cache or controller is built."""
         icounts, is_read = columns.icounts, columns.kinds == 0
-        banks = None
-        if self._subarrays > 1:
-            sets, _, _ = split_addresses(columns.addresses, self.cache.geometry)
-            banks = controller.subarray_of(sets)  # type: ignore[attr-defined]
-        perf = self._schedule(controller.name, icounts, is_read, codes, banks)
-        self.replays = {controller.name: (perf, self._result)}
-        if derive:
-            for name, (derived_codes, result) in derive_replays(
-                traversal, derive
-            ).items():
-                self.replays[name] = (
-                    self._schedule(name, icounts, is_read, derived_codes, None),
-                    result,
-                )
-        return perf
+        traversal = traverse(columns, self.geometry, batch_size=self.batch_size)
+        self.cache = self.controller = None
+        self._result = traversal.result
+        # The conventional controller's codes follow from the kinds.
+        replays = {
+            "conventional": (plain_port_codes(columns.kinds, False), traversal.result),
+            **derive_replays(traversal, derive),
+        }
+        write_cycles = self.timing.array_write_cycles
+        self.replays = {
+            name: (
+                self._schedule(name, icounts, is_read, codes, write_cycles, None),
+                result,
+            )
+            for name, (codes, result) in replays.items()
+        }
+        return self.replays["conventional"][0]
 
     def _schedule(
         self,
@@ -230,15 +271,17 @@ class TimingSimulator:
         icounts: Any,
         is_read: Any,
         codes: Any,
-        banks: Optional[Any],
+        write_cycles: int,
+        banks: Optional[List[Any]],
     ) -> PerfResult:
-        """Schedule every request's port operations at once."""
+        """Schedule every request's port operations at once: one port
+        pair for all, or one per sub-array when ``banks`` lists each
+        sub-array's request positions."""
         n = len(codes)
         if not n:
             return PerfResult(technique, *(0,) * 9)
         timing = self.timing
         read_cycles = timing.array_read_cycles
-        write_cycles = self._write_cycles
         latest = int(icounts.max())
         if latest + n * (read_cycles + write_cycles) > _INT64_MAX:
             raise ValidationError(
@@ -268,12 +311,7 @@ class TimingSimulator:
         lead_finish = np.zeros(n, dtype=np.int64)
         trail_finish = np.zeros(n, dtype=np.int64)
         lead_conflicts = trail_conflicts = 0
-        banks_of = (
-            [np.arange(n)]
-            if banks is None
-            else [np.flatnonzero(banks == bank) for bank in range(self._subarrays)]
-        )
-        for members in banks_of:
+        for members in [np.arange(n)] if banks is None else banks:
             arrive = arrivals[members]
             lead_ops, trail_ops = lead[members], trail[members]
             finish, conflicts = _fcfs_finish(arrive[lead_ops], lead_cycles)

@@ -11,11 +11,13 @@ reproduces the exact semantics, each record of the chunk runs through
 record.  Both are bit-identical (``tests/engine/`` and ``repro.check``
 prove it).
 
-It is the one replay engine: campaign rows, the profiler and the
-timing model (:class:`repro.perf.timing.TimingSimulator`, which asks
+It is the one value-accurate replay engine: campaign rows, the
+profiler and the timing model's runs of a controller of their own
+(:class:`repro.perf.timing.TimingSimulator`, which asks
 :meth:`Simulator.feed` for each request's port-operation code) all
-replay through it, and :func:`repro.perf.derive.traverse` feeds one
-with the miss trail to derive RMW, WG and WG+RB.
+replay through it.  Derived rows and timed replays build none: RMW, WG
+and WG+RB come from a tags-only walk
+(:func:`repro.perf.derive.traverse`).
 """
 
 from __future__ import annotations
@@ -83,20 +85,16 @@ class Simulator:
         self._requests = 0
 
     def feed(
-        self,
-        trace: Iterable[MemoryAccess],
-        misses: Optional[Any] = None,
-        codes: Optional[Any] = None,
+        self, trace: Iterable[MemoryAccess], codes: Optional[Any] = None
     ) -> None:
         """Process a stream of accesses (may be called repeatedly).
 
         Streaming: at most one chunk of decoded records is held at a
-        time.  Two optional output arrays as long as ``trace`` collect
-        what :func:`repro.engine.columnar.process_chunk` reports per
-        request: ``misses``, zeroed bools, is set at each request that
-        missed the cache (the miss trail, which only the conventional
-        and RMW kernels keep), and ``codes``, u8, receives each
-        request's port-operation code (the timing model's input).
+        time.  ``codes``, an optional u8 array as long as ``trace``,
+        receives each request's port-operation code (the timing model's
+        input), as :func:`repro.engine.columnar.process_chunk` reports
+        it.  The miss trail of a derivation comes from its own tag walk
+        (:func:`repro.perf.derive.traverse`), not from here.
         """
         fed = 0
         for chunk in iter_chunks(trace, self.geometry, self.batch_size):
@@ -105,7 +103,6 @@ class Simulator:
                 self.controller,
                 chunk,
                 None if codes is None else codes[fed:stop],
-                None if misses is None else misses[fed:stop],
             )
             fed += consumed
             self._requests += consumed

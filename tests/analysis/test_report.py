@@ -11,6 +11,8 @@ from repro.sim.simulator import Simulator
 from repro.trace.columns import TraceColumns
 from repro.utils import memo
 
+from tests.conftest import count_traversals
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -129,22 +131,27 @@ class TestSharedWork:
             inside = producer(accesses=400, seed=7)
         assert inside == outside
 
-    def test_campaign_figures_build_one_simulator_per_row(self, monkeypatch):
+    def test_campaign_figures_traverse_once_per_row(self, monkeypatch):
         """25 profiles at four geometries; ``claim_rmw`` takes Fig 9's
-        rows."""
+        rows.  A derived row builds no ``Simulator``."""
         built = counting_simulators(monkeypatch)
+        walked = count_traversals(monkeypatch)
         generate_report(accesses=600, figure_ids=CAMPAIGN_FIGURES)
-        assert built == ["conventional"] * 100
+        assert len(walked) == 100
+        assert built == []
 
     def test_overheads_read_the_shared_timed_replays(self, monkeypatch):
         """One conventional traversal per trace serves Section 5.5 and the
-        overhead report's energy sweep alike."""
+        overhead report's energy sweep alike, and a derived timed replay
+        builds no ``Simulator``."""
         built = counting_simulators(monkeypatch)
+        walked = count_traversals(monkeypatch)
         generate_report(accesses=600, figure_ids=("sec5.5",))
-        alone = list(built)
-        built.clear()
+        alone = len(walked)
+        walked.clear()
         generate_report(accesses=600, figure_ids=("sec5.5", "overheads"))
-        assert built == alone == ["conventional"] * 25
+        assert len(walked) == alone == 25
+        assert built == []
 
     @pytest.mark.parametrize(
         "figure_id, traces", (("sec5.5", 25), ("dvfs_energy", 25), ("overheads", 4))
@@ -155,20 +162,24 @@ class TestSharedWork:
         """Called outside any scope, a figure that reads several
         techniques per trace still takes them from one traversal."""
         built = counting_simulators(monkeypatch)
+        walked = count_traversals(monkeypatch)
         figures._PRODUCERS[figure_id](accesses=300, seed=7)
-        assert built == ["conventional"] * traces
+        assert len(walked) == traces
+        assert built == []
         assert memo.scope_memo("perf.timed_replay") is None
 
     def test_a_figure_joins_the_open_scope_or_opens_its_own(self, monkeypatch):
         built = counting_simulators(monkeypatch)
+        walked = count_traversals(monkeypatch)
         two = ("bwaves", "mcf")
         with memo.memo_scope():
             reproduce_figure("fig9", accesses=300, seed=7, benchmarks=two)
             assert len(memo.scope_memo("sim.derived_rows")) == 2
             reproduce_figure("claim_rmw", accesses=300, seed=7, benchmarks=two)
-        assert built == ["conventional"] * 2
+        assert len(walked) == 2
         reproduce_figure("claim_rmw", accesses=300, seed=7, benchmarks=two)
-        assert built == ["conventional"] * 4
+        assert len(walked) == 4
+        assert built == []
         assert memo.scope_memo("sim.derived_rows") is None
 
 

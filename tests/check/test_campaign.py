@@ -17,6 +17,7 @@ from repro.check.fuzz import TraceFuzzer
 from repro.core.registry import CONTROLLER_NAMES
 from repro.engine import columnar
 from repro.errors import TraceFormatError
+from repro.perf import derive
 
 
 class TestCleanCampaign:
@@ -101,6 +102,34 @@ class _LostWritebackAlias:
         return False
 
 
+class _DroppedMiss:
+    """Deliberate bug: the tag walk forgets the last miss of each slice.
+
+    RMW's derived counts never read the trail, so before the trail leg
+    this bug showed only where WG's plane or the statistics used it.
+    """
+
+    def __init__(self):
+        self._original = derive._TagDirectory.walk
+
+    def __enter__(self):
+        original = self._original
+
+        def buggy(directory, columns, start, missed, batch_size):
+            evicted = original(directory, columns, start, missed, batch_size)
+            marked = missed[start : start + len(columns)].nonzero()[0]
+            if len(marked):
+                missed[start + marked[-1]] = False
+            return evicted
+
+        derive._TagDirectory.walk = buggy
+        return self
+
+    def __exit__(self, *exc):
+        derive._TagDirectory.walk = self._original
+        return False
+
+
 class TestInjectedBugs:
     def test_counter_off_by_one_caught_and_shrunk(self):
         """Acceptance criterion: caught, and shrunk to <= 32 accesses."""
@@ -139,6 +168,22 @@ class TestInjectedBugs:
             for failure in report.failures
             for d in failure.divergences
         )
+
+    def test_wrong_miss_trail_named(self):
+        with _DroppedMiss():
+            report = run_check_campaign(
+                seed=0,
+                iterations=3,
+                techniques=("rmw",),
+                max_accesses=200,
+                shrink=False,
+            )
+        assert not report.ok
+        for failure in report.failures:
+            assert any(
+                d.startswith("scalar-vs-walk miss trail:")
+                for d in failure.divergences
+            )
 
     def test_no_shrink_keeps_original_trace(self):
         with _CounterOffByOne():

@@ -71,6 +71,24 @@ class ScalarSimulator(Simulator):
             self._requests += 1
 
 
+def count_traversals(monkeypatch) -> List[CacheGeometry]:
+    """The geometry of every conventional traversal
+    (:func:`repro.perf.derive.traverse`: derived rows and derived timed
+    replays) from here on."""
+    from repro.perf import derive, timing
+
+    walked: List[CacheGeometry] = []
+    traverse = derive.traverse
+
+    def counting(trace, geometry, *args, **kwargs):
+        walked.append(geometry)
+        return traverse(trace, geometry, *args, **kwargs)
+
+    monkeypatch.setattr(derive, "traverse", counting)
+    monkeypatch.setattr(timing, "traverse", counting)
+    return walked
+
+
 def oracle_read_values(trace) -> List[Optional[int]]:
     """Expected value of every read under simple sequential semantics."""
     memory = {}

@@ -325,7 +325,8 @@ class TestScopedStore:
 
 class TestDerivedRows:
     """Inside a memo scope a row without telemetry takes the paper's
-    techniques from one conventional traversal."""
+    techniques from one conventional traversal, which builds no
+    ``Simulator``."""
 
     SMALL = ExperimentConfig(
         benchmarks=("bwaves", "mcf", "gcc"), accesses_per_benchmark=600, seed=7
@@ -333,11 +334,14 @@ class TestDerivedRows:
 
     @staticmethod
     def counting(monkeypatch):
-        """Tally ``Simulator`` builds and ``_run_one`` calls by technique."""
+        """Tally ``Simulator`` builds and ``_run_one`` calls by technique,
+        and list the traversals."""
         from collections import Counter
 
         import repro.sim.campaign as campaign_module
         from repro.sim.simulator import Simulator
+
+        from tests.conftest import count_traversals
 
         built, own_runs = Counter(), Counter()
         init, run_one = Simulator.__init__, campaign_module._run_one
@@ -352,32 +356,34 @@ class TestDerivedRows:
 
         monkeypatch.setattr(Simulator, "__init__", counting_init)
         monkeypatch.setattr(campaign_module, "_run_one", counting_run_one)
-        return built, own_runs
+        return built, own_runs, count_traversals(monkeypatch)
 
     def test_rows_equal_the_rows_outside_a_scope(self, monkeypatch):
         from repro.utils.memo import memo_scope
 
         alone = run_campaign(self.SMALL)
-        built, own_runs = self.counting(monkeypatch)
+        built, own_runs, walked = self.counting(monkeypatch)
         with memo_scope():
             shared = run_campaign(self.SMALL)
         assert [serialize_row(row) for row in shared.rows] == [
             serialize_row(row) for row in alone.rows
         ]
-        assert built == {"conventional": 3}
+        assert len(walked) == 3
+        assert not built
         assert not own_runs
 
     def test_campaigns_on_one_trace_share_one_traversal(self, monkeypatch):
         from repro.utils.memo import memo_scope
 
-        built, own_runs = self.counting(monkeypatch)
+        built, own_runs, walked = self.counting(monkeypatch)
         claim = dataclasses.replace(self.SMALL, techniques=("conventional", "rmw"))
         with memo_scope():
             run_campaign(self.SMALL)
             run_campaign(claim)
             run_campaign(dataclasses.replace(self.SMALL, warmup_fraction=0.2))
             run_campaign(self.SMALL.with_geometry(CacheGeometry(32 * 1024, 4, 64)))
-        assert built == {"conventional": 9}
+        assert len(walked) == 9
+        assert not built
         assert not own_runs
 
     def test_other_techniques_run_on_their_own(self, monkeypatch):
@@ -387,7 +393,7 @@ class TestDerivedRows:
             self.SMALL, techniques=("wg", "write_buffer", "rmw_local")
         )
         alone = run_campaign(config)
-        built, own_runs = self.counting(monkeypatch)
+        built, own_runs, walked = self.counting(monkeypatch)
         with memo_scope():
             shared = run_campaign(config)
             run_campaign(dataclasses.replace(config, techniques=("write_buffer",)))
@@ -395,7 +401,8 @@ class TestDerivedRows:
             serialize_row(row) for row in alone.rows
         ]
         assert own_runs == {"write_buffer": 6, "rmw_local": 3}
-        assert built == {"conventional": 3, "write_buffer": 6, "rmw_local": 3}
+        assert len(walked) == 3
+        assert built == {"write_buffer": 6, "rmw_local": 3}
 
     def test_a_telemetry_campaign_in_a_scope_runs_every_technique(
         self, monkeypatch
@@ -403,14 +410,16 @@ class TestDerivedRows:
         from repro.obs.telemetry import Telemetry
         from repro.utils.memo import memo_scope
 
-        built, own_runs = self.counting(monkeypatch)
+        built, own_runs, walked = self.counting(monkeypatch)
         with memo_scope():
             run_campaign(self.SMALL, telemetry=Telemetry())
         assert own_runs == {technique: 3 for technique in self.SMALL.techniques}
         assert built == own_runs
+        assert not walked
 
     def test_outside_a_scope_every_technique_runs_on_its_own(self, monkeypatch):
-        built, own_runs = self.counting(monkeypatch)
+        built, own_runs, walked = self.counting(monkeypatch)
         run_campaign(self.SMALL)
         assert own_runs == {technique: 3 for technique in self.SMALL.techniques}
         assert built == own_runs
+        assert not walked
