@@ -45,7 +45,6 @@ from repro.faultinject import (  # noqa: E402
 )
 from repro.sim.campaign import run_campaign, serialize_row  # noqa: E402
 from repro.sim.experiment import ExperimentConfig  # noqa: E402
-from repro.sim.parallel import run_campaign_parallel  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 from repro.utils.memo import memo_scope, scope_memo  # noqa: E402
@@ -121,7 +120,7 @@ def main() -> int:
         FaultSpec(kind="transient", benchmark="mcf", until_attempt=1),
     )
     with inject(*faults):
-        chaotic = run_campaign_parallel(
+        chaotic = run_campaign(
             config,
             processes=args.processes,
             retry=retry,

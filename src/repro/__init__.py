@@ -36,7 +36,6 @@ from repro.sim import (
     compare_techniques,
     execution_policy,
     run_campaign,
-    run_campaign_parallel,
     run_geometry_sweep,
     run_simulation,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "compare_techniques",
     "ExperimentConfig",
     "run_campaign",
-    "run_campaign_parallel",
     "run_geometry_sweep",
     "RetryPolicy",
     "FailedRow",

@@ -20,7 +20,8 @@ the case's batch size, must match every :class:`PerfResult` field of
 over the scalar run's outcomes.  For RMW, WG and WG+RB at default knobs
 (no miss-traffic accounting; for the WG family silent-write detection
 on and one Set-Buffer entry) the leg also derives the technique from a
-conventional replay (:mod:`repro.perf.derive`) and holds the derived
+conventional replay (:mod:`repro.perf.derive`, whose tag walk takes
+the trace whole at any batch size) and holds the derived
 :class:`PerfResult` to the same reference, and its events, counts and
 statistics to the scalar run's, never to conventional's; the trail leg
 holds the miss trail of that traversal's tag walk
@@ -226,7 +227,7 @@ def run_differential(
     )
     at_default_knobs = kwargs == _controller_kwargs(technique, False, True, 1)
     if technique in DERIVED_TECHNIQUES and at_default_knobs:
-        traversal = TimingSimulator("conventional", geometry, batch_size=batch_size)
+        traversal = TimingSimulator("conventional", geometry)
         traversal.run(trace, (technique,))
         perf, derived = traversal.replays[technique]
         divergences += _diff_mapping("reference-vs-derived", reference, _as_dict(perf))
@@ -245,9 +246,9 @@ def run_differential(
             _as_dict(cache.stats),
             _as_dict(derived.cache_stats),
         )
-        divergences += _diff_trail(trace, outcomes, geometry, batch_size)
+        divergences += _diff_trail(trace, outcomes, geometry)
     if technique in PAPER_TECHNIQUES and at_default_knobs:
-        divergences += _diff_derived_row(trace, technique, geometry, batch_size)
+        divergences += _diff_derived_row(trace, technique, geometry)
 
     # -- oracle vs scalar ---------------------------------------------------
     if technique in ORACLE_TECHNIQUES:
@@ -268,12 +269,11 @@ def _diff_trail(
     trace: Sequence[MemoryAccess],
     outcomes: Sequence[Any],
     geometry: CacheGeometry,
-    batch_size: Optional[int],
 ) -> List[str]:
     """The tag walk's miss trail against the scalar run's misses: every
     technique hits and misses alike, so the trail is each outcome's
     ``not cache_hit``."""
-    walked = traverse(trace, geometry, batch_size=batch_size).missed.tolist()
+    walked = traverse(trace, geometry).missed.tolist()
     scalar = [not outcome.cache_hit for outcome in outcomes]
     wrong = [i for i, (a, b) in enumerate(zip(scalar, walked)) if a != b]
     if not wrong:
@@ -290,12 +290,11 @@ def _diff_derived_row(
     trace: Sequence[MemoryAccess],
     technique: str,
     geometry: CacheGeometry,
-    batch_size: Optional[int],
 ) -> List[str]:
     """``technique`` from a campaign row's one traversal against its
     per-access run, both measured after the same warm-up."""
     warmup = len(trace) // ROW_WARMUP_DIVISOR
-    derived = derive_row(trace, geometry, warmup, batch_size)[technique]
+    derived = derive_row(trace, geometry, warmup)[technique]
     reference = Simulator(technique, geometry)
     process = reference.controller.process
     for access in trace[:warmup]:

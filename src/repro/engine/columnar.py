@@ -294,22 +294,21 @@ class SetRuns(NamedTuple):
     wrote: Any
 
 
-def set_runs(chunk: ColumnarChunk) -> SetRuns:
-    """The stable set sort of a non-empty chunk and its same-(set, tag)
-    runs: the one split behind the plain kernel's projection
-    (:func:`_grouped_projection`) and the derivation's tag walk
-    (:func:`repro.perf.derive.traverse`).
+def set_runs(sets: Any, tags: Any, kinds: Any) -> SetRuns:
+    """The stable set sort of non-empty ``sets``, ``tags`` and ``kinds``
+    columns and their same-(set, tag) runs: the one split behind the
+    plain kernel's projection (:func:`_grouped_projection`) and the
+    derivation's tag walk (:func:`repro.perf.derive.traverse`).
 
     Within a run only the first record can miss: the block stays
     resident, since an eviction would need another access to the set
     and the run is contiguous in sorted order.
     """
-    set_arr = chunk.set_indices
-    n = len(set_arr)
-    order = np.argsort(set_arr, kind="stable")
-    s_sorted = set_arr[order]
-    t_sorted = chunk.tags[order]
-    k_sorted = chunk.kinds[order]
+    n = len(sets)
+    order = np.argsort(sets, kind="stable")
+    s_sorted = sets[order]
+    t_sorted = tags[order]
+    k_sorted = kinds[order]
     new_run = np.empty(n, dtype=bool)
     new_run[0] = True
     np.logical_or(
@@ -354,7 +353,7 @@ def _grouped_projection(chunk: ColumnarChunk) -> Any:
     replays that chunk object.
     """
     wpb = chunk.geometry.words_per_block
-    runs = set_runs(chunk)
+    runs = set_runs(chunk.set_indices, chunk.tags, chunk.kinds)
     order, k_sorted = runs.order, runs.kinds
     run_id = np.cumsum(runs.new_run) - 1
     # Within a run positions increase (stable sort), so the run's last

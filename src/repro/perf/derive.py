@@ -21,18 +21,20 @@ and picks its victim by tag and LRU stamp alone, and a conventional
 block turns dirty at any write, silent or not.  So :func:`traverse`
 builds no value-accurate :class:`~repro.sim.simulator.Simulator`: it
 walks a flat tag directory (a dict from block to slot; per-slot block,
-stamp and dirty lists; a per-set fill count).  Each chunk is split
-into same-(set, tag) runs in stable set order
-(:func:`repro.engine.columnar.set_runs`, the plain kernel's split),
-and the walk visits only each run's first record, the one that can
-miss, stamping the slot with the run's final position.  The walk
-starts cold and never invalidates a way, so a set's valid ways are a
-prefix: a fill takes the set's next unfilled way, and once the set is
-full the lowest-stamp way, as the plain kernel does.  The conventional
-result is :func:`~repro.engine.columnar.credit_plain` over the slice's
-request counts, with the walk's statistics.  Values matter only to
-WG's silent writes, which the derivation reads off the trace
-(:func:`repro.trace.stats.word_writes`).
+stamp and dirty lists; a per-set fill count).  Each slice (the
+warm-up, then the rest) is split whole into same-(set, tag) runs in
+stable set order (:func:`repro.engine.columnar.set_runs`, the plain
+kernel's split), and the walk visits only each run's first record, the
+one that can miss, stamping the slot with the run's final position.
+Sets share no state and stamps are trace positions, so where a slice
+is cut never changes the walk, as it never changes the kernel's.  The
+walk starts cold and never invalidates a way, so a set's valid ways
+are a prefix: a fill takes the set's next unfilled way, and once the
+set is full the lowest-stamp way, as the plain kernel does.  The
+conventional result is :func:`~repro.engine.columnar.credit_plain`
+over the slice's request counts, with the walk's statistics.  Values
+matter only to WG's silent writes, which the derivation reads off the
+trace (:func:`repro.trace.stats.word_writes`).
 
 Why this is exact
 -----------------
@@ -95,7 +97,7 @@ without a warm-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy
 
@@ -110,7 +112,6 @@ from repro.core.outcomes import (
 from repro.engine.columnar import (
     credit_plain,
     credit_set_buffer,
-    iter_chunks,
     plain_port_codes,
     set_runs,
     split_addresses,
@@ -199,10 +200,7 @@ def derive_replays(
 
 
 def derive_row(
-    trace: Sequence[MemoryAccess],
-    geometry: CacheGeometry,
-    warmup: int,
-    batch_size: Optional[int] = None,
+    trace: Sequence[MemoryAccess], geometry: CacheGeometry, warmup: int
 ) -> Dict[str, SimulationResult]:
     """The paper's four techniques on ``trace``, measured after its
     first ``warmup`` requests, from one conventional traversal.
@@ -213,7 +211,7 @@ def derive_row(
     :func:`repro.sim.campaign.execute_row` runs per technique
     otherwise).
     """
-    traversal = traverse(trace, geometry, warmup, batch_size)
+    traversal = traverse(trace, geometry, warmup)
     derived = derive_replays(traversal, DERIVED_TECHNIQUES)
     return {
         "conventional": traversal.result,
@@ -222,10 +220,7 @@ def derive_row(
 
 
 def traverse(
-    trace: Iterable[MemoryAccess],
-    geometry: CacheGeometry,
-    warmup: int = 0,
-    batch_size: Optional[int] = None,
+    trace: Iterable[MemoryAccess], geometry: CacheGeometry, warmup: int = 0
 ) -> Traversal:
     """Walk ``trace``'s tags through a cold conventional cache of
     ``geometry``, keeping what the derivation needs.
@@ -235,21 +230,21 @@ def traverse(
     towards the result; the tag slots are snapshotted again at the
     end.  ``trace`` is packed into columns once
     (:meth:`TraceColumns.of`), so a one-shot iterable works too, and
-    each slice is cut into chunks of ``batch_size``
-    (:func:`~repro.engine.columnar.iter_chunks`), as a
-    :class:`~repro.sim.simulator.Simulator` would cut it.
+    its addresses are split once, for the walk of both slices and for
+    the traversal's ``sets`` and ``tags``.
     """
     columns = TraceColumns.of(trace)
+    kinds = columns.kinds
+    sets, tags, _ = split_addresses(columns.addresses, geometry)
     directory = _TagDirectory(geometry)
     missed = np.zeros(len(columns), dtype=bool)
     start_tags = None
     if warmup:
-        directory.walk(columns[:warmup], 0, missed, batch_size)
+        directory.walk(sets[:warmup], tags[:warmup], kinds[:warmup], 0, missed)
         start_tags = directory.tag_slots()
     evictions, dirty_evictions = directory.walk(
-        columns[warmup:], warmup, missed, batch_size
+        sets[warmup:], tags[warmup:], kinds[warmup:], warmup, missed
     )
-    kinds = columns.kinds
     requests = len(kinds) - warmup
     is_write = kinds[warmup:] != 0
     writes = int(np.count_nonzero(is_write))
@@ -267,7 +262,6 @@ def traverse(
     credit_plain(
         events, counts, requests - writes, writes, False, geometry.words_per_set
     )
-    sets, tags, _ = split_addresses(columns.addresses, geometry)
     return Traversal(
         result=SimulationResult(
             "conventional", geometry, requests, events, counts, stats
@@ -304,16 +298,14 @@ class _TagDirectory:
         self.filled = [0] * geometry.num_sets
 
     def walk(
-        self,
-        columns: TraceColumns,
-        start: int,
-        missed: Any,
-        batch_size: Optional[int],
+        self, sets: Any, tags: Any, kinds: Any, start: int, missed: Any
     ) -> Tuple[int, int]:
-        """Take ``columns``, the trace's requests from position
-        ``start`` on; set ``missed`` (the whole trace's trail) at each
-        that misses, and return the slice's evictions and dirty
-        evictions."""
+        """Take the trace's requests from position ``start`` on, as
+        their ``sets``, ``tags`` and ``kinds`` columns; set ``missed``
+        (the whole trace's trail) at each that misses, and return the
+        slice's evictions and dirty evictions."""
+        if not len(sets):
+            return 0, 0
         geometry = self.geometry
         ways = geometry.associativity
         index_bits = geometry.index_bits
@@ -326,40 +318,37 @@ class _TagDirectory:
         )
         misses: List[int] = []
         evictions = dirty_evictions = 0
-        offset = start
-        for chunk in iter_chunks(columns, geometry, batch_size):
-            runs = set_runs(chunk)
-            firsts = runs.starts
-            sets = runs.sets[firsts]
-            for first, final, s, block, wrote in zip(
-                (runs.order[firsts] + offset).tolist(),
-                (runs.order[runs.ends] + offset).tolist(),
-                sets.tolist(),
-                ((runs.tags[firsts] << index_bits) | sets).tolist(),
-                runs.wrote.tolist(),
-            ):
-                slot = slot_of.get(block)
-                if slot is None:
-                    misses.append(first)
-                    way = filled[s]
-                    if way < ways:
-                        filled[s] = way + 1
-                        slot = s * ways + way
-                    else:
-                        base = s * ways
-                        lru = stamps[base : base + ways]
-                        slot = base + lru.index(min(lru))
-                        evictions += 1
-                        if dirty[slot]:
-                            dirty_evictions += 1
-                        del slot_of[blocks[slot]]
-                    blocks[slot] = block
-                    slot_of[block] = slot
-                    dirty[slot] = wrote
-                elif wrote:
-                    dirty[slot] = True
-                stamps[slot] = final
-            offset += len(chunk)
+        runs = set_runs(sets, tags, kinds)
+        firsts = runs.starts
+        run_sets = runs.sets[firsts]
+        for first, final, s, block, wrote in zip(
+            (runs.order[firsts] + start).tolist(),
+            (runs.order[runs.ends] + start).tolist(),
+            run_sets.tolist(),
+            ((runs.tags[firsts] << index_bits) | run_sets).tolist(),
+            runs.wrote.tolist(),
+        ):
+            slot = slot_of.get(block)
+            if slot is None:
+                misses.append(first)
+                way = filled[s]
+                if way < ways:
+                    filled[s] = way + 1
+                    slot = s * ways + way
+                else:
+                    base = s * ways
+                    lru = stamps[base : base + ways]
+                    slot = base + lru.index(min(lru))
+                    evictions += 1
+                    if dirty[slot]:
+                        dirty_evictions += 1
+                    del slot_of[blocks[slot]]
+                blocks[slot] = block
+                slot_of[block] = slot
+                dirty[slot] = wrote
+            elif wrote:
+                dirty[slot] = True
+            stamps[slot] = final
         missed[misses] = True
         return evictions, dirty_evictions
 

@@ -145,8 +145,9 @@ class TimingSimulator:
     and :attr:`controller` are None, as before any run.  After either,
     :attr:`result` holds the run's :class:`SimulationResult` (events,
     counts, cache statistics), so a caller that needs both timing and
-    energy runs the controller once.  ``batch_size`` sets the columnar
-    chunk length, as for :class:`Simulator`.
+    energy runs the controller once.  ``batch_size`` sets the chunk
+    length of a run of its own controller, as for :class:`Simulator`; a
+    derived run walks the trace whole.
     """
 
     def __init__(
@@ -247,7 +248,7 @@ class TimingSimulator:
         """The conventional run and each derived one, from one
         traversal; no cache or controller is built."""
         icounts, is_read = columns.icounts, columns.kinds == 0
-        traversal = traverse(columns, self.geometry, batch_size=self.batch_size)
+        traversal = traverse(columns, self.geometry)
         self.cache = self.controller = None
         self._result = traversal.result
         # The conventional controller's codes follow from the kinds.

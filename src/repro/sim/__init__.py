@@ -13,7 +13,7 @@
     Retry policies, supervised worker processes, ambient execution
     policies — how long campaigns survive faults.
 ``parallel``
-    Campaigns on supervised worker processes.
+    The supervised worker pool behind ``run_campaign(processes=N)``.
 
 Interrupted campaigns resume from the result store (:mod:`repro.store`):
 re-run with the same ``result_cache`` and only missing rows execute.
@@ -28,7 +28,6 @@ from repro.sim.campaign import (
     run_campaign,
     run_geometry_sweep,
 )
-from repro.sim.parallel import run_campaign_parallel
 from repro.sim.resilience import (
     ExecutionPolicy,
     FailedRow,
@@ -50,7 +49,6 @@ __all__ = [
     "BenchmarkRow",
     "CampaignResult",
     "run_campaign",
-    "run_campaign_parallel",
     "run_geometry_sweep",
     "RetryPolicy",
     "FailedRow",

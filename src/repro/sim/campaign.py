@@ -43,10 +43,36 @@ Campaigns are the long-running shape of this codebase, so they are
 * Every row is accounted for in ``CampaignResult.health``:
   ``cached + recomputed + quarantined + breaker_skipped == total``.
 
-Per-benchmark *timeouts* need process isolation and therefore live in
-:func:`repro.sim.parallel.run_campaign_parallel`; the in-process runner
-here honours retries, quarantine and the result store with identical
-semantics.
+:func:`run_campaign` is the one entry point.  It resolves its arguments
+against the ambient :class:`ExecutionPolicy` once, serves the cached
+rows, and takes the pending ones from one of two sources:
+
+* **in process** (``processes`` None or 1): each row runs here in
+  turn, under :func:`retry_call` with the caller's telemetry (sink and
+  sampler included), and degradation events are emitted as they
+  happen;
+* **supervised workers** (``processes > 1``): each row attempt runs in
+  a dedicated child process (:mod:`repro.sim.parallel`), which can be
+  killed, so a hung benchmark costs one ``worker_timeout_s`` instead
+  of the campaign.  A child that dies or times out is retried
+  (``worker.crash``, ``worker.timeout``), and a sequential fallback
+  keeps single-CPU and restricted environments working behind a
+  ``warning.parallel.pool_fallback``.
+
+Both sources yield each row's outcome in ``config.benchmarks`` order,
+whatever the completion order, and one fold takes them: it quarantines
+a lost row, commits a finished one to the store before later rows
+finish (so an interrupted campaign resumes re-running only the missing
+benchmarks), and merges a worker's metrics state under a
+``worker:<benchmark>`` label (:meth:`MetricsRegistry.merge_worker_state`),
+so ``--metrics-out`` carries the campaign aggregate *and* the
+per-worker breakdown.  Trace sinks do not cross process boundaries, so
+a worker collects into a private metrics-only registry, which keeps it
+on the columnar kernels.  Under ``strict`` the first lost row stops
+new rows from starting; the rows already running still fold, and then
+the campaign raises :class:`CampaignFailedError` with every failure.
+Seeds derive from names, not from execution order, so both sources
+give bit-identical rows.
 
 :func:`serialize_row` / :func:`deserialize_row` are the exact
 all-integer JSON form of a row, the payload of a stored row.
@@ -57,7 +83,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from threading import Event
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.config import CacheGeometry
 from repro.cache.stats import CacheStats
@@ -85,6 +112,7 @@ from repro.sim.simulator import SimulationResult, Simulator
 from repro.sram.events import SRAMEventLog
 from repro.trace.record import MemoryAccess
 from repro.utils.memo import scope_memo
+from repro.utils.validation import check_positive
 from repro.workload.generator import generate_trace
 from repro.workload.spec2006 import get_profile
 
@@ -411,7 +439,7 @@ def emit_degradation(telem: Telemetry, name: str, **details) -> None:
     telem.instant(name, category="resilience", **details)
 
 
-# -- result-store plumbing shared with the parallel runner --------------------------
+# -- result-store plumbing --------------------------------------------------------
 
 
 def _open_result_store(
@@ -556,12 +584,6 @@ def _campaign_result(
     )
 
 
-def _breaker_for(retry: RetryPolicy) -> Optional[CircuitBreaker]:
-    if retry.breaker_threshold is None:
-        return None
-    return CircuitBreaker(retry.breaker_threshold)
-
-
 def _failed_row(
     benchmark: str,
     exc: ReproError,
@@ -585,47 +607,30 @@ def _failed_row(
     )
 
 
-def _emit_failure(telem: Telemetry, failure: FailedRow) -> None:
-    """Report a lost row: ``breaker.skip`` or ``campaign.quarantined``."""
-    if failure.breaker_skipped:
-        emit_degradation(telem, "breaker.skip", benchmark=failure.benchmark)
-    else:
-        emit_degradation(
-            telem,
-            "campaign.quarantined",
-            benchmark=failure.benchmark,
-            error=failure.error_type,
-        )
-
-
-def _resolve(
-    retry: Optional[RetryPolicy],
-    strict: Optional[bool],
-    result_cache: ResultCacheArg = None,
-) -> Tuple[RetryPolicy, bool, ResultCacheArg, ExecutionPolicy]:
-    policy = active_policy()
-    return (
-        retry if retry is not None else policy.retry,
-        strict if strict is not None else policy.strict,
-        result_cache if result_cache is not None else policy.result_cache,
-        policy,
-    )
+#: One pending row's outcome from either source, in submission order:
+#: ``(benchmark, row, error, worker metrics state)``; exactly one of
+#: ``row`` and ``error`` is set, and the state is a worker's own.
+RowOutcome = Tuple[
+    str, Optional[BenchmarkRow], Optional[ReproError], Optional[dict]
+]
 
 
 def run_campaign(
     config: ExperimentConfig,
     telemetry: Optional[Telemetry] = None,
     *,
+    processes: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     strict: Optional[bool] = None,
     result_cache: ResultCacheArg = None,
 ) -> CampaignResult:
-    """Run every benchmark through every technique, in process.
+    """Run every benchmark through every technique.
 
     Parameters left as None fall back to the ambient
-    :class:`ExecutionPolicy` (see :func:`execution_policy`); if that
-    policy requests multiple processes, execution is delegated to
-    :func:`repro.sim.parallel.run_campaign_parallel`.
+    :class:`ExecutionPolicy` (see :func:`execution_policy`).  With
+    ``processes`` None or 1 the rows run in process; with more, on up
+    to that many supervised worker processes, which alone enforce
+    ``RetryPolicy.worker_timeout_s`` (see "Fault tolerance" above).
 
     With ``result_cache``, rows whose exact (config, workload, code
     version) are already in the store are served from it — zero
@@ -639,53 +644,66 @@ def run_campaign(
     ``measure.<technique>`` per technique) and the controllers are
     instrumented.
     """
-    retry, strict, result_cache, policy = _resolve(retry, strict, result_cache)
-    if policy.processes is not None and policy.processes > 1:
-        from repro.sim.parallel import run_campaign_parallel
-
-        return run_campaign_parallel(
-            config,
-            processes=policy.processes,
-            telemetry=telemetry,
-            retry=retry,
-            strict=strict,
-            result_cache=result_cache,
-        )
+    policy = active_policy()
+    if processes is None:
+        processes = policy.processes
+    else:
+        check_positive("processes", processes)
+    if retry is None:
+        retry = policy.retry
+    if strict is None:
+        strict = policy.strict
+    if result_cache is None:
+        result_cache = policy.result_cache
     telem = telemetry if telemetry is not None else NULL_TELEMETRY
     store = _open_result_store(result_cache, policy, telem)
     cached, pending, healed = _serve_cached_rows(store, config, telem)
-    executed, failed = _run_rows_resilient(
-        pending,
-        config,
-        telemetry,
-        retry,
-        strict,
-        telem,
-        breaker=_breaker_for(retry),
-        store=store,
+    breaker = (
+        None
+        if retry.breaker_threshold is None
+        else CircuitBreaker(retry.breaker_threshold)
     )
+    abort = Event()
+    workers = processes is not None and processes > 1
+    if workers:
+        from repro.sim.parallel import worker_rows
+
+        outcomes = worker_rows(
+            pending, config, telem, retry, breaker, abort, processes
+        )
+    else:
+        outcomes = _rows_in_process(
+            pending, config, telemetry, retry, breaker, abort
+        )
+    executed, failed = _fold_rows(
+        outcomes, config, retry, strict, telem, breaker, abort, store
+    )
+    if workers and telem.enabled:
+        telem.registry.set_gauge("parallel.workers", processes)
     return _campaign_result(config, cached, executed, failed, healed)
 
 
-def _run_rows_resilient(
-    benchmarks: Sequence[str],
+def _rows_in_process(
+    pending: Sequence[str],
     config: ExperimentConfig,
     telemetry: Optional[Telemetry],
     retry: RetryPolicy,
-    strict: bool,
-    telem: Telemetry,
-    breaker: Optional[CircuitBreaker] = None,
-    store=None,
-) -> Tuple[Dict[str, BenchmarkRow], List[FailedRow]]:
-    """Sequential resilient execution of ``benchmarks`` (shared with
-    the parallel runner's ``processes=1`` path); each finished row is
-    committed to ``store`` before the next benchmark starts."""
-    completed: Dict[str, BenchmarkRow] = {}
-    failed: List[FailedRow] = []
-    on_event = partial(emit_degradation, telem)
-    for benchmark in benchmarks:
+    breaker: Optional[CircuitBreaker],
+    abort: Event,
+) -> Iterator[RowOutcome]:
+    """Each pending row run here in turn under :func:`retry_call`, with
+    the caller's telemetry; none starts once ``abort`` is set."""
+    on_event = partial(
+        emit_degradation, telemetry if telemetry is not None else NULL_TELEMETRY
+    )
+    for benchmark in pending:
+        if abort.is_set():
+            return
+        row = error = None
         try:
             row = retry_call(
+                # ``execute_row`` is looked up per call, so a rebinding
+                # of the module global (a tracer's) sees every row.
                 lambda attempt, _b=benchmark: execute_row(
                     _b, config, telemetry, attempt
                 ),
@@ -695,19 +713,64 @@ def _run_rows_resilient(
                 on_event=on_event,
                 breaker=breaker,
             )
-        except ReproError as exc:
-            failure = _failed_row(benchmark, exc, retry, breaker)
-            if strict:
-                raise CampaignFailedError(
-                    f"campaign failed (strict): {failure.describe()}",
-                    failed_rows=[failure],
-                ) from exc
+        except ReproError as exc:  # repro-lint: disable=RPR205
+            # Not silent: the fold quarantines and reports this row.
+            error = exc
+        yield benchmark, row, error, None
+
+
+def _fold_rows(
+    outcomes: Iterable[RowOutcome],
+    config: ExperimentConfig,
+    retry: RetryPolicy,
+    strict: bool,
+    telem: Telemetry,
+    breaker: Optional[CircuitBreaker],
+    abort: Event,
+    store=None,
+) -> Tuple[Dict[str, BenchmarkRow], List[FailedRow]]:
+    """Fold each pending row's outcome as its source yields it.
+
+    A finished row is committed to ``store`` before the next outcome
+    folds, and a worker's metrics state merges under
+    ``worker:<benchmark>`` (the benchmark, not a pid, keeps runs
+    deterministic).  A lost row is quarantined into a
+    :class:`FailedRow` (``breaker.skip`` or ``campaign.quarantined``);
+    under ``strict`` it sets ``abort``, and once
+    the rows already running have folded the campaign raises
+    :class:`CampaignFailedError` with every failure.
+    """
+    completed: Dict[str, BenchmarkRow] = {}
+    failed: List[FailedRow] = []
+    for benchmark, row, error, state in outcomes:
+        if error is not None:
+            failure = _failed_row(benchmark, error, retry, breaker)
             failed.append(failure)
-            _emit_failure(telem, failure)
+            if failure.breaker_skipped:
+                emit_degradation(telem, "breaker.skip", benchmark=benchmark)
+            else:
+                emit_degradation(
+                    telem,
+                    "campaign.quarantined",
+                    benchmark=benchmark,
+                    error=failure.error_type,
+                )
+            if strict:
+                abort.set()
             continue
         completed[benchmark] = row
         if store is not None:
             _store_save_row(store, config, row, telem)
+        if state is not None and telem.enabled:
+            telem.registry.merge_worker_state(
+                state, worker_id=f"worker:{benchmark}"
+            )
+    if strict and failed:
+        raise CampaignFailedError(
+            "campaign failed (strict): "
+            + "; ".join(failure.describe() for failure in failed),
+            failed_rows=failed,
+        )
     return completed, failed
 
 

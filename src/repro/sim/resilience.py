@@ -3,8 +3,8 @@
 A full campaign sweeps 25 benchmarks x 4 techniques; at production
 trace lengths that is hours of embarrassingly-parallel work, and one
 hung worker or one transient exception must not discard everything
-already computed.  This module provides the three building blocks the
-campaign runners compose:
+already computed.  This module provides the building blocks
+:func:`repro.sim.campaign.run_campaign` composes:
 
 :class:`RetryPolicy`
     Bounded retry with exponential backoff and *deterministic* jitter
@@ -47,7 +47,7 @@ campaign runners compose:
 
 Degradation events (``retry.attempt``, ``worker.timeout``,
 ``worker.crash``) are reported through ``on_event`` callbacks rather
-than written to telemetry directly: the parallel runner supervises
+than written to telemetry directly: the worker pool supervises
 jobs from threads, and replaying the events from the main thread keeps
 the metrics registry single-threaded and the merged output
 deterministic.
@@ -73,6 +73,7 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.utils.rng import derive_seed
+from repro.utils.validation import check_positive
 
 __all__ = [
     "RetryPolicy",
@@ -200,7 +201,7 @@ class FailedRow:
 class CircuitBreaker:
     """Per-target failure counter with a trip threshold.
 
-    Shared by every retry loop in a campaign (the parallel runner's
+    Shared by every retry loop in a campaign (the worker pool's
     supervisor threads included — mutation is lock-protected).  Once a
     target accumulates ``threshold`` failures its breaker *opens*:
     :func:`retry_call` refuses further work on it and raises
@@ -259,9 +260,11 @@ class ExecutionPolicy:
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     strict: bool = False
+    #: Supervised worker processes per campaign (None or 1 = rows run
+    #: in process).
     processes: Optional[int] = None
     #: Root directory of the content-addressed result store (None =
-    #: no caching).  The campaign runners open a
+    #: no caching).  A campaign opens a
     #: :class:`repro.store.ResultStore` here, serve cached rows
     #: without invoking the simulator and commit each new row as it
     #: finishes — re-running against it is how a campaign resumes.
@@ -276,6 +279,12 @@ class ExecutionPolicy:
     #: Directory (or file) of the durable estimation-record cache
     #: (None = estimates are recomputed every run).
     estimator_cache: Optional[Union[str, Path]] = None
+
+    def __post_init__(self) -> None:
+        if self.processes is not None:
+            check_positive("processes", self.processes)
+        if self.result_cache_max_bytes is not None:
+            check_positive("result_cache_max_bytes", self.result_cache_max_bytes)
 
 
 _DEFAULT_POLICY = ExecutionPolicy()

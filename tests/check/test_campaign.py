@@ -115,9 +115,9 @@ class _DroppedMiss:
     def __enter__(self):
         original = self._original
 
-        def buggy(directory, columns, start, missed, batch_size):
-            evicted = original(directory, columns, start, missed, batch_size)
-            marked = missed[start : start + len(columns)].nonzero()[0]
+        def buggy(directory, sets, tags, kinds, start, missed):
+            evicted = original(directory, sets, tags, kinds, start, missed)
+            marked = missed[start : start + len(sets)].nonzero()[0]
             if len(marked):
                 missed[start + marked[-1]] = False
             return evicted

@@ -20,7 +20,6 @@ from repro.faultinject import (
 from repro.sim import campaign as campaign_mod
 from repro.sim.campaign import run_campaign, serialize_row
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.parallel import run_campaign_parallel
 from repro.sim.resilience import RetryPolicy
 from repro.store import ResultStore
 
@@ -71,7 +70,7 @@ def test_chaotic_parallel_run_with_store_matches_clean(
         FaultSpec(kind="crash", benchmark="gcc", until_attempt=1),
         FaultSpec(kind="transient", benchmark="mcf", until_attempt=1),
     ):
-        chaotic = run_campaign_parallel(
+        chaotic = run_campaign(
             config, processes=2, retry=FAST_RETRY, result_cache=cache
         )
     assert payloads(chaotic) == payloads(clean)
@@ -141,7 +140,7 @@ def test_parallel_warm_rerun_served_from_store(config, clean, tmp_path):
     """The parallel runner serves cached rows before dispatching jobs."""
     cache = tmp_path / "cache"
     run_campaign(config, retry=FAST_RETRY, result_cache=cache)
-    warm = run_campaign_parallel(
+    warm = run_campaign(
         config, processes=2, retry=FAST_RETRY, result_cache=cache
     )
     assert payloads(warm) == payloads(clean)

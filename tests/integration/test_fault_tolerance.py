@@ -19,7 +19,6 @@ from repro.obs import Telemetry
 from repro.sim import parallel
 from repro.sim.campaign import run_campaign, serialize_row
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.parallel import run_campaign_parallel
 from repro.sim.resilience import RetryPolicy
 from repro.store import ResultStore, row_key
 
@@ -66,7 +65,7 @@ class TestTransientFaults:
     def test_parallel_retry_heals_and_is_bit_identical(self, config, clean):
         telemetry = Telemetry()
         with inject(FaultSpec(kind="transient", benchmark="mcf")):
-            result = run_campaign_parallel(
+            result = run_campaign(
                 config, processes=2, telemetry=telemetry, retry=FAST_RETRY
             )
         assert result.complete
@@ -109,7 +108,7 @@ class TestProcessDeath:
     def test_crash_quarantined_and_counted(self, config, clean):
         telemetry = Telemetry()
         with inject(FaultSpec(kind="crash", benchmark="gcc", until_attempt=99)):
-            result = run_campaign_parallel(
+            result = run_campaign(
                 config,
                 processes=2,
                 telemetry=telemetry,
@@ -126,7 +125,7 @@ class TestProcessDeath:
 
     def test_crash_healed_by_retry(self, config, clean):
         with inject(FaultSpec(kind="crash", benchmark="mcf", until_attempt=1)):
-            result = run_campaign_parallel(config, processes=2, retry=FAST_RETRY)
+            result = run_campaign(config, processes=2, retry=FAST_RETRY)
         assert result.complete
         assert payloads(result) == payloads(clean)
 
@@ -137,7 +136,7 @@ class TestProcessDeath:
     def test_hang_terminated_by_worker_timeout(self, config, clean):
         telemetry = Telemetry()
         with inject(FaultSpec(kind="hang", benchmark="mcf", until_attempt=99)):
-            result = run_campaign_parallel(
+            result = run_campaign(
                 config,
                 processes=2,
                 telemetry=telemetry,
@@ -188,14 +187,14 @@ class TestResumeFromStore:
         with inject(
             FaultSpec(kind="transient", benchmark="mcf", until_attempt=99)
         ):
-            run_campaign_parallel(
+            run_campaign(
                 config,
                 processes=2,
                 retry=RetryPolicy.none(),
                 result_cache=store,
             )
         telemetry = Telemetry()
-        resumed = run_campaign_parallel(
+        resumed = run_campaign(
             config, processes=2, telemetry=telemetry, result_cache=store
         )
         assert resumed.complete
@@ -236,7 +235,7 @@ class TestResumeFromStore:
             return supervise(benchmark, *args, **kwargs)
 
         monkeypatch.setattr(parallel, "_supervise_job", last_job_waits)
-        result = run_campaign_parallel(config, processes=2, result_cache=store)
+        result = run_campaign(config, processes=2, result_cache=store)
         assert seen == [True]
         assert payloads(result) == payloads(clean)
 
@@ -250,6 +249,6 @@ class TestDeterministicOrdering:
                 kind="delay", benchmark="bwaves", seconds=0.4, until_attempt=99
             )
         ):
-            result = run_campaign_parallel(config, processes=3)
+            result = run_campaign(config, processes=3)
         assert [row.benchmark for row in result.rows] == list(BENCHMARKS)
         assert payloads(result) == payloads(clean)

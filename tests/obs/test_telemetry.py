@@ -9,8 +9,9 @@ import logging
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sinks import JsonlSink, NullSink
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.sim.campaign import run_campaign
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.parallel import _run_benchmark, run_campaign_parallel
+from repro.sim.parallel import _run_benchmark
 
 CONFIG = ExperimentConfig(
     benchmarks=("bwaves", "mcf"),
@@ -82,7 +83,7 @@ class TestWorkerMetrics:
             warmup_fraction=0.0,
         )
         telem = Telemetry()
-        result = run_campaign_parallel(config, processes=2, telemetry=telem)
+        result = run_campaign(config, processes=2, telemetry=telem)
         assert len(result.rows) == 2
         expected = sum(
             row.results["rmw"].counts.read_requests for row in result.rows
@@ -91,7 +92,7 @@ class TestWorkerMetrics:
 
     def test_sequential_processes_one_uses_caller_telemetry(self):
         telem = Telemetry()
-        result = run_campaign_parallel(CONFIG, processes=1, telemetry=telem)
+        result = run_campaign(CONFIG, processes=1, telemetry=telem)
         assert len(result.rows) == 2
         assert telem.registry.value("ctrl.wg.read_requests") > 0
 
@@ -104,7 +105,7 @@ class TestPoolFallbackObservability:
         monkeypatch.setattr("repro.sim.parallel.run_supervised", no_workers)
         telem = Telemetry()
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            result = run_campaign_parallel(CONFIG, processes=4, telemetry=telem)
+            result = run_campaign(CONFIG, processes=4, telemetry=telem)
         # Results still correct...
         assert len(result.rows) == 2
         assert result.mean_reduction("wg") > 0
@@ -120,7 +121,7 @@ class TestPoolFallbackObservability:
 
         monkeypatch.setattr("repro.sim.parallel.run_supervised", no_workers)
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            result = run_campaign_parallel(CONFIG)
+            result = run_campaign(CONFIG, processes=2)
         assert len(result.rows) == 2
         assert any(
             "pool unavailable" in record.message for record in caplog.records

@@ -12,15 +12,18 @@ writes, and on the empty trace.
 A campaign row (:func:`repro.perf.derive.derive_row`) derives the same
 three across a warm-up boundary; every field of all four of its
 results must equal :func:`repro.sim.campaign._run_one` at warm-up
-fractions 0, 0.1 and 0.37, on a small and a large cache, at several
-chunk sizes.
+fractions 0, 0.1 and 0.37, on a small and a large cache, and the same
+two slices run on a ``Simulator`` fed in chunks of 1 and 7 records.
 
-Both take one tag walk (:func:`repro.perf.derive.traverse`).  Its miss
-trail must equal every paper technique's per-access misses, its tag
-slots a value-accurate ``Simulator``'s at the warm-up boundary and at
-the end, and its conventional result :func:`repro.sim.campaign._run_one`'s:
-at 1, 2, 4 and 8 ways and 1,024 sets, warm-up fractions 0, 0.1 and
-0.37, and chunk sizes 1, 7 and the default.
+Both take one tag walk (:func:`repro.perf.derive.traverse`), which
+takes each slice whole.  Its miss trail must equal every paper
+technique's per-access misses, its tag slots a value-accurate
+``Simulator``'s at the warm-up boundary and at the end, and its
+conventional result that ``Simulator``'s and
+:func:`repro.sim.campaign._run_one`'s: at 1, 2, 4 and 8 ways and 1,024
+sets, warm-up fractions 0, 0.1 and 0.37, and with the ``Simulator``
+fed in chunks of 1, 7 and the default, so chunk boundaries fall inside
+the walk's same-(set, tag) runs.
 """
 
 from dataclasses import asdict
@@ -154,17 +157,39 @@ ROW_GEOMETRIES = (CacheGeometry(4 * 1024, 2, 32), CacheGeometry(128 * 1024, 4, 3
 WARMUP_FRACTIONS = (0.0, 0.1, 0.37)
 
 
+def chunked_run(trace, technique, geometry, warmup, batch_size):
+    """:func:`_run_one`'s warm-up and measured slices on a ``Simulator``
+    fed ``batch_size`` records at a time (the default chunk at None).
+
+    Returns the result and the tag slots at the boundary (None without
+    a warm-up) and at the end."""
+    simulator = Simulator(technique, geometry, batch_size=batch_size)
+    start_tags = None
+    if warmup:
+        simulator.feed(trace[:warmup])
+        start_tags = simulator.cache.tag_slots()
+        simulator.reset_measurements()
+    simulator.feed(trace[warmup:])
+    return simulator.finish(), start_tags, simulator.cache.tag_slots()
+
+
 def assert_row_equals_own_runs(trace, geometry, warmup_fraction, batch_size=None):
+    """``batch_size`` chunks the own runs the row is held to; the row's
+    walk takes each slice whole."""
     config = ExperimentConfig(
         geometry=geometry,
         accesses_per_benchmark=len(trace),
         warmup_fraction=warmup_fraction,
     )
     warmup = config.warmup_accesses
-    row = derive_row(trace, geometry, warmup, batch_size)
+    row = derive_row(trace, geometry, warmup)
     assert set(row) == set(PAPER_TECHNIQUES)
     for technique in PAPER_TECHNIQUES:
-        expected = _run_one(trace, technique, config)
+        expected = (
+            _run_one(trace, technique, config)
+            if batch_size is None
+            else chunked_run(trace, technique, geometry, warmup, batch_size)[0]
+        )
         result = row[technique]
         assert result.technique == expected.technique
         assert result.geometry == expected.geometry
@@ -276,23 +301,21 @@ class TestWalk:
                 warmup_fraction=fraction,
             )
             warmup = config.warmup_accesses
-            walked = traverse(trace, geometry, warmup, batch_size)
+            walked = traverse(trace, geometry, warmup)
             expected = scalar_trail(trace, "conventional", geometry)
             assert walked.missed.tolist() == expected
             assert any(expected) and not all(expected)
 
-            simulator = Simulator("conventional", geometry, batch_size=batch_size)
+            result, start_tags, final_tags = chunked_run(
+                trace, "conventional", geometry, warmup, batch_size
+            )
             if warmup:
-                simulator.feed(trace[:warmup])
-                assert numpy.array_equal(
-                    walked.start_tags, simulator.cache.tag_slots()
-                )
-                simulator.reset_measurements()
+                assert numpy.array_equal(walked.start_tags, start_tags)
             else:
                 assert walked.start_tags is None
-            simulator.feed(trace[warmup:])
-            assert numpy.array_equal(walked.final_tags, simulator.cache.tag_slots())
+            assert numpy.array_equal(walked.final_tags, final_tags)
             assert walked.start == warmup
+            assert_result_equal(walked.result, result)
             assert_result_equal(
                 walked.result, _run_one(trace, "conventional", config)
             )
@@ -301,12 +324,18 @@ class TestWalk:
     @pytest.mark.parametrize("technique", PAPER_TECHNIQUES)
     def test_trail_matches_scalar_outcomes(self, technique, batch_size, tiny_geometry):
         """Every paper technique hits and misses alike, so one trail
-        serves all four."""
+        serves all four, and one walk leaves the tags each technique's
+        chunked run leaves."""
         trace = make_random_trace(1_500, seed=44, word_span=300, write_share=0.5)
         expected = scalar_trail(trace, technique, tiny_geometry)
-        walked = traverse(trace, tiny_geometry, batch_size=batch_size)
+        walked = traverse(trace, tiny_geometry)
         assert walked.missed.tolist() == expected
         assert any(expected) and not all(expected)
+        result, _, final_tags = chunked_run(
+            trace, technique, tiny_geometry, 0, batch_size
+        )
+        assert result.cache_stats.misses == sum(expected)
+        assert numpy.array_equal(walked.final_tags, final_tags)
 
     @pytest.mark.parametrize("batch_size", (1, 7, None), ids=("1", "7", "default"))
     def test_trail_across_a_warmup_boundary(self, batch_size, tiny_geometry):
@@ -314,9 +343,15 @@ class TestWalk:
         measured."""
         trace = make_random_trace(900, seed=46, word_span=300, write_share=0.5)
         expected = scalar_trail(trace, "conventional", tiny_geometry)
-        walked = traverse(trace, tiny_geometry, 300, batch_size)
+        walked = traverse(trace, tiny_geometry, 300)
         assert walked.missed.tolist() == expected
         assert walked.result.requests == 600
+        result, start_tags, final_tags = chunked_run(
+            trace, "conventional", tiny_geometry, 300, batch_size
+        )
+        assert numpy.array_equal(walked.start_tags, start_tags)
+        assert numpy.array_equal(walked.final_tags, final_tags)
+        assert_result_equal(walked.result, result)
 
     def test_the_empty_trace(self, tiny_geometry):
         walked = traverse([], tiny_geometry)
@@ -324,6 +359,13 @@ class TestWalk:
         assert (walked.final_tags == -1).all()
         assert walked.result.requests == 0
 
-    def test_a_bad_batch_size_raises(self, tiny_geometry):
-        with pytest.raises(ValidationError, match="batch_size must be positive"):
-            traverse(make_random_trace(20), tiny_geometry, batch_size=0)
+    def test_a_warmup_over_the_whole_trace(self, tiny_geometry):
+        """The measured slice is empty and walks nothing."""
+        trace = make_random_trace(400, seed=47, word_span=300, write_share=0.5)
+        walked = traverse(trace, tiny_geometry, len(trace))
+        assert walked.missed.tolist() == scalar_trail(
+            trace, "conventional", tiny_geometry
+        )
+        assert numpy.array_equal(walked.start_tags, walked.final_tags)
+        assert walked.result.requests == 0
+        assert walked.result.cache_stats.evictions == 0

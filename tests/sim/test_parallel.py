@@ -1,11 +1,13 @@
-"""Unit tests for the parallel campaign runner."""
+"""Unit tests for the campaign runner's two row sources: in process
+(``processes`` None or 1) and supervised workers (``processes > 1``)."""
 
 import pytest
 
+from repro.errors import CampaignFailedError, ValidationError
 from repro.faultinject import FaultSpec, inject
-from repro.sim.campaign import run_campaign
+from repro.sim.campaign import run_campaign, serialize_row
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.parallel import run_campaign_parallel
+from repro.sim.resilience import RetryPolicy
 
 CONFIG = ExperimentConfig(
     benchmarks=("bwaves", "mcf", "gcc"),
@@ -18,7 +20,7 @@ class TestParallelCampaign:
     def test_matches_sequential_exactly(self):
         """Parallel execution must be bit-identical to sequential."""
         sequential = run_campaign(CONFIG)
-        parallel = run_campaign_parallel(CONFIG, processes=2)
+        parallel = run_campaign(CONFIG, processes=2)
         for seq_row, par_row in zip(sequential.rows, parallel.rows):
             assert seq_row.benchmark == par_row.benchmark
             for technique in CONFIG.techniques:
@@ -32,12 +34,12 @@ class TestParallelCampaign:
                 )
 
     def test_single_process_fallback(self):
-        result = run_campaign_parallel(CONFIG, processes=1)
+        result = run_campaign(CONFIG, processes=1)
         assert len(result.rows) == 3
         assert result.mean_reduction("wg") > 0
 
     def test_row_order_preserved(self):
-        result = run_campaign_parallel(CONFIG, processes=2)
+        result = run_campaign(CONFIG, processes=2)
         assert [row.benchmark for row in result.rows] == list(CONFIG.benchmarks)
 
     def test_row_order_pinned_against_scheduling(self):
@@ -51,17 +53,102 @@ class TestParallelCampaign:
                 kind="delay", benchmark="bwaves", seconds=0.4, until_attempt=99
             )
         ):
-            result = run_campaign_parallel(CONFIG, processes=3)
+            result = run_campaign(CONFIG, processes=3)
         assert [row.benchmark for row in result.rows] == list(CONFIG.benchmarks)
 
     def test_row_lookup_is_cached(self):
-        result = run_campaign_parallel(CONFIG, processes=2)
+        result = run_campaign(CONFIG, processes=2)
         assert result.row("mcf") is result.row("mcf")
         assert result._rows_by_benchmark is result._rows_by_benchmark
 
     def test_processes_validated(self):
-        with pytest.raises(ValueError):
-            run_campaign_parallel(CONFIG, processes=0)
+        for processes in (0, -3):
+            with pytest.raises(ValidationError, match="processes must be positive"):
+                run_campaign(CONFIG, processes=processes)
+
+
+#: A benchmark that fails on every attempt, and a budget that gives up
+#: on it quickly.
+LOST_ROW = FaultSpec(kind="transient", benchmark="mcf", until_attempt=99)
+SHORT_RETRY = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)
+
+
+def stored_objects(root):
+    """Every stored object's bytes, keyed by its path under ``objects/``."""
+    objects = root / "objects"
+    return {
+        path.relative_to(objects).as_posix(): path.read_bytes()
+        for path in sorted(objects.rglob("*.json"))
+    }
+
+
+def campaign_record(result):
+    return (
+        {row.benchmark: serialize_row(row) for row in result.rows},
+        result.health,
+        result.failed_rows,
+    )
+
+
+class TestTwoSources:
+    """Both sources go through one fold: the same rows, health ledger,
+    quarantine records and stored bytes, cold and warm."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_code_version(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        monkeypatch.setenv("REPRO_CODE_VERSION", "0123456789abcdef")
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        """A sequential campaign, cold then warm, into its own store."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("REPRO_FAULTS", raising=False)
+            patch.setenv("REPRO_CODE_VERSION", "0123456789abcdef")
+            root = tmp_path_factory.mktemp("reference")
+            cold = run_campaign(CONFIG, result_cache=root)
+            objects = stored_objects(root)
+            warm = run_campaign(CONFIG, result_cache=root)
+            with inject(LOST_ROW):
+                lost = run_campaign(CONFIG, retry=SHORT_RETRY)
+        return campaign_record(cold), objects, campaign_record(warm), lost
+
+    @pytest.mark.parametrize("processes", (1, 2))
+    def test_rows_health_and_store_objects(self, reference, processes, tmp_path):
+        cold, objects, warm, _ = reference
+        result = run_campaign(CONFIG, processes=processes, result_cache=tmp_path)
+        assert campaign_record(result) == cold
+        assert cold[1].recomputed == len(CONFIG.benchmarks)
+        assert stored_objects(tmp_path) == objects
+        assert len(objects) == len(CONFIG.benchmarks)
+        rerun = run_campaign(CONFIG, processes=processes, result_cache=tmp_path)
+        assert campaign_record(rerun) == warm
+        assert warm[1].cached == len(CONFIG.benchmarks)
+
+    @pytest.mark.parametrize("processes", (1, 2))
+    def test_a_lost_row_is_quarantined_alike(self, reference, processes):
+        lost = reference[3]
+        with inject(LOST_ROW):
+            result = run_campaign(CONFIG, processes=processes, retry=SHORT_RETRY)
+        assert campaign_record(result) == campaign_record(lost)
+        assert [f.benchmark for f in result.failed_rows] == ["mcf"]
+        assert result.health.quarantined == 1
+
+    def test_strict_failure_is_the_same_error(self):
+        raised = {}
+        for processes in (1, 2):
+            with inject(LOST_ROW):
+                with pytest.raises(CampaignFailedError) as excinfo:
+                    run_campaign(
+                        CONFIG, processes=processes, retry=SHORT_RETRY, strict=True
+                    )
+            raised[processes] = (str(excinfo.value), excinfo.value.failed_rows)
+        assert raised[1] == raised[2]
+        message, failed_rows = raised[1]
+        assert message == (
+            "campaign failed (strict): " + failed_rows[0].describe()
+        )
+        assert [f.benchmark for f in failed_rows] == ["mcf"]
 
 
 class TestWorkerMetricsAggregation:
@@ -70,7 +157,7 @@ class TestWorkerMetricsAggregation:
         from repro.obs.telemetry import Telemetry
 
         telem = Telemetry(registry=MetricsRegistry())
-        result = run_campaign_parallel(CONFIG, processes=processes, telemetry=telem)
+        result = run_campaign(CONFIG, processes=processes, telemetry=telem)
         return result, telem.registry
 
     def test_aggregate_is_bit_identical_sum_of_worker_counters(self):

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     SimulationError,
+    ValidationError,
     WorkerCrashError,
     WorkerTimeoutError,
 )
@@ -156,6 +157,16 @@ class TestExecutionPolicy:
             with execution_policy(ExecutionPolicy(strict=True)):
                 raise RuntimeError("boom")
         assert active_policy().strict is False
+
+    @pytest.mark.parametrize("value", (0, -3))
+    @pytest.mark.parametrize("name", ("processes", "result_cache_max_bytes"))
+    def test_values_no_campaign_can_use_are_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be positive"):
+            ExecutionPolicy(**{name: value})
+
+    def test_positive_values_are_kept(self):
+        policy = ExecutionPolicy(processes=1, result_cache_max_bytes=1)
+        assert (policy.processes, policy.result_cache_max_bytes) == (1, 1)
 
 
 # Module-level targets so they survive pickling under spawn contexts.

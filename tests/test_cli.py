@@ -492,6 +492,27 @@ class TestResilienceFlags:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["--processes", "0"],
+            ["--processes", "-3"],
+            ["--result-cache", "{store}", "--result-cache-max-bytes", "0"],
+        ),
+        ids=("processes-0", "processes-negative", "max-bytes-0"),
+    )
+    def test_values_no_campaign_can_use_exit_2(self, flags, capsys, tmp_path):
+        store_dir = tmp_path / "store"
+        argv = ["figure", "claim_rmw", "--accesses", "200", "--benchmarks", "bwaves"]
+        argv += [flag.format(store=store_dir) for flag in flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-8t: error:")
+        assert "must be positive" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not store_dir.exists()
+
     def test_figure_with_processes_matches_sequential(self, capsys):
         argv = [
             "figure",
